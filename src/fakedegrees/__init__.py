@@ -7,9 +7,12 @@ enumeration) that are cross-validated exhaustively at small rank.
 """
 
 from .fakedeg import (
+    DEFAULT_ROUTE,
+    ROUTES,
     Representation,
     bc_rep,
     d_rep,
+    fake_degree,
     fake_degree_bc,
     fake_degree_d,
     fake_degree_wreath,
@@ -22,10 +25,13 @@ from .fakedeg import (
 from .qpoly import QPolynomial
 
 __all__ = [
+    "DEFAULT_ROUTE",
     "QPolynomial",
+    "ROUTES",
     "Representation",
     "bc_rep",
     "d_rep",
+    "fake_degree",
     "fake_degree_bc",
     "fake_degree_d",
     "fake_degree_wreath",

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .dominoes import DominoTableau
-from .tableaux import Tableau, TupleTableau, position_of, shape_of
+from .tableaux import Tableau, label_positions, shape_of
 
 TableauPair = tuple[Tableau, Tableau]
 
@@ -134,15 +134,6 @@ def pi_b(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
     return _run_insertion(t, lusztig_rho2_inverse, "piB", trace)
 
 
-def _positions(pair: TableauPair) -> dict[int, tuple[int, int, int]]:
-    out = {}
-    for ti, t in enumerate(pair, start=1):
-        for ri, row in enumerate(t, start=1):
-            for ci, x in enumerate(row, start=1):
-                out[x] = (ti, ri, ci)
-    return out
-
-
 def _n_of(pair: TableauPair) -> int:
     return sum(len(row) for t in pair for row in t)
 
@@ -177,14 +168,14 @@ def _descent_b(pos, i) -> bool:
 def pair_maj_c(pair: TableauPair) -> int:
     """Major index of an even-map image pair; equals the domino major
     index of its preimage."""
-    pos = _positions(pair)
+    pos = label_positions(pair)
     return sum(i for i in range(1, _n_of(pair)) if _descent_c(pos, i))
 
 
 def pair_maj_b(pair: TableauPair) -> int:
     """Major index of an odd-map image pair; equals the domino major
     index of its preimage."""
-    pos = _positions(pair)
+    pos = label_positions(pair)
     return sum(i for i in range(1, _n_of(pair)) if _descent_b(pos, i))
 
 
@@ -230,7 +221,7 @@ def _flip_to_pattern(pair: TableauPair, descent, trace: Trace | None) -> Tableau
     impossible, so branches that strand one are dead ends.
     """
     n = _n_of(pair)
-    pos = _positions(pair)
+    pos = label_positions(pair)
     target = {i: descent(pos, i) for i in range(1, n)}
 
     queue = deque([pair])
@@ -239,7 +230,7 @@ def _flip_to_pattern(pair: TableauPair, descent, trace: Trace | None) -> Tableau
         goals = []
         for _ in range(len(queue)):
             cur = queue.popleft()
-            pos = _positions(cur)
+            pos = label_positions(cur)
             mismatched = [
                 i
                 for i in range(1, n)

@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification or route-agreement failure, 2 usage
-error (malformed input, unknown names, out-of-range indices).
+error (malformed input, unknown names, out-of-range indices, a sweep with
+no checks), 3 an internal rule broke (a bijection or flip step raised
+RuleError; `verify` reports it as a failing record with an "error" field
+and goes on with the sweep).
 """
 
 from __future__ import annotations
@@ -10,18 +13,9 @@ import argparse
 import json
 import sys
 
-from .bijections import Trace, flip_b, flip_c, pair_maj_b, pair_maj_c, pi_b, pi_c
+from .bijections import RuleError, Trace, flip_b, flip_c, pair_maj_b, pair_maj_c, pi_b, pi_c
 from .dominoes import enumerate_sdt, maj_domino
-from .fakedeg import (
-    BC_ROUTES,
-    D_ROUTES,
-    d_rep,
-    fake_degree_bc,
-    fake_degree_d,
-    fake_degree_wreath,
-    poincare_d,
-    poincare_wreath,
-)
+from .fakedeg import DEFAULT_ROUTE, ROUTES, fake_degree, poincare, representation
 from .qpoly import QPolynomial
 from .shapes import (
     format_partition,
@@ -39,9 +33,7 @@ from .tableaux import (
     maj_syt,
     maj_tuple,
 )
-from .verify import SUITES, failures, run_suite, to_json_lines
-
-WREATH_ROUTES = ("formula", "enumeration")
+from .verify import SUITES, errors, failures, run_suite, to_json_lines
 
 
 class UsageError(Exception):
@@ -52,40 +44,14 @@ def _poly_json(p: QPolynomial) -> dict:
     return {"coeffs": list(p.coeffs), "pretty": p.pretty()}
 
 
-DEFAULT_ROUTE = {"wreath": "formula", "bc": "tuple", "d": "tuple"}
-
-
 def _cmd_compute(args) -> int:
-    if args.route is None:
-        args.route = DEFAULT_ROUTE[args.group]
-    if args.group == "wreath":
-        d = args.d
-        text = args.multi if args.multi is not None else args.pair
-        if text is None:
-            raise UsageError("--pair or --multi is required")
-        mp = parse_multipartition(text)
-        routes = WREATH_ROUTES if args.route == "all" else (args.route,)
-        if any(r not in WREATH_ROUTES for r in routes):
-            raise UsageError(f"invalid wreath route {args.route!r}")
-        results = {r: fake_degree_wreath(mp, d, r) for r in routes}
-    elif args.group == "bc":
-        if args.pair is None:
-            raise UsageError("--pair is required")
-        pair = parse_pair(args.pair)
-        routes = BC_ROUTES if args.route == "all" else (args.route,)
-        if any(r not in BC_ROUTES for r in routes):
-            raise UsageError(f"invalid B/C route {args.route!r}")
-        results = {r: fake_degree_bc(pair, r) for r in routes}
-    elif args.group == "d":
-        if args.pair is None:
-            raise UsageError("--pair is required")
-        rep = d_rep(parse_pair(args.pair), args.marker)
-        routes = D_ROUTES if args.route == "all" else (args.route,)
-        if any(r not in D_ROUTES for r in routes):
-            raise UsageError(f"invalid type-D route {args.route!r}")
-        results = {r: fake_degree_d(rep, r) for r in routes}
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown group {args.group!r}")
+    text = args.multi if args.multi is not None else args.pair
+    if text is None:
+        raise UsageError("--pair or --multi is required")
+    rep = representation(args.group, parse_multipartition(text), args.d, args.marker)
+    route = args.route or DEFAULT_ROUTE[args.group]
+    names = ROUTES[args.group] if route == "all" else (route,)
+    results = {name: fake_degree(rep, name) for name in names}
 
     polys = list(results.values())
     agree = all(p == polys[0] for p in polys)
@@ -191,6 +157,8 @@ def _cmd_verify(args) -> int:
     if args.suite != "all" and args.suite not in SUITES:
         raise UsageError(f"invalid suite {args.suite!r}")
     records = run_suite(args.suite, args.max_n)
+    if not records:
+        raise UsageError(f"suite {args.suite} has no checks up to --max-n {args.max_n}")
     text = to_json_lines(records)
     if args.out:
         with open(args.out, "w") as fh:
@@ -198,20 +166,18 @@ def _cmd_verify(args) -> int:
     else:
         print(text)
     bad = failures(records)
-    print(
-        f"suite {args.suite}: {len(records)} checks, {len(bad)} failures",
-        file=sys.stderr,
-    )
+    broken = errors(records)
+    summary = f"suite {args.suite}: {len(records)} checks, {len(bad)} failures"
+    if broken:
+        summary += f" ({len(broken)} internal rule errors)"
+    print(summary, file=sys.stderr)
+    if broken:
+        return 3
     return 0 if not bad else 1
 
 
 def _cmd_poincare(args) -> int:
-    if args.group == "wreath":
-        p = poincare_wreath(args.d, args.n)
-    elif args.group == "bc":
-        p = poincare_wreath(2, args.n)
-    else:
-        p = poincare_d(args.n)
+    p = poincare(args.group, args.n, args.d)
     if args.format == "json":
         print(json.dumps(_poly_json(p), sort_keys=True))
     else:
@@ -228,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute a fake degree polynomial")
-    p.add_argument("--group", choices=("wreath", "bc", "d"), required=True)
+    p.add_argument("--group", choices=tuple(ROUTES), required=True)
     p.add_argument("--d", type=int, default=2, help="cyclic order for wreath")
     p.add_argument("--pair", help='ordered pair "p1|p2", e.g. "1,1|1"')
     p.add_argument("--multi", help='d-multipartition "p1|...|pd"')
@@ -259,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("poincare", help="Poincaré polynomial of a group")
-    p.add_argument("--group", choices=("wreath", "bc", "d"), required=True)
+    p.add_argument("--group", choices=tuple(ROUTES), required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -276,6 +242,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,9 +10,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .qpoly import QPolynomial
-from .shapes import Partition, check_partition
-
-Cell = tuple[int, int]
+from .shapes import Cell, Partition, check_partition, domino_removals
 
 
 @dataclass(frozen=True)
@@ -72,28 +70,9 @@ def _enumerate_rec(shape: Partition, n: int) -> Iterator[tuple[tuple[Cell, Cell]
         if size == 0 or shape == (1,):
             yield ()
         return
-    for smaller, cells in _removable_dominoes(shape):
+    for smaller, cells in domino_removals(shape):
         for rest in _enumerate_rec(smaller, n - 1):
             yield rest + (cells,)
-
-
-def _removable_dominoes(shape: Partition) -> Iterator[tuple[Partition, tuple[Cell, Cell]]]:
-    k = len(shape)
-    for i in range(k):
-        below = shape[i + 1] if i + 1 < k else 0
-        if shape[i] - 2 >= below:
-            parts = list(shape)
-            parts[i] -= 2
-            cells = ((i + 1, shape[i] - 1), (i + 1, shape[i]))
-            yield tuple(x for x in parts if x), cells
-        if i + 1 < k and shape[i] == shape[i + 1]:
-            deeper = shape[i + 2] if i + 2 < k else 0
-            if shape[i] - 1 >= deeper:
-                parts = list(shape)
-                parts[i] -= 1
-                parts[i + 1] -= 1
-                cells = ((i + 1, shape[i]), (i + 2, shape[i]))
-                yield tuple(x for x in parts if x), cells
 
 
 def maj_domino(t: DominoTableau) -> int:
@@ -113,13 +92,7 @@ def maj_domino(t: DominoTableau) -> int:
 
 def sdt_maj_gf(shape: Partition) -> QPolynomial:
     """Sum of q^maj over all standard domino tableaux of the shape."""
-    coeffs: list[int] = []
-    for t in enumerate_sdt(shape):
-        m = maj_domino(t)
-        if m >= len(coeffs):
-            coeffs.extend([0] * (m + 1 - len(coeffs)))
-        coeffs[m] += 1
-    return QPolynomial(coeffs)
+    return QPolynomial.from_exponents(maj_domino(t) for t in enumerate_sdt(shape))
 
 
 def is_standard(t: DominoTableau) -> bool:

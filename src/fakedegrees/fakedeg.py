@@ -35,9 +35,9 @@ from .tableaux import (
 class Representation:
     """An irreducible representation label.
 
-    group is one of "wreath", "bc", "d".  For wreath, d is the cyclic
-    order and label has exactly d components.  For bc, d is 2 and label is
-    an ordered pair.  For type D, label is stored in canonical order
+    group is a key of ROUTES.  For wreath, d is the cyclic order and label
+    has exactly d components.  For bc, d is 2 and label is an ordered
+    pair.  For type D (n >= 2), label is stored in canonical order
     (lexicographically larger component first) and marker distinguishes
     the two representations attached to an equal-component pair; marker is
     fixed to 1 whenever the components differ.
@@ -49,13 +49,15 @@ class Representation:
     marker: int = 1
 
     def __post_init__(self):
-        if self.group not in ("wreath", "bc", "d"):
+        if self.group not in ROUTES:
             raise ValueError(f"unknown group {self.group!r}")
         if self.group == "wreath" and len(self.label) != self.d:
-            raise ValueError("wreath label must have exactly d components")
-        if self.group in ("bc", "d") and (self.d != 2 or len(self.label) != 2):
-            raise ValueError("types B/C/D take an ordered pair of partitions")
+            raise ValueError(f"label {self.label} does not have {self.d} components")
+        if self.group != "wreath" and (self.d != 2 or len(self.label) != 2):
+            raise ValueError("types B/C/D take d = 2 and an ordered pair of partitions")
         if self.group == "d":
+            if self.n < 2:
+                raise ValueError("type D needs n >= 2")
             lam1, lam2 = self.label
             if lam1 < lam2:
                 raise ValueError("type D label must be in canonical order")
@@ -77,6 +79,16 @@ def bc_rep(pair: Multipartition) -> Representation:
     return Representation(group="bc", d=2, label=pair)
 
 
+def representation(
+    group: str, label: Multipartition, d: int = 2, marker: int = 1
+) -> Representation:
+    """The representation of a label as given; a type-D pair is put in
+    canonical order first, and the marker is read for type D only."""
+    if group == "d":
+        return d_rep(label, marker)
+    return Representation(group=group, d=d, label=label)
+
+
 def d_rep(pair: Multipartition, marker: int = 1) -> Representation:
     """Canonicalize an unordered pair for type D."""
     lam1, lam2 = pair
@@ -88,63 +100,37 @@ def d_rep(pair: Multipartition, marker: int = 1) -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# Wreath products G(d,1,n)
+# Routes.  Each takes a Representation of its group.  They share only
+# plumbing (the maj histogram, the substitution q -> q^d and the b-shift),
+# never a computation another route exists to check.
 
 
-def fake_degree_wreath(
-    mp: Multipartition, d: int, route: str = "formula"
-) -> QPolynomial:
-    """Fake degree of the irreducible labelled by a d-multipartition.
-
-    Both routes shift by the b-statistic and substitute q^d uniformly into
-    the size-n generating function: the closed formula uses the
-    q-multinomial times hook-length products, the enumeration route sums
-    q^maj over standard tuple tableaux.
-    """
-    if len(mp) != d:
-        raise ValueError(f"label {mp} does not have {d} components")
-    if route == "formula":
-        n = total_size(mp)
-        inner = q_multinomial(n, [sum(c) for c in mp])
-        for comp in mp:
-            inner = inner * hook_syt_gf(comp)
-    elif route == "enumeration":
-        inner = tuple_maj_gf(mp)
-    else:
-        raise ValueError(f"unknown wreath route {route!r}")
+def _scaled(inner: QPolynomial, mp: Multipartition, d: int = 2) -> QPolynomial:
     return inner.substitute_power(d).shift(b_multi(mp))
 
 
-# ---------------------------------------------------------------------------
-# Types B and C (d = 2)
-
-BC_ROUTES = ("domino_even", "domino_odd", "tuple")
-
-
-def fake_degree_bc(pair: Multipartition, route: str = "tuple") -> QPolynomial:
-    """Fake degree of the hyperoctahedral irreducible of an ordered pair.
-
-    The domino routes sum q^(2 maj) over standard domino tableaux of the
-    two associated shapes of sizes 2n and 2n+1; the tuple route is the
-    d = 2 wreath enumeration.  All three agree.
-    """
-    if len(pair) != 2:
-        raise ValueError("types B/C take an ordered pair of partitions")
-    if route == "domino_even":
-        inner = sdt_maj_gf(lusztig_rho1(pair))
-    elif route == "domino_odd":
-        inner = sdt_maj_gf(lusztig_rho2(pair))
-    elif route == "tuple":
-        return fake_degree_wreath(pair, 2, "enumeration")
-    else:
-        raise ValueError(f"unknown B/C route {route!r}")
-    return inner.substitute_power(2).shift(b_multi(pair))
+def _formula(rep: Representation) -> QPolynomial:
+    """The q-multinomial of the component sizes times the hook-length form
+    of each component's SYT generating function."""
+    inner = q_multinomial(rep.n, [sum(c) for c in rep.label])
+    for comp in rep.label:
+        inner = inner * hook_syt_gf(comp)
+    return _scaled(inner, rep.label, rep.d)
 
 
-# ---------------------------------------------------------------------------
-# Type D
+def _enumeration(rep: Representation) -> QPolynomial:
+    """Sum of q^maj over standard tuple tableaux."""
+    return _scaled(tuple_maj_gf(rep.label), rep.label, rep.d)
 
-D_ROUTES = ("tuple", "domino", "shifted")
+
+def _domino_even(rep: Representation) -> QPolynomial:
+    """Sum of q^maj over standard domino tableaux of the size-2n shape."""
+    return _scaled(sdt_maj_gf(lusztig_rho1(rep.label)), rep.label)
+
+
+def _domino_odd(rep: Representation) -> QPolynomial:
+    """Sum of q^maj over standard domino tableaux of the size-2n+1 shape."""
+    return _scaled(sdt_maj_gf(lusztig_rho2(rep.label)), rep.label)
 
 
 def _orderings(rep: Representation) -> list[Multipartition]:
@@ -154,75 +140,86 @@ def _orderings(rep: Representation) -> list[Multipartition]:
     return [rep.label, (lam2, lam1)]
 
 
+def _ordering_parts(rep: Representation, restricted_gf) -> list[QPolynomial]:
+    """One term per ordering of a type-D pair (one when the components are
+    equal): its restricted generating function, scaled."""
+    return [_scaled(restricted_gf(ordering), ordering) for ordering in _orderings(rep)]
+
+
 def _restricted_sdt_gf(pair: Multipartition) -> QPolynomial:
     """Sum of q^maj over SDTs of the even associated shape whose image
     pair under the maj-preserving bijection has the largest label in the
     first component."""
     from .bijections import pi_c_prime
 
-    coeffs: list[int] = []
-    for t in enumerate_sdt(lusztig_rho1(pair)):
-        if largest_label_component(pi_c_prime(t)) != 1:
-            continue
-        m = maj_domino(t)
-        if m >= len(coeffs):
-            coeffs.extend([0] * (m + 1 - len(coeffs)))
-        coeffs[m] += 1
-    return QPolynomial(coeffs)
+    return QPolynomial.from_exponents(
+        maj_domino(t)
+        for t in enumerate_sdt(lusztig_rho1(pair))
+        if largest_label_component(pi_c_prime(t)) == 1
+    )
 
 
-def fake_degree_d(rep: Representation, route: str = "tuple") -> QPolynomial:
-    """Fake degree of a type-D irreducible, three independent routes.
+def _d_tuple(rep: Representation) -> QPolynomial:
+    """Restricted tuple generating functions of both orderings."""
+    return sum(_ordering_parts(rep, tuple_maj_gf_restricted), QPolynomial())
 
-    tuple: restricted tuple generating functions of both orderings (one
-    term when the components are equal); domino: the same restriction
-    transported through the maj-preserving bijection; shifted: a single
-    sum over tuple tableaux of the canonical ordering, subtracting n from
-    the exponent whenever the largest label falls in the second filling.
-    The marker does not affect the polynomial.
-    """
+
+def _d_domino(rep: Representation) -> QPolynomial:
+    """The same restriction, transported through the maj-preserving
+    bijection."""
+    return sum(_ordering_parts(rep, _restricted_sdt_gf), QPolynomial())
+
+
+def _d_shifted(rep: Representation) -> QPolynomial:
+    """A single sum over tuple tableaux of the canonical ordering,
+    subtracting n from the exponent whenever the largest label falls in the
+    second filling; halved when the components are equal."""
+    b = b_multi(rep.label)
+    total = QPolynomial.from_exponents(
+        b + 2 * maj_tuple(t) - (rep.n if largest_label_component(t) == 2 else 0)
+        for t in enumerate_tuple_tableaux(rep.label)
+    )
+    lam1, lam2 = rep.label
+    return total.exact_div(QPolynomial([2])) if lam1 == lam2 else total
+
+
+# Every route of every group, stored once.  The library entry points, the
+# CLI and the verification suites all read this table.
+ROUTES = {
+    "wreath": {"formula": _formula, "enumeration": _enumeration},
+    "bc": {"domino_even": _domino_even, "domino_odd": _domino_odd, "tuple": _enumeration},
+    "d": {"tuple": _d_tuple, "domino": _d_domino, "shifted": _d_shifted},
+}
+DEFAULT_ROUTE = {"wreath": "formula", "bc": "tuple", "d": "tuple"}
+
+
+def fake_degree(rep: Representation, route: str | None = None) -> QPolynomial:
+    """Fake degree of rep by a named route of its group, or by the group's
+    default route.  The marker of a type-D label does not affect it."""
+    routes = ROUTES[rep.group]
+    name = DEFAULT_ROUTE[rep.group] if route is None else route
+    if name not in routes:
+        raise ValueError(f"unknown {rep.group} route {name!r}")
+    return routes[name](rep)
+
+
+def fake_degree_wreath(
+    mp: Multipartition, d: int, route: str = DEFAULT_ROUTE["wreath"]
+) -> QPolynomial:
+    """Fake degree of the G(d,1,n) irreducible labelled by a d-multipartition."""
+    return fake_degree(wreath_rep(mp, d), route)
+
+
+def fake_degree_bc(pair: Multipartition, route: str = DEFAULT_ROUTE["bc"]) -> QPolynomial:
+    """Fake degree of the hyperoctahedral irreducible of an ordered pair."""
+    return fake_degree(bc_rep(pair), route)
+
+
+def fake_degree_d(rep: Representation, route: str = DEFAULT_ROUTE["d"]) -> QPolynomial:
+    """Fake degree of a type-D irreducible."""
     if rep.group != "d":
         raise ValueError("fake_degree_d needs a type-D representation")
-    n = rep.n
-    if n < 2:
-        raise ValueError("type D needs n >= 2")
-    lam1, lam2 = rep.label
-    if route == "tuple":
-        out = QPolynomial()
-        for ordering in _orderings(rep):
-            out = out + tuple_maj_gf_restricted(ordering).substitute_power(2).shift(
-                b_multi(ordering)
-            )
-        return out
-    if route == "domino":
-        out = QPolynomial()
-        for ordering in _orderings(rep):
-            out = out + _restricted_sdt_gf(ordering).substitute_power(2).shift(
-                b_multi(ordering)
-            )
-        return out
-    if route == "shifted":
-        b = b_multi(rep.label)
-        coeffs: list[int] = []
-        for t in enumerate_tuple_tableaux(rep.label):
-            e = b + 2 * maj_tuple(t)
-            if largest_label_component(t) == 2:
-                e -= n
-            if e >= len(coeffs):
-                coeffs.extend([0] * (e + 1 - len(coeffs)))
-            coeffs[e] += 1
-        total = QPolynomial(coeffs)
-        if lam1 == lam2:
-            halved = []
-            for c in total.coeffs:
-                if c % 2 != 0:
-                    raise ArithmeticError(
-                        f"equal-component sum not divisible by 2 for {rep.label}"
-                    )
-                halved.append(c // 2)
-            total = QPolynomial(halved)
-        return total
-    raise ValueError(f"unknown type-D route {route!r}")
+    return fake_degree(rep, route)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +250,19 @@ def poincare_d(n: int) -> QPolynomial:
     return out
 
 
+def poincare(group: str, n: int, d: int = 2) -> QPolynomial:
+    """Poincaré polynomial of the named group of rank n; d is read for
+    wreath products only."""
+    if group not in ROUTES:
+        raise ValueError(f"unknown group {group!r}")
+    if group == "d":
+        return poincare_d(n)
+    return poincare_wreath(d if group == "wreath" else 2, n)
+
+
 def dimension(rep: Representation) -> int:
     """Dimension of the irreducible: the fake degree evaluated at 1."""
-    if rep.group == "wreath":
-        return fake_degree_wreath(rep.label, rep.d, "formula").evaluate_at_one()
-    if rep.group == "bc":
-        return fake_degree_bc(rep.label).evaluate_at_one()
-    return fake_degree_d(rep).evaluate_at_one()
+    return fake_degree(rep).evaluate_at_one()
 
 
 def all_representations(group: str, n: int, d: int = 2) -> list[Representation]:
@@ -288,12 +291,7 @@ def regular_representation_sum(group: str, n: int, d: int = 2) -> QPolynomial:
     polynomial."""
     out = QPolynomial()
     for rep in all_representations(group, n, d):
-        if rep.group == "wreath":
-            f = fake_degree_wreath(rep.label, rep.d, "formula")
-        elif rep.group == "bc":
-            f = fake_degree_bc(rep.label)
-        else:
-            f = fake_degree_d(rep)
+        f = fake_degree(rep)
         out = out + f * QPolynomial([f.evaluate_at_one()])
     return out
 
@@ -374,12 +372,10 @@ def check_corollary1_d(n: int) -> list[dict]:
             continue  # same polynomial as marker 1
         mu = d_rep(special_partner_bc(rep.label))
         exp_mu = fake_degree_d(mu).exponent_multiset()
-        parts = []
-        for ordering in _orderings(rep):
-            piece = tuple_maj_gf_restricted(ordering).substitute_power(2).shift(
-                b_multi(ordering)
-            )
-            parts.append(piece.exponent_multiset())
+        parts = [
+            part.exponent_multiset()
+            for part in _ordering_parts(rep, tuple_maj_gf_restricted)
+        ]
         ok = all(is_shifted_submultiset(p, exp_mu) for p in parts)
         out.append(
             {

@@ -7,6 +7,7 @@ coefficient list, so equality is plain list equality.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 
 
@@ -32,6 +33,16 @@ class QPolynomial:
     @classmethod
     def monomial(cls, k: int, c: int = 1) -> "QPolynomial":
         return cls([0] * k + [c])
+
+    @classmethod
+    def from_exponents(cls, exponents: Iterable[int]) -> "QPolynomial":
+        """Sum of q^e over the exponents: the histogram of a statistic."""
+        counts = Counter(exponents)
+        if not counts:
+            return cls()
+        if min(counts) < 0:
+            raise ValueError("exponents must be nonnegative")
+        return cls(counts[k] for k in range(max(counts) + 1))
 
     @property
     def degree(self) -> int:

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
+Cell = tuple[int, int]
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
@@ -190,14 +191,15 @@ def supports_domino(p: Partition) -> bool:
         return True
     if p == (1,):
         return True
-    for smaller in _domino_removals(p):
+    for smaller, _cells in domino_removals(p):
         if supports_domino(smaller):
             return True
     return False
 
 
-def _domino_removals(p: Partition) -> Iterator[Partition]:
-    """Shapes obtained by removing one border domino from p."""
+def domino_removals(p: Partition) -> Iterator[tuple[Partition, tuple[Cell, Cell]]]:
+    """Each border domino of p: the smaller shape left by removing it, and
+    its two 1-based cells."""
     k = len(p)
     for i in range(k):
         below = p[i + 1] if i + 1 < k else 0
@@ -205,7 +207,7 @@ def _domino_removals(p: Partition) -> Iterator[Partition]:
         if p[i] - 2 >= below:
             parts = list(p)
             parts[i] -= 2
-            yield tuple(x for x in parts if x)
+            yield tuple(x for x in parts if x), ((i + 1, p[i] - 1), (i + 1, p[i]))
         if i + 1 < k and p[i] == p[i + 1]:
             deeper = p[i + 2] if i + 2 < k else 0
             # vertical domino at the end of rows i+1, i+2
@@ -213,14 +215,14 @@ def _domino_removals(p: Partition) -> Iterator[Partition]:
                 parts = list(p)
                 parts[i] -= 1
                 parts[i + 1] -= 1
-                yield tuple(x for x in parts if x)
+                yield tuple(x for x in parts if x), ((i + 1, p[i]), (i + 2, p[i]))
 
 
 def two_core(p: Partition) -> Partition:
     """Remove dominoes greedily until none can be removed."""
     current = p
     while True:
-        for smaller in _domino_removals(current):
+        for smaller, _cells in domino_removals(current):
             current = smaller
             break
         else:

@@ -33,7 +33,7 @@ def enumerate_syt(shape: Partition) -> Iterator[Tableau]:
     for corner in _corners(shape):
         smaller = _remove_cell(shape, corner)
         for t in enumerate_syt(smaller):
-            yield _add_label(t, corner, n, len(shape))
+            yield _add_label(t, corner, n)
 
 
 def _corners(shape: Partition) -> Iterator[int]:
@@ -49,7 +49,7 @@ def _remove_cell(shape: Partition, row: int) -> Partition:
     return tuple(x for x in parts if x)
 
 
-def _add_label(t: Tableau, row: int, label: int, nrows: int) -> Tableau:
+def _add_label(t: Tableau, row: int, label: int) -> Tableau:
     rows = [list(r) for r in t]
     while len(rows) <= row:
         rows.append([])
@@ -67,24 +67,14 @@ def position_of(t: Tableau, label: int) -> tuple[int, int]:
 
 
 def maj_syt(t: Tableau) -> int:
-    """Sum of labels i with i+1 in a strictly lower row than i."""
-    n = sum(len(row) for row in t)
-    rows = {}
-    for i, row in enumerate(t, start=1):
-        for x in row:
-            rows[x] = i
-    return sum(i for i in range(1, n) if rows[i + 1] > rows[i])
+    """Sum of labels i with i+1 in a strictly lower row than i: the major
+    index of t as a one-filling tuple tableau."""
+    return maj_tuple((t,))
 
 
 def syt_maj_gf(shape: Partition) -> QPolynomial:
     """Sum of q^maj over all SYT of the shape."""
-    coeffs: list[int] = []
-    for t in enumerate_syt(shape):
-        m = maj_syt(t)
-        if m >= len(coeffs):
-            coeffs.extend([0] * (m + 1 - len(coeffs)))
-        coeffs[m] += 1
-    return QPolynomial(coeffs)
+    return QPolynomial.from_exponents(maj_syt(t) for t in enumerate_syt(shape))
 
 
 def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
@@ -97,11 +87,11 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
         for corner in _corners(comp):
             smaller = mp[:ci] + (_remove_cell(comp, corner),) + mp[ci + 1:]
             for t in enumerate_tuple_tableaux(smaller):
-                filled = _add_label(t[ci], corner, n, len(comp))
+                filled = _add_label(t[ci], corner, n)
                 yield t[:ci] + (filled,) + t[ci + 1:]
 
 
-def _label_positions(t: TupleTableau) -> dict[int, tuple[int, int, int]]:
+def label_positions(t: TupleTableau) -> dict[int, tuple[int, int, int]]:
     """label -> (component index 1-based, row, col)."""
     out = {}
     for ci, filling in enumerate(t, start=1):
@@ -117,7 +107,7 @@ def maj_tuple(t: TupleTableau) -> int:
     Label i is a descent if i sits strictly above i+1 within the same
     filling, or if i lives in an earlier filling than i+1.
     """
-    pos = _label_positions(t)
+    pos = label_positions(t)
     n = len(pos)
     total = 0
     for i in range(1, n):
@@ -133,13 +123,13 @@ def maj_tuple(t: TupleTableau) -> int:
 
 def largest_label_component(t: TupleTableau) -> int:
     """1-based index of the filling containing the largest label."""
-    pos = _label_positions(t)
+    pos = label_positions(t)
     return pos[max(pos)][0]
 
 
 def tuple_maj_gf(mp: Multipartition) -> QPolynomial:
     """Sum of q^maj over all standard tuple tableaux of the shape."""
-    return _gf(enumerate_tuple_tableaux(mp))
+    return QPolynomial.from_exponents(maj_tuple(t) for t in enumerate_tuple_tableaux(mp))
 
 
 def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
@@ -149,19 +139,11 @@ def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
         raise ValueError("restricted generating function needs a pair shape")
     if total_size(mp) == 0:
         raise ValueError("restricted generating function needs n >= 1")
-    return _gf(
-        t for t in enumerate_tuple_tableaux(mp) if largest_label_component(t) == 1
+    return QPolynomial.from_exponents(
+        maj_tuple(t)
+        for t in enumerate_tuple_tableaux(mp)
+        if largest_label_component(t) == 1
     )
-
-
-def _gf(tableaux) -> QPolynomial:
-    coeffs: list[int] = []
-    for t in tableaux:
-        m = maj_tuple(t)
-        if m >= len(coeffs):
-            coeffs.extend([0] * (m + 1 - len(coeffs)))
-        coeffs[m] += 1
-    return QPolynomial(coeffs)
 
 
 def format_tableau(t: Tableau) -> str:

@@ -1,7 +1,8 @@
 """Exhaustive verification suites over all representations at desk scale.
 
 Each suite returns a list of JSON-serializable records; a record with
-"agree" (or "ok") false is a failure.  Suites are deterministic: records
+"agree" false is a failure, and one that also carries "error" is an input
+on which an internal rule (an insertion or flip step) broke.  Suites are deterministic: records
 are emitted in a fixed enumeration order.
 """
 
@@ -9,18 +10,20 @@ from __future__ import annotations
 
 import json
 
-from .bijections import pi_b_prime, pi_c_prime
+from .bijections import RuleError, pi_b_prime, pi_c_prime
 from .dominoes import enumerate_sdt, maj_domino
 from .fakedeg import (
+    ROUTES,
+    Representation,
     all_representations,
+    bc_rep,
     check_corollary1_bc,
     check_corollary1_d,
-    fake_degree_bc,
-    fake_degree_d,
-    fake_degree_wreath,
+    fake_degree,
     poincare_d,
     poincare_wreath,
     regular_representation_sum,
+    wreath_rep,
 )
 from .qpoly import QPolynomial
 from .shapes import (
@@ -30,8 +33,6 @@ from .shapes import (
     multipartitions_of,
 )
 from .tableaux import enumerate_tuple_tableaux, maj_tuple
-
-SUITES = ("thm1", "thm2", "thm4", "thm5", "bijections", "poincare", "cor1")
 
 
 def _record(group: str, label: str, routes: dict[str, QPolynomial]) -> dict:
@@ -47,71 +48,66 @@ def _record(group: str, label: str, routes: dict[str, QPolynomial]) -> dict:
     }
 
 
+def _error_record(group: str, label: str, message: str) -> dict:
+    """A failing record for an input on which an internal rule broke."""
+    return {
+        "group": group,
+        "label": label,
+        "routes": {},
+        "agree": False,
+        "exponents": [],
+        "palindromic": False,
+        "error": message,
+    }
+
+
+def route_record(group: str, label: str, rep: Representation, names=None) -> dict:
+    """Compute the named routes of rep (every route of its group by
+    default) and record whether they agree."""
+    routes = {}
+    for name in ROUTES[rep.group] if names is None else names:
+        try:
+            routes[name] = fake_degree(rep, name)
+        except RuleError as exc:
+            return _error_record(group, label, f"{name} route: {exc}")
+    return _record(group, label, routes)
+
+
 def suite_thm1(max_n: int) -> list[dict]:
-    """Wreath-product formula route vs enumeration route, d <= 3."""
-    out = []
-    for d in (1, 2, 3):
-        for n in range(0, max_n + 1):
-            for mp in multipartitions_of(n, d):
-                out.append(
-                    _record(
-                        f"wreath({d},{n})",
-                        format_multipartition(mp),
-                        {
-                            "formula": fake_degree_wreath(mp, d, "formula"),
-                            "enumeration": fake_degree_wreath(mp, d, "enumeration"),
-                        },
-                    )
-                )
-    return out
+    """Every wreath-product route agrees, d <= 3."""
+    return [
+        route_record(f"wreath({d},{n})", format_multipartition(mp), wreath_rep(mp, d))
+        for d in (1, 2, 3)
+        for n in range(0, max_n + 1)
+        for mp in multipartitions_of(n, d)
+    ]
 
 
 def suite_thm2(max_n: int) -> list[dict]:
-    """Triple agreement of the B/C routes: even dominoes, odd dominoes,
-    tuple tableaux."""
-    out = []
-    for n in range(0, max_n + 1):
-        for pair in multipartitions_of(n, 2):
-            out.append(
-                _record(
-                    f"typeBC({n})",
-                    format_multipartition(pair),
-                    {
-                        "domino_even": fake_degree_bc(pair, "domino_even"),
-                        "domino_odd": fake_degree_bc(pair, "domino_odd"),
-                        "tuple": fake_degree_bc(pair, "tuple"),
-                    },
-                )
-            )
-    return out
+    """Every B/C route agrees."""
+    return [
+        route_record(f"typeBC({n})", format_multipartition(pair), bc_rep(pair))
+        for n in range(0, max_n + 1)
+        for pair in multipartitions_of(n, 2)
+    ]
 
 
-def _d_suite(max_n: int, other_route: str) -> list[dict]:
-    out = []
-    for n in range(2, max_n + 1):
-        for rep in all_representations("d", n):
-            label = format_multipartition(rep.label) + f";c={rep.marker}"
-            out.append(
-                _record(
-                    f"typeD({n})",
-                    label,
-                    {
-                        "tuple": fake_degree_d(rep, "tuple"),
-                        other_route: fake_degree_d(rep, other_route),
-                    },
-                )
-            )
-    return out
+def _d_suite(max_n: int, names: tuple[str, str]) -> list[dict]:
+    return [
+        route_record(f"typeD({n})", f"{format_multipartition(r.label)};c={r.marker}", r, names)
+        for n in range(2, max_n + 1)
+        for r in all_representations("d", n)
+    ]
 
 
 def suite_thm4(max_n: int) -> list[dict]:
     """Type D: tuple route vs domino-restricted route."""
-    return _d_suite(max_n, "domino")
+    return _d_suite(max_n, ("tuple", "domino"))
 
 
 def suite_thm5(max_n: int) -> list[dict]:
     """Type D: tuple route vs the shifted single-sum formula."""
-    return _d_suite(max_n, "shifted")
+    return _d_suite(max_n, ("tuple", "shifted"))
 
 
 def suite_bijections(max_n: int) -> list[dict]:
@@ -129,29 +125,32 @@ def suite_bijections(max_n: int) -> list[dict]:
                 ("odd", lusztig_rho2, pi_b_prime),
             ):
                 shape = rho(pair_shape)
-                images = []
-                maj_ok = True
-                for t in enumerate_sdt(shape):
-                    z = prime(t)
-                    if maj_tuple(z) != maj_domino(t):
-                        maj_ok = False
-                    images.append(z)
+                group = f"bijection-{kind}({n})"
+                label = format_multipartition(pair_shape)
+                images, majs = [], []
+                try:
+                    for t in enumerate_sdt(shape):
+                        images.append(prime(t))
+                        majs.append(maj_domino(t))
+                except RuleError as exc:
+                    out.append(_error_record(group, label, str(exc)))
+                    continue
                 universe = list(enumerate_tuple_tableaux(pair_shape))
                 ok = (
-                    maj_ok
+                    all(maj_tuple(z) == m for z, m in zip(images, majs))
                     and len(set(images)) == len(images)
                     and sorted(images) == sorted(universe)
                 )
                 out.append(
                     {
-                        "group": f"bijection-{kind}({n})",
-                        "label": format_multipartition(pair_shape),
+                        "group": group,
+                        "label": label,
                         "routes": {
                             "tableaux": str(len(images)),
                             "targets": str(len(universe)),
                         },
                         "agree": ok,
-                        "exponents": sorted(maj_domino(t) for t in enumerate_sdt(shape)),
+                        "exponents": sorted(majs),
                         "palindromic": True,
                     }
                 )
@@ -219,28 +218,32 @@ def suite_cor1(max_n: int) -> list[dict]:
     return out
 
 
+SUITES = {
+    "thm1": suite_thm1,
+    "thm2": suite_thm2,
+    "thm4": suite_thm4,
+    "thm5": suite_thm5,
+    "bijections": suite_bijections,
+    "poincare": suite_poincare,
+    "cor1": suite_cor1,
+}
+
+
 def run_suite(name: str, max_n: int) -> list[dict]:
-    funcs = {
-        "thm1": suite_thm1,
-        "thm2": suite_thm2,
-        "thm4": suite_thm4,
-        "thm5": suite_thm5,
-        "bijections": suite_bijections,
-        "poincare": suite_poincare,
-        "cor1": suite_cor1,
-    }
     if name == "all":
-        out = []
-        for suite in SUITES:
-            out.extend(funcs[suite](max_n))
-        return out
-    if name not in funcs:
+        return [r for suite in SUITES.values() for r in suite(max_n)]
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return funcs[name](max_n)
+    return SUITES[name](max_n)
 
 
 def failures(records: list[dict]) -> list[dict]:
     return [r for r in records if not r["agree"]]
+
+
+def errors(records: list[dict]) -> list[dict]:
+    """Failing records on which an internal rule broke, not a disagreement."""
+    return [r for r in records if "error" in r]
 
 
 def to_json_lines(records: list[dict]) -> str:

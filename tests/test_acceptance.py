@@ -9,7 +9,7 @@ import pytest
 from fakedegrees.bijections import Trace, flip_c, pi_b_prime, pi_c_prime
 from fakedegrees.dominoes import enumerate_sdt, maj_domino, sdt_maj_gf
 from fakedegrees.fakedeg import (
-    D_ROUTES,
+    ROUTES,
     all_representations,
     check_corollary1_bc,
     check_corollary1_d,
@@ -50,7 +50,7 @@ def test_02_sdt_census():
 
 def test_03_type_d_fake_degrees():
     ok = True
-    for route in D_ROUTES:
+    for route in ROUTES["d"]:
         ok = ok and fake_degree_d(d_rep(((1, 1), (1,))), route) == QPolynomial(
             [0, 0, 0, 1, 1, 1]
         )

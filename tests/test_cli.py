@@ -46,6 +46,40 @@ def test_compute_json(capsys):
     assert data["routes"]["formula"]["coeffs"] == [0, 0, 0, 1, 0, 1, 0, 1]
 
 
+def test_compute_type_d_route_all_json(capsys):
+    code, out, _ = run(
+        capsys, "compute", "--group", "d", "--pair", "2,1|1", "--route", "all",
+        "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert set(data["routes"]) == {"tuple", "domino", "shifted"}
+    assert data["agree"] is True
+    assert len({tuple(r["coeffs"]) for r in data["routes"].values()}) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--group", "wreath", "--d", "2", "--multi", "1|1"),
+        ("--group", "d", "--pair", "1|1"),
+    ],
+)
+def test_compute_unknown_route_per_group(capsys, argv):
+    code, _, err = run(capsys, "compute", *argv, "--route", "nope")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_compute_rule_error_exits_3(capsys):
+    code, out, err = run(
+        capsys, "compute", "--group", "d", "--pair", "4|2,1", "--route", "domino"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: flip procedure is ambiguous")
+
+
 def test_compute_malformed_pair(capsys):
     code, _, err = run(capsys, "compute", "--group", "bc", "--pair", "2,3")
     assert code == 2
@@ -151,6 +185,16 @@ def test_verify_poincare(capsys):
     code, _, err = run(capsys, "verify", "--suite", "poincare", "--max-n", "4")
     assert code == 0
     assert "0 failures" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("--max-n", "-1"), ("--suite", "thm4", "--max-n", "1")]
+)
+def test_verify_vacuous_sweep_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_verify_invalid_suite(capsys):

@@ -1,8 +1,8 @@
 import pytest
 
 from fakedegrees.fakedeg import (
-    BC_ROUTES,
-    D_ROUTES,
+    DEFAULT_ROUTE,
+    ROUTES,
     Representation,
     all_representations,
     bc_rep,
@@ -10,6 +10,7 @@ from fakedegrees.fakedeg import (
     check_corollary1_d,
     d_rep,
     dimension,
+    fake_degree,
     fake_degree_bc,
     fake_degree_d,
     fake_degree_wreath,
@@ -64,23 +65,23 @@ def test_wreath_route_agreement():
 
 def test_bc_examples_and_agreement():
     expected = QPolynomial([0, 0, 0, 1, 0, 1, 0, 1])
-    for route in BC_ROUTES:
+    for route in ROUTES["bc"]:
         assert fake_degree_bc(((1, 1), (1,)), route) == expected
         assert fake_degree_bc(((), ()), route) == QPolynomial([1])
     for n in range(0, 5):
         for pair in multipartitions_of(n, 2):
             ref = fake_degree_bc(pair, "tuple")
-            for route in BC_ROUTES:
+            for route in ROUTES["bc"]:
                 assert fake_degree_bc(pair, route) == ref
 
 
 def test_d_known_examples():
     rep = d_rep(((1, 1), (1,)))
-    for route in D_ROUTES:
+    for route in ROUTES["d"]:
         assert fake_degree_d(rep, route) == QPolynomial([0, 0, 0, 1, 1, 1])
     for marker in (1, 2):
         rep = d_rep(((2,), (2,)), marker)
-        for route in D_ROUTES:
+        for route in ROUTES["d"]:
             assert fake_degree_d(rep, route) == QPolynomial([0, 0, 1, 0, 1, 0, 1])
 
 
@@ -118,9 +119,21 @@ def test_poincare_examples():
         poincare_d(1)
 
 
+def test_fake_degree_reads_the_route_table():
+    reps = [wreath_rep(((1,), (1,), ()), 3), bc_rep(((1,), (1,))), d_rep(((1,), (1,)))]
+    for rep in reps:
+        assert DEFAULT_ROUTE[rep.group] in ROUTES[rep.group]
+        assert fake_degree(rep) == fake_degree(rep, DEFAULT_ROUTE[rep.group])
+        for route in ROUTES[rep.group]:
+            assert fake_degree(rep, route) == fake_degree(rep)
+        with pytest.raises(ValueError):
+            fake_degree(rep, "bogus")
+
+
 def test_regular_representation_identity():
     for n in range(0, 6):
         assert regular_representation_sum("wreath", n, 2) == poincare_wreath(2, n)
+        assert regular_representation_sum("bc", n) == poincare_bc(n)
     for n in range(0, 5):
         assert regular_representation_sum("wreath", n, 3) == poincare_wreath(3, n)
     for n in range(2, 6):

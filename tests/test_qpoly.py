@@ -22,6 +22,19 @@ def test_canonical_form():
     assert QPolynomial([1]) == 1
 
 
+@given(st.lists(st.integers(0, 12), max_size=20))
+def test_from_exponents_is_the_histogram(exponents):
+    p = QPolynomial.from_exponents(exponents)
+    assert p.exponent_multiset() == sorted(exponents)
+    assert p == QPolynomial.from_exponents(iter(exponents))
+
+
+def test_from_exponents_rejects_negative():
+    assert QPolynomial.from_exponents([]).is_zero()
+    with pytest.raises(ValueError):
+        QPolynomial.from_exponents([1, -1])
+
+
 def test_immutability_and_hash():
     p = QPolynomial([1, 2])
     with pytest.raises(AttributeError):
