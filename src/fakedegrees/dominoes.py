@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .qpoly import QPolynomial
+from .qpoly import QPolynomial, add_shifted
 from .shapes import Cell, Partition, check_partition, domino_removals
 
 
@@ -91,8 +91,36 @@ def maj_domino(t: DominoTableau) -> int:
 
 
 def sdt_maj_gf(shape: Partition) -> QPolynomial:
-    """Sum of q^maj over all standard domino tableaux of the shape."""
-    return QPolynomial.from_exponents(maj_domino(t) for t in enumerate_sdt(shape))
+    """Sum of q^maj over all standard domino tableaux of the shape; zero
+    when the shape supports none.
+
+    Recursion on the domino holding the largest label n: removing it leaves
+    a tableau of the smaller shape, and n-1 is a descent exactly when the
+    domino of n-1 lies strictly above the domino of n.  The state is the
+    smaller shape plus the cells of its last domino; the memo lives for
+    this call only.
+    """
+    memo: dict[Partition, list] = {}
+
+    def by_last_domino(p: Partition, n: int) -> list:
+        out = memo.get(p)
+        if out is not None:
+            return out
+        out = [(None, [1])] if n == 0 else []
+        for smaller, cells in domino_removals(p):
+            acc: list[int] = []
+            for prev, coeffs in by_last_domino(smaller, n - 1):
+                # cells[0] lies in a domino's top row, cells[1] in its bottom row
+                descent = prev is not None and prev[1][0] < cells[0][0]
+                add_shifted(acc, coeffs, n - 1 if descent else 0)
+            out.append((cells, acc))
+        memo[p] = out
+        return out
+
+    acc: list[int] = []
+    for _cells, coeffs in by_last_domino(shape, sum(shape) // 2):
+        add_shifted(acc, coeffs, 0)
+    return QPolynomial(acc)
 
 
 def is_standard(t: DominoTableau) -> bool:

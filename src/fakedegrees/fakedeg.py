@@ -23,10 +23,9 @@ from .shapes import (
     _unstar,
 )
 from .tableaux import (
-    enumerate_tuple_tableaux,
     largest_label_component,
-    maj_tuple,
     tuple_maj_gf,
+    tuple_maj_gf_by_component,
     tuple_maj_gf_restricted,
 )
 
@@ -175,10 +174,8 @@ def _d_shifted(rep: Representation) -> QPolynomial:
     subtracting n from the exponent whenever the largest label falls in the
     second filling; halved when the components are equal."""
     b = b_multi(rep.label)
-    total = QPolynomial.from_exponents(
-        b + 2 * maj_tuple(t) - (rep.n if largest_label_component(t) == 2 else 0)
-        for t in enumerate_tuple_tableaux(rep.label)
-    )
+    first, second = tuple_maj_gf_by_component(rep.label)
+    total = first.substitute_power(2).shift(b) + second.substitute_power(2).shift(b - rep.n)
     lam1, lam2 = rep.label
     return total.exact_div(QPolynomial([2])) if lam1 == lam2 else total
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 
 
 class QPolynomial:
@@ -219,6 +220,16 @@ class InexactDivisionError(ArithmeticError):
         self.den = den
 
 
+def add_shifted(acc: list[int], coeffs: Sequence[int], s: int) -> None:
+    """Add q^s times the polynomial with these coefficients into the
+    coefficient list acc, in place, growing acc as needed."""
+    grow = s + len(coeffs) - len(acc)
+    if grow > 0:
+        acc.extend([0] * grow)
+    for k, c in enumerate(coeffs, s):
+        acc[k] += c
+
+
 ONE = QPolynomial([1])
 ZERO = QPolynomial()
 
@@ -232,6 +243,7 @@ def q_int(n: int) -> QPolynomial:
     return QPolynomial([1] * n)
 
 
+@lru_cache(maxsize=None)
 def q_factorial(n: int) -> QPolynomial:
     """Product [n]_q [n-1]_q ... [1]_q, with the empty product equal to 1."""
     if n < 0:

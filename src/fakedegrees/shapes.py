@@ -144,6 +144,7 @@ def _unstar(starred: list[int], stair_top: int) -> Partition:
     return tuple(x for x in parts if x)
 
 
+@lru_cache(maxsize=None)
 def lusztig_rho1_inverse(p: Partition) -> Multipartition:
     """The unique pair mapping to p under lusztig_rho1.
 
@@ -164,6 +165,7 @@ def lusztig_rho1_inverse(p: Partition) -> Multipartition:
     return (_unstar(evens, m + 1), _unstar(odds, m))
 
 
+@lru_cache(maxsize=None)
 def lusztig_rho2_inverse(p: Partition) -> Multipartition:
     """The unique pair mapping to p under lusztig_rho2."""
     if sum(p) % 2 != 1:

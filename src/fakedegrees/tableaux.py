@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .qpoly import QPolynomial
+from .qpoly import QPolynomial, add_shifted
 from .shapes import Multipartition, Partition, total_size
 
 Tableau = tuple[tuple[int, ...], ...]
@@ -74,7 +74,7 @@ def maj_syt(t: Tableau) -> int:
 
 def syt_maj_gf(shape: Partition) -> QPolynomial:
     """Sum of q^maj over all SYT of the shape."""
-    return QPolynomial.from_exponents(maj_syt(t) for t in enumerate_syt(shape))
+    return tuple_maj_gf((shape,))
 
 
 def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
@@ -127,9 +127,55 @@ def largest_label_component(t: TupleTableau) -> int:
     return pos[max(pos)][0]
 
 
+def _maj_gf_by_last_cell(mp: Multipartition) -> list:
+    """Sum of q^maj over the standard tuple tableaux of the shape, split by
+    the cell holding the largest label n: (key, coefficients) pairs whose
+    key is the 0-based (component, row) of that cell.  The empty shape has
+    one tableau, keyed None.
+
+    Recursion on that cell: removing it leaves a tableau of the smaller
+    shape whose largest label n-1 sits at some corner, and n-1 is a descent
+    exactly when that corner precedes the cell of n in (component, row)
+    order.  The memo lives for this call only.
+    """
+    memo: dict[Multipartition, list] = {}
+
+    def by_last_cell(shape: Multipartition, n: int) -> list:
+        out = memo.get(shape)
+        if out is not None:
+            return out
+        out = [(None, [1])] if n == 0 else []
+        for ci, comp in enumerate(shape):
+            for ri in _corners(comp):
+                smaller = shape[:ci] + (_remove_cell(comp, ri),) + shape[ci + 1:]
+                acc: list[int] = []
+                for key, coeffs in by_last_cell(smaller, n - 1):
+                    descent = key is not None and key < (ci, ri)
+                    add_shifted(acc, coeffs, n - 1 if descent else 0)
+                out.append(((ci, ri), acc))
+        memo[shape] = out
+        return out
+
+    return by_last_cell(mp, total_size(mp))
+
+
+def tuple_maj_gf_by_component(mp: Multipartition) -> tuple[QPolynomial, ...]:
+    """Sum of q^maj over all standard tuple tableaux of the shape, split by
+    the component holding the largest label (all zero for the empty
+    shape)."""
+    parts: list[list[int]] = [[] for _ in mp]
+    for key, coeffs in _maj_gf_by_last_cell(mp):
+        if key is not None:
+            add_shifted(parts[key[0]], coeffs, 0)
+    return tuple(QPolynomial(p) for p in parts)
+
+
 def tuple_maj_gf(mp: Multipartition) -> QPolynomial:
     """Sum of q^maj over all standard tuple tableaux of the shape."""
-    return QPolynomial.from_exponents(maj_tuple(t) for t in enumerate_tuple_tableaux(mp))
+    acc: list[int] = []
+    for _key, coeffs in _maj_gf_by_last_cell(mp):
+        add_shifted(acc, coeffs, 0)
+    return QPolynomial(acc)
 
 
 def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
@@ -139,11 +185,7 @@ def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
         raise ValueError("restricted generating function needs a pair shape")
     if total_size(mp) == 0:
         raise ValueError("restricted generating function needs n >= 1")
-    return QPolynomial.from_exponents(
-        maj_tuple(t)
-        for t in enumerate_tuple_tableaux(mp)
-        if largest_label_component(t) == 1
-    )
+    return tuple_maj_gf_by_component(mp)[0]
 
 
 def format_tableau(t: Tableau) -> str:

@@ -36,14 +36,15 @@ from .tableaux import enumerate_tuple_tableaux, maj_tuple
 
 
 def _record(group: str, label: str, routes: dict[str, QPolynomial]) -> dict:
+    """Whether the polynomials agree, with the exponents left empty: a
+    Poincaré polynomial has |W| of them."""
     polys = list(routes.values())
-    agree = all(p == polys[0] for p in polys)
     return {
         "group": group,
         "label": label,
         "routes": {name: p.pretty() for name, p in routes.items()},
-        "agree": agree,
-        "exponents": polys[0].exponent_multiset() if agree else [],
+        "agree": all(p == polys[0] for p in polys),
+        "exponents": [],
         "palindromic": polys[0].is_palindromic(),
     }
 
@@ -70,7 +71,10 @@ def route_record(group: str, label: str, rep: Representation, names=None) -> dic
             routes[name] = fake_degree(rep, name)
         except RuleError as exc:
             return _error_record(group, label, f"{name} route: {exc}")
-    return _record(group, label, routes)
+    record = _record(group, label, routes)
+    if record["agree"]:
+        record["exponents"] = next(iter(routes.values())).exponent_multiset()
+    return record
 
 
 def suite_thm1(max_n: int) -> list[dict]:

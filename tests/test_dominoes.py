@@ -9,7 +9,13 @@ from fakedegrees.dominoes import (
     truncate,
 )
 from fakedegrees.qpoly import QPolynomial
-from fakedegrees.shapes import partitions_of, supports_domino
+from fakedegrees.shapes import (
+    lusztig_rho1,
+    lusztig_rho2,
+    multipartitions_of,
+    partitions_of,
+    supports_domino,
+)
 
 
 def test_census_222():
@@ -50,6 +56,21 @@ def test_enumeration_is_standard_and_complete():
             assert bool(ts) == supports_domino(shape)
             for t in ts:
                 assert is_standard(t)
+
+
+def test_recursion_matches_enumeration():
+    """The recursion on the largest domino gives the same sum as listing
+    every domino tableau, on both Lusztig shapes of every pair, and zero on
+    every shape that supports none."""
+    for n in range(0, 7):
+        for pair in multipartitions_of(n, 2):
+            for shape in (lusztig_rho1(pair), lusztig_rho2(pair)):
+                expected = QPolynomial.from_exponents(maj_domino(t) for t in enumerate_sdt(shape))
+                assert sdt_maj_gf(shape) == expected, shape
+    for size in range(0, 14):
+        for shape in partitions_of(size):
+            if not supports_domino(shape):
+                assert sdt_maj_gf(shape).is_zero(), shape
 
 
 def test_truncate_prefix_shapes():

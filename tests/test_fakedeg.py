@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fakedegrees.fakedeg import (
     DEFAULT_ROUTE,
@@ -100,6 +101,22 @@ def test_d_route_agreement():
             ref = fake_degree_d(rep, "tuple")
             assert fake_degree_d(rep, "domino") == ref
             assert fake_degree_d(rep, "shifted") == ref
+
+
+# Pairs of rank 8 to 10, past the exhaustive sweeps.
+large_pairs = st.integers(8, 10).flatmap(
+    lambda n: st.sampled_from(list(multipartitions_of(n, 2)))
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(large_pairs)
+def test_routes_agree_past_the_sweeps(pair):
+    hook_formula = fake_degree_wreath(pair, 2, "formula")
+    for route in ("tuple", "domino_even", "domino_odd"):
+        assert fake_degree_bc(pair, route) == hook_formula
+    rep = d_rep(pair)
+    assert fake_degree_d(rep, "tuple") == fake_degree_d(rep, "shifted")
 
 
 def test_d_marker_invariance():

@@ -14,6 +14,7 @@ from fakedegrees.tableaux import (
     shape_of,
     syt_maj_gf,
     tuple_maj_gf,
+    tuple_maj_gf_by_component,
     tuple_maj_gf_restricted,
 )
 
@@ -99,6 +100,24 @@ def test_restricted_complement_identity():
             assert len(list(enumerate_tuple_tableaux(swapped))) == len(
                 list(enumerate_tuple_tableaux(mp))
             )
+
+
+def test_recursion_matches_enumeration():
+    """The recursion on the largest label gives the same sums as listing
+    every tuple tableau, in total and split by the component holding the
+    largest label."""
+    for d in (1, 2, 3):
+        for n in range(0, 7):
+            for mp in multipartitions_of(n, d):
+                majs, by_component = [], [[] for _ in mp]
+                for t in enumerate_tuple_tableaux(mp):
+                    majs.append(maj_tuple(t))
+                    if n:
+                        by_component[largest_label_component(t) - 1].append(majs[-1])
+                assert tuple_maj_gf(mp) == QPolynomial.from_exponents(majs), mp
+                assert tuple_maj_gf_by_component(mp) == tuple(
+                    QPolynomial.from_exponents(m) for m in by_component
+                ), mp
 
 
 def test_formatting():

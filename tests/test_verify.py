@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fakedegrees.bijections import RuleError
@@ -28,3 +30,12 @@ def test_rule_error_becomes_a_failing_record(pair):
 def test_clean_records_carry_no_error():
     records = run_suite("thm4", 4)
     assert records and not errors(records) and not failures(records)
+
+
+def test_poincare_records_stay_small():
+    """A Poincaré polynomial has |W| exponents, so its record lists none."""
+    records = run_suite("poincare", 8)
+    assert records and not failures(records)
+    for record in records:
+        assert record["exponents"] == []
+        assert len(json.dumps(record)) < 10_000
