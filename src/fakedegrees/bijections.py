@@ -23,8 +23,16 @@ class RuleError(RuntimeError):
     """An insertion or flip step produced an invalid tableau.
 
     Raised instead of silently repairing: it signals a transcription bug
-    in the case rules, not a bad input.
+    in the case rules, not a bad input.  ``tableau`` is the domino tableau
+    being mapped, when known; ``candidates`` are the competing results of
+    an ambiguous flip search.
     """
+
+    def __init__(self, message: str, tableau: DominoTableau | None = None,
+                 candidates: tuple[TableauPair, ...] = ()):
+        super().__init__(message)
+        self.tableau = tableau
+        self.candidates = candidates
 
 
 @dataclass
@@ -247,7 +255,8 @@ def _flip_to_pattern(pair: TableauPair, descent, trace: Trace | None) -> Tableau
                     queue.append(nxt)
         if goals:
             if len(goals) > 1:
-                raise RuleError(f"flip procedure is ambiguous for {pair}")
+                raise RuleError(f"flip procedure is ambiguous for {pair}",
+                                candidates=tuple(goals))
             goal = goals[0]
             if trace is not None:
                 swaps = []
@@ -272,12 +281,20 @@ def flip_b(pair: TableauPair, trace: Trace | None = None) -> TableauPair:
 
 def pi_c_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
     """Major-index-preserving bijection for even-size shapes."""
-    return flip_c(pi_c(t, trace), trace)
+    try:
+        return flip_c(pi_c(t, trace), trace)
+    except RuleError as exc:
+        exc.tableau = t
+        raise
 
 
 def pi_b_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
     """Major-index-preserving bijection for odd-size shapes."""
-    return flip_b(pi_b(t, trace), trace)
+    try:
+        return flip_b(pi_b(t, trace), trace)
+    except RuleError as exc:
+        exc.tableau = t
+        raise
 
 
 def pair_shapes(pair: TableauPair) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .qpoly import QPolynomial, add_shifted
 from .shapes import Cell, Partition, check_partition, domino_removals
@@ -92,35 +93,37 @@ def maj_domino(t: DominoTableau) -> int:
 
 def sdt_maj_gf(shape: Partition) -> QPolynomial:
     """Sum of q^maj over all standard domino tableaux of the shape; zero
-    when the shape supports none.
-
-    Recursion on the domino holding the largest label n: removing it leaves
-    a tableau of the smaller shape, and n-1 is a descent exactly when the
-    domino of n-1 lies strictly above the domino of n.  The state is the
-    smaller shape plus the cells of its last domino; the memo lives for
-    this call only.
-    """
-    memo: dict[Partition, list] = {}
-
-    def by_last_domino(p: Partition, n: int) -> list:
-        out = memo.get(p)
-        if out is not None:
-            return out
-        out = [(None, [1])] if n == 0 else []
-        for smaller, cells in domino_removals(p):
-            acc: list[int] = []
-            for prev, coeffs in by_last_domino(smaller, n - 1):
-                # cells[0] lies in a domino's top row, cells[1] in its bottom row
-                descent = prev is not None and prev[1][0] < cells[0][0]
-                add_shifted(acc, coeffs, n - 1 if descent else 0)
-            out.append((cells, acc))
-        memo[p] = out
-        return out
-
+    when the shape supports none."""
     acc: list[int] = []
-    for _cells, coeffs in by_last_domino(shape, sum(shape) // 2):
+    for _cells, coeffs in _by_last_domino(shape):
         add_shifted(acc, coeffs, 0)
     return QPolynomial(acc)
+
+
+@lru_cache(maxsize=None)
+def _by_last_domino(p: Partition) -> tuple:
+    """The same sum split by the domino holding the largest label n:
+    (cells, coefficients) pairs; the shapes (), (1,) have one tableau,
+    keyed None.
+
+    Recursion on that domino: removing it leaves a tableau of the smaller
+    shape, and n-1 is a descent exactly when the domino of n-1 lies
+    strictly above the domino of n.  The memo is process-wide, so each
+    shape is solved once; its entries are tuples, so no caller can change
+    them.
+    """
+    n = sum(p) // 2
+    if n == 0:
+        return ((None, (1,)),)
+    out = []
+    for smaller, cells in domino_removals(p):
+        acc: list[int] = []
+        for prev, coeffs in _by_last_domino(smaller):
+            # cells[0] lies in a domino's top row, cells[1] in its bottom row
+            descent = prev is not None and prev[1][0] < cells[0][0]
+            add_shifted(acc, coeffs, n - 1 if descent else 0)
+        out.append((cells, tuple(acc)))
+    return tuple(out)
 
 
 def is_standard(t: DominoTableau) -> bool:

@@ -270,11 +270,13 @@ def q_binomial(n: int, k: int) -> QPolynomial:
     return q_multinomial(n, (k, n - k))
 
 
+@lru_cache(maxsize=None)
 def hook_syt_gf(shape) -> QPolynomial:
     """Major-index generating function over SYT of a shape, hook form.
 
     Computes q^b(shape) [r]_q! / prod over cells [hook]_q, which equals the
-    enumeration-side sum of q^maj over standard Young tableaux.
+    enumeration-side sum of q^maj over standard Young tableaux.  Memoised
+    per shape, so a shape pays its divisions once per process.
     """
     from . import shapes as _shapes
 

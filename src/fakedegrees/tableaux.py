@@ -8,6 +8,7 @@ exactly once overall.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
 
 from .qpoly import QPolynomial, add_shifted
 from .shapes import Multipartition, Partition, total_size
@@ -127,7 +128,8 @@ def largest_label_component(t: TupleTableau) -> int:
     return pos[max(pos)][0]
 
 
-def _maj_gf_by_last_cell(mp: Multipartition) -> list:
+@lru_cache(maxsize=None)
+def _maj_gf_by_last_cell(shape: Multipartition) -> tuple:
     """Sum of q^maj over the standard tuple tableaux of the shape, split by
     the cell holding the largest label n: (key, coefficients) pairs whose
     key is the 0-based (component, row) of that cell.  The empty shape has
@@ -136,27 +138,22 @@ def _maj_gf_by_last_cell(mp: Multipartition) -> list:
     Recursion on that cell: removing it leaves a tableau of the smaller
     shape whose largest label n-1 sits at some corner, and n-1 is a descent
     exactly when that corner precedes the cell of n in (component, row)
-    order.  The memo lives for this call only.
+    order.  The memo is process-wide, so each shape is solved once; its
+    entries are tuples, so no caller can change them.
     """
-    memo: dict[Multipartition, list] = {}
-
-    def by_last_cell(shape: Multipartition, n: int) -> list:
-        out = memo.get(shape)
-        if out is not None:
-            return out
-        out = [(None, [1])] if n == 0 else []
-        for ci, comp in enumerate(shape):
-            for ri in _corners(comp):
-                smaller = shape[:ci] + (_remove_cell(comp, ri),) + shape[ci + 1:]
-                acc: list[int] = []
-                for key, coeffs in by_last_cell(smaller, n - 1):
-                    descent = key is not None and key < (ci, ri)
-                    add_shifted(acc, coeffs, n - 1 if descent else 0)
-                out.append(((ci, ri), acc))
-        memo[shape] = out
-        return out
-
-    return by_last_cell(mp, total_size(mp))
+    n = total_size(shape)
+    if n == 0:
+        return ((None, (1,)),)
+    out = []
+    for ci, comp in enumerate(shape):
+        for ri in _corners(comp):
+            smaller = shape[:ci] + (_remove_cell(comp, ri),) + shape[ci + 1:]
+            acc: list[int] = []
+            for key, coeffs in _maj_gf_by_last_cell(smaller):
+                descent = key is not None and key < (ci, ri)
+                add_shifted(acc, coeffs, n - 1 if descent else 0)
+            out.append(((ci, ri), tuple(acc)))
+    return tuple(out)
 
 
 def tuple_maj_gf_by_component(mp: Multipartition) -> tuple[QPolynomial, ...]:

@@ -2,8 +2,10 @@
 
 Each suite returns a list of JSON-serializable records; a record with
 "agree" false is a failure, and one that also carries "error" is an input
-on which an internal rule (an insertion or flip step) broke.  Suites are deterministic: records
-are emitted in a fixed enumeration order.
+on which an internal rule (an insertion or flip step) broke; its "tableau"
+and "candidates" name the domino tableau and any competing flip results.
+Suites are deterministic: records are emitted in a fixed enumeration
+order.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from .tableaux import enumerate_tuple_tableaux, maj_tuple
 
 
 def _record(group: str, label: str, routes: dict[str, QPolynomial]) -> dict:
-    """Whether the polynomials agree, with the exponents left empty: a
-    Poincaré polynomial has |W| of them."""
+    """Whether the polynomials agree.  The exponents are left empty: the
+    routes already carry each polynomial, and a Poincaré polynomial has |W|
+    of them."""
     polys = list(routes.values())
     return {
         "group": group,
@@ -49,8 +52,9 @@ def _record(group: str, label: str, routes: dict[str, QPolynomial]) -> dict:
     }
 
 
-def _error_record(group: str, label: str, message: str) -> dict:
-    """A failing record for an input on which an internal rule broke."""
+def _error_record(group: str, label: str, message: str, exc: RuleError) -> dict:
+    """A failing record for an input on which an internal rule broke, with
+    the domino tableau being mapped and every competing flip result."""
     return {
         "group": group,
         "label": label,
@@ -59,6 +63,8 @@ def _error_record(group: str, label: str, message: str) -> dict:
         "exponents": [],
         "palindromic": False,
         "error": message,
+        "tableau": None if exc.tableau is None else exc.tableau.to_json(),
+        "candidates": [[[list(row) for row in t] for t in pair] for pair in exc.candidates],
     }
 
 
@@ -70,11 +76,8 @@ def route_record(group: str, label: str, rep: Representation, names=None) -> dic
         try:
             routes[name] = fake_degree(rep, name)
         except RuleError as exc:
-            return _error_record(group, label, f"{name} route: {exc}")
-    record = _record(group, label, routes)
-    if record["agree"]:
-        record["exponents"] = next(iter(routes.values())).exponent_multiset()
-    return record
+            return _error_record(group, label, f"{name} route: {exc}", exc)
+    return _record(group, label, routes)
 
 
 def suite_thm1(max_n: int) -> list[dict]:
@@ -137,7 +140,7 @@ def suite_bijections(max_n: int) -> list[dict]:
                         images.append(prime(t))
                         majs.append(maj_domino(t))
                 except RuleError as exc:
-                    out.append(_error_record(group, label, str(exc)))
+                    out.append(_error_record(group, label, str(exc), exc))
                     continue
                 universe = list(enumerate_tuple_tableaux(pair_shape))
                 ok = (

@@ -2,6 +2,7 @@ import pytest
 
 from fakedegrees.dominoes import (
     DominoTableau,
+    _by_last_domino,
     enumerate_sdt,
     is_standard,
     maj_domino,
@@ -71,6 +72,24 @@ def test_recursion_matches_enumeration():
         for shape in partitions_of(size):
             if not supports_domino(shape):
                 assert sdt_maj_gf(shape).is_zero(), shape
+
+
+def test_memo_is_order_independent_and_immutable():
+    """The process-wide memo gives the same sums whether the small shapes
+    are solved first or reached from the large ones, and every cached
+    entry is a tuple, so no caller can change it."""
+    shapes = [shape for size in range(0, 12) for shape in partitions_of(size)]
+    runs = []
+    for order in (shapes, shapes[::-1]):
+        _by_last_domino.cache_clear()
+        runs.append({shape: sdt_maj_gf(shape) for shape in order})
+        for shape in order:
+            entries = _by_last_domino(shape)
+            assert isinstance(entries, tuple)
+            assert all(isinstance(e, tuple) and isinstance(e[1], tuple) for e in entries)
+    assert runs[0] == runs[1]
+    for shape, gf in runs[0].items():
+        assert gf == QPolynomial.from_exponents(maj_domino(t) for t in enumerate_sdt(shape)), shape
 
 
 def test_truncate_prefix_shapes():

@@ -3,6 +3,7 @@ import math
 from fakedegrees.qpoly import QPolynomial, q_int
 from fakedegrees.shapes import hooks, multipartitions_of, partitions_of
 from fakedegrees.tableaux import (
+    _maj_gf_by_last_cell,
     enumerate_syt,
     enumerate_tuple_tableaux,
     format_tableau,
@@ -118,6 +119,25 @@ def test_recursion_matches_enumeration():
                 assert tuple_maj_gf_by_component(mp) == tuple(
                     QPolynomial.from_exponents(m) for m in by_component
                 ), mp
+
+
+def test_memo_is_order_independent_and_immutable():
+    """The process-wide memo gives the same sums whether the small shapes
+    are solved first or reached from the large ones, and every cached
+    entry is a tuple, so no caller can change it."""
+    shapes = [mp for d in (1, 2, 3) for n in range(0, 6) for mp in multipartitions_of(n, d)]
+    runs = []
+    for order in (shapes, shapes[::-1]):
+        _maj_gf_by_last_cell.cache_clear()
+        runs.append({mp: (tuple_maj_gf(mp), tuple_maj_gf_by_component(mp)) for mp in order})
+        for mp in order:
+            entries = _maj_gf_by_last_cell(mp)
+            assert isinstance(entries, tuple)
+            assert all(isinstance(e, tuple) and isinstance(e[1], tuple) for e in entries)
+    assert runs[0] == runs[1]
+    for mp, (total, _parts) in runs[0].items():
+        majs = [maj_tuple(t) for t in enumerate_tuple_tableaux(mp)]
+        assert total == QPolynomial.from_exponents(majs), mp
 
 
 def test_formatting():
