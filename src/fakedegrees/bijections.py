@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .dominoes import DominoTableau
+from .shapes import check_partition, lusztig_rho1_inverse, lusztig_rho2_inverse
 from .tableaux import Tableau, label_positions, shape_of
 
 TableauPair = tuple[Tableau, Tableau]
@@ -92,8 +93,6 @@ def _run_insertion(t: DominoTableau, inverse, prefix: str, trace: Trace | None) 
     region after each domino is itself a domino-supporting Young diagram).
     The new cell receives the domino's label.
     """
-    from .shapes import check_partition
-
     covered = list(t.shape)
     # peel back to the empty stage, recording shapes
     stages = [tuple(covered)]
@@ -126,8 +125,6 @@ def _run_insertion(t: DominoTableau, inverse, prefix: str, trace: Trace | None) 
 
 def pi_c(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
     """Insertion map for even-size standard domino tableaux."""
-    from .shapes import lusztig_rho1_inverse
-
     if t.size % 2 != 0:
         raise ValueError("pi_c needs an even-size shape")
     return _run_insertion(t, lusztig_rho1_inverse, "piC", trace)
@@ -135,8 +132,6 @@ def pi_c(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
 
 def pi_b(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
     """Insertion map for odd-size standard domino tableaux."""
-    from .shapes import lusztig_rho2_inverse
-
     if t.size % 2 != 1:
         raise ValueError("pi_b needs an odd-size shape")
     return _run_insertion(t, lusztig_rho2_inverse, "piB", trace)

@@ -11,6 +11,8 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
+from .shapes import b_statistic, hooks
+
 
 class QPolynomial:
     """Univariate polynomial in q with integer coefficients.
@@ -278,10 +280,8 @@ def hook_syt_gf(shape) -> QPolynomial:
     enumeration-side sum of q^maj over standard Young tableaux.  Memoised
     per shape, so a shape pays its divisions once per process.
     """
-    from . import shapes as _shapes
-
     r = sum(shape)
-    num = q_factorial(r).shift(_shapes.b_statistic(shape))
-    for h in _shapes.hooks(shape):
+    num = q_factorial(r).shift(b_statistic(shape))
+    for h in hooks(shape):
         num = num.exact_div(q_int(h))
     return num

@@ -144,6 +144,22 @@ def _unstar(starred: list[int], stair_top: int) -> Partition:
     return tuple(x for x in parts if x)
 
 
+def _lusztig_inverse(p: Partition, parity: int) -> Multipartition:
+    """The pair mapping to p under the even (parity 0) or odd (parity 1)
+    Lusztig map: beta numbers of that parity go to the first component."""
+    kind = ("even", "odd")[parity]
+    if sum(p) % 2 != parity:
+        raise ValueError(f"lusztig_rho{parity + 1}_inverse needs an {kind}-size shape")
+    r = len(p) | 1
+    betas = _beta_numbers(p, r)
+    first = [b // 2 for b in betas if b % 2 == parity]
+    second = [b // 2 for b in betas if b % 2 != parity]
+    m = (r - 1) // 2
+    if len(first) != m + 1:
+        raise ValueError(f"shape {p} is not in the image of the {kind} Lusztig map")
+    return (_unstar(first, m + 1), _unstar(second, m))
+
+
 @lru_cache(maxsize=None)
 def lusztig_rho1_inverse(p: Partition) -> Multipartition:
     """The unique pair mapping to p under lusztig_rho1.
@@ -153,31 +169,13 @@ def lusztig_rho1_inverse(p: Partition) -> Multipartition:
     to the starred second.  Raises ValueError when p is not in the image,
     i.e. does not support a standard domino tableau.
     """
-    if sum(p) % 2 != 0:
-        raise ValueError("lusztig_rho1_inverse needs an even-size shape")
-    r = len(p) | 1
-    betas = _beta_numbers(p, r)
-    evens = [b // 2 for b in betas if b % 2 == 0]
-    odds = [(b - 1) // 2 for b in betas if b % 2 == 1]
-    m = (r - 1) // 2
-    if len(evens) != m + 1:
-        raise ValueError(f"shape {p} is not in the image of the even Lusztig map")
-    return (_unstar(evens, m + 1), _unstar(odds, m))
+    return _lusztig_inverse(p, 0)
 
 
 @lru_cache(maxsize=None)
 def lusztig_rho2_inverse(p: Partition) -> Multipartition:
     """The unique pair mapping to p under lusztig_rho2."""
-    if sum(p) % 2 != 1:
-        raise ValueError("lusztig_rho2_inverse needs an odd-size shape")
-    r = len(p) | 1
-    betas = _beta_numbers(p, r)
-    odds = [(b - 1) // 2 for b in betas if b % 2 == 1]
-    evens = [b // 2 for b in betas if b % 2 == 0]
-    m = (r - 1) // 2
-    if len(odds) != m + 1:
-        raise ValueError(f"shape {p} is not in the image of the odd Lusztig map")
-    return (_unstar(odds, m + 1), _unstar(evens, m))
+    return _lusztig_inverse(p, 1)
 
 
 @lru_cache(maxsize=None)

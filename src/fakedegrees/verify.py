@@ -22,8 +22,7 @@ from .fakedeg import (
     check_corollary1_bc,
     check_corollary1_d,
     fake_degree,
-    poincare_d,
-    poincare_wreath,
+    poincare,
     regular_representation_sum,
     wreath_rep,
 )
@@ -37,35 +36,43 @@ from .shapes import (
 from .tableaux import enumerate_tuple_tableaux, maj_tuple
 
 
-def _record(group: str, label: str, routes: dict[str, QPolynomial]) -> dict:
-    """Whether the polynomials agree.  The exponents are left empty: the
-    routes already carry each polynomial, and a Poincaré polynomial has |W|
-    of them."""
-    polys = list(routes.values())
+def _record(group, label, routes, agree, palindromic=True, exponents=(), **extra) -> dict:
+    """Every record of every suite: routes maps a name to a string, and
+    extra fields (an error's) follow the common ones."""
     return {
         "group": group,
         "label": label,
-        "routes": {name: p.pretty() for name, p in routes.items()},
-        "agree": all(p == polys[0] for p in polys),
-        "exponents": [],
-        "palindromic": polys[0].is_palindromic(),
+        "routes": routes,
+        "agree": agree,
+        "exponents": list(exponents),
+        "palindromic": palindromic,
+        **extra,
     }
+
+
+def _agreement(group: str, label: str, polys: dict[str, QPolynomial]) -> dict:
+    """Whether the polynomials agree.  The exponents are left empty: the
+    routes already carry each polynomial, and a Poincaré polynomial has |W|
+    of them."""
+    first = next(iter(polys.values()))
+    return _record(
+        group,
+        label,
+        {name: p.pretty() for name, p in polys.items()},
+        all(p == first for p in polys.values()),
+        first.is_palindromic(),
+    )
 
 
 def _error_record(group: str, label: str, message: str, exc: RuleError) -> dict:
     """A failing record for an input on which an internal rule broke, with
     the domino tableau being mapped and every competing flip result."""
-    return {
-        "group": group,
-        "label": label,
-        "routes": {},
-        "agree": False,
-        "exponents": [],
-        "palindromic": False,
-        "error": message,
-        "tableau": None if exc.tableau is None else exc.tableau.to_json(),
-        "candidates": [[[list(row) for row in t] for t in pair] for pair in exc.candidates],
-    }
+    return _record(
+        group, label, {}, False, False,
+        error=message,
+        tableau=None if exc.tableau is None else exc.tableau.to_json(),
+        candidates=[[[list(row) for row in t] for t in pair] for pair in exc.candidates],
+    )
 
 
 def route_record(group: str, label: str, rep: Representation, names=None) -> dict:
@@ -77,7 +84,7 @@ def route_record(group: str, label: str, rep: Representation, names=None) -> dic
             routes[name] = fake_degree(rep, name)
         except RuleError as exc:
             return _error_record(group, label, f"{name} route: {exc}", exc)
-    return _record(group, label, routes)
+    return _agreement(group, label, routes)
 
 
 def suite_thm1(max_n: int) -> list[dict]:
@@ -148,81 +155,45 @@ def suite_bijections(max_n: int) -> list[dict]:
                     and len(set(images)) == len(images)
                     and sorted(images) == sorted(universe)
                 )
-                out.append(
-                    {
-                        "group": group,
-                        "label": label,
-                        "routes": {
-                            "tableaux": str(len(images)),
-                            "targets": str(len(universe)),
-                        },
-                        "agree": ok,
-                        "exponents": sorted(majs),
-                        "palindromic": True,
-                    }
-                )
+                counts = {"tableaux": str(len(images)), "targets": str(len(universe))}
+                out.append(_record(group, label, counts, ok, exponents=sorted(majs)))
     return out
 
 
 def suite_poincare(max_n: int) -> list[dict]:
     """Regular-representation identity: sum of dim * fake degree equals the
-    Poincaré polynomial, for wreath(2,n), wreath(3,n), and type D."""
-    out = []
-    for d in (2, 3):
-        for n in range(0, max_n + 1):
-            out.append(
-                _record(
-                    f"wreath({d},{n})",
-                    "regular",
-                    {
-                        "sum": regular_representation_sum("wreath", n, d),
-                        "poincare": poincare_wreath(d, n),
-                    },
-                )
-            )
-    for n in range(2, max_n + 1):
-        out.append(
-            _record(
-                f"typeD({n})",
-                "regular",
-                {
-                    "sum": regular_representation_sum("d", n),
-                    "poincare": poincare_d(n),
-                },
-            )
+    Poincaré polynomial, for wreath(2,n), wreath(3,n), types B/C and D."""
+    cases = [(f"wreath({d},{n})", "wreath", n, d) for d in (2, 3) for n in range(max_n + 1)]
+    cases += [(f"typeBC({n})", "bc", n, 2) for n in range(max_n + 1)]
+    cases += [(f"typeD({n})", "d", n, 2) for n in range(2, max_n + 1)]
+    return [
+        _agreement(
+            name,
+            "regular",
+            {
+                "sum": regular_representation_sum(group, n, d),
+                "poincare": poincare(group, n, d),
+            },
         )
-    return out
+        for name, group, n, d in cases
+    ]
 
 
 def suite_cor1(max_n: int) -> list[dict]:
     """Exponent containment against the special partner (B/C), and the
     two-part relaxation (type D)."""
-    out = []
-    for n in range(0, max_n + 1):
-        for r in check_corollary1_bc(n):
-            out.append(
-                {
-                    "group": f"typeBC({n})",
-                    "label": format_multipartition(r["label"]),
-                    "routes": {"special": format_multipartition(r["special"])},
-                    "agree": r["ok"],
-                    "exponents": r["exponents"],
-                    "palindromic": True,
-                }
-            )
-    for n in range(2, max_n + 1):
-        for r in check_corollary1_d(n):
-            out.append(
-                {
-                    "group": f"typeD({n})",
-                    "label": format_multipartition(r["label"]),
-                    "routes": {"special": format_multipartition(r["special"])},
-                    "agree": r["ok"],
-                    "exponents": sorted(x for part in r["parts"] for x in part),
-                    "palindromic": True,
-                }
-            )
-    return out
+    cases = [(f"typeBC({n})", check_corollary1_bc, n) for n in range(max_n + 1)]
+    cases += [(f"typeD({n})", check_corollary1_d, n) for n in range(2, max_n + 1)]
+    return [
+        _record(
+            name,
+            format_multipartition(r["label"]),
+            {"special": format_multipartition(r["special"])},
+            r["ok"],
+        )
+        for name, check, n in cases
+        for r in check(n)
+    ]
 
 
 SUITES = {

@@ -1,5 +1,7 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fakedegrees.fakedeg import (
     DEFAULT_ROUTE,
@@ -208,6 +210,24 @@ def test_is_shifted_submultiset():
     assert is_shifted_submultiset([], [1])
     assert not is_shifted_submultiset([0, 0], [1, 2])
     assert not is_shifted_submultiset([0, 1, 2], [0, 1])
+
+
+def _shifted_submultiset_by_counting(a, b):
+    """Try every shift that can carry some element of a onto one of b."""
+    ca, cb = Counter(a), Counter(b)
+    shifts = range(-max(a, default=0), max(b, default=0) + 1)
+    return any(all(cb[x + s] >= k for x, k in ca.items()) for s in shifts)
+
+
+small_multisets = st.lists(st.integers(0, 6), max_size=8)
+
+
+@given(small_multisets, small_multisets)
+@example([], [])
+@example([], [3])
+@example([2], [])
+def test_is_shifted_submultiset_matches_counting(a, b):
+    assert is_shifted_submultiset(a, b) == _shifted_submultiset_by_counting(a, b)
 
 
 def test_corollary1_bc():

@@ -66,18 +66,23 @@ def test_clean_records_carry_no_error():
 
 
 def test_poincare_records_stay_small():
-    """A Poincaré polynomial has |W| exponents, so its record lists none."""
+    """A Poincaré polynomial has |W| exponents, so its record lists none.
+    The B/C default route enters the identity too, not only wreath(2, n)."""
     records = run_suite("poincare", 8)
     assert records and not failures(records)
+    assert [r["group"] for r in records if r["group"].startswith("typeBC")] == [
+        f"typeBC({n})" for n in range(9)
+    ]
     for record in records:
         assert record["exponents"] == []
         assert len(json.dumps(record)) < 10_000
 
 
 def test_route_records_stay_small():
-    """Each route record carries its polynomials, so it lists no exponents
-    (one per unit of dimension)."""
-    records = run_suite("thm1", 8)
+    """Each route record carries its polynomials, and each cor1 record its
+    special partner, so neither lists exponents (one per unit of
+    dimension)."""
+    records = run_suite("thm1", 8) + run_suite("cor1", 8)
     assert records and not failures(records)
     for record in records:
         assert record["exponents"] == []
