@@ -10,7 +10,6 @@ major-index-preserving bijections (`pi_c_prime`, `pi_b_prime`).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .dominoes import DominoTableau
@@ -24,16 +23,14 @@ class RuleError(RuntimeError):
     """An insertion or flip step produced an invalid tableau.
 
     Raised instead of silently repairing: it signals a transcription bug
-    in the case rules, not a bad input.  ``tableau`` is the domino tableau
-    being mapped, when known; ``candidates`` are the competing results of
-    an ambiguous flip search.
+    in the case rules (an insertion step that breaks a shape, or flips
+    that end on another descent set), not a bad input.  ``tableau`` is
+    the domino tableau being mapped, when known.
     """
 
-    def __init__(self, message: str, tableau: DominoTableau | None = None,
-                 candidates: tuple[TableauPair, ...] = ()):
+    def __init__(self, message: str, tableau: DominoTableau | None = None):
         super().__init__(message)
         self.tableau = tableau
-        self.candidates = candidates
 
 
 @dataclass
@@ -141,6 +138,12 @@ def _n_of(pair: TableauPair) -> int:
     return sum(len(row) for t in pair for row in t)
 
 
+def _diagonal(cell) -> int:
+    """Diagonal 2(r - c) of a (filling, row, col) cell."""
+    _, r, c = cell
+    return 2 * (r - c)
+
+
 def _descent_diag(pos, i, y2_offset: int) -> bool:
     """Shifted-diagonal descent rule for a tableau pair.
 
@@ -151,55 +154,26 @@ def _descent_diag(pos, i, y2_offset: int) -> bool:
     same-cell comparisons consistently (the offsets are odd, so ties
     cannot occur).  Validated exhaustively against the domino major index.
     """
-    t1, r1, c1 = pos[i]
-    t2, r2, c2 = pos[i + 1]
-    s1 = 2 * (r1 - c1) + (y2_offset if t1 == 2 else 0)
-    s2 = 2 * (r2 - c2) + (y2_offset if t2 == 2 else 0)
+    s1 = _diagonal(pos[i]) + (y2_offset if pos[i][0] == 2 else 0)
+    s2 = _diagonal(pos[i + 1]) + (y2_offset if pos[i + 1][0] == 2 else 0)
     return s2 > s1
 
 
-def _descent_c(pos, i) -> bool:
-    """Pair-level descent rule matching the even-size insertion map."""
-    return _descent_diag(pos, i, 1)
-
-
-def _descent_b(pos, i) -> bool:
-    """Pair-level descent rule matching the odd-size insertion map."""
-    return _descent_diag(pos, i, 3)
+def _pair_maj(pair: TableauPair, y2_offset: int) -> int:
+    pos = label_positions(pair)
+    return sum(i for i in range(1, _n_of(pair)) if _descent_diag(pos, i, y2_offset))
 
 
 def pair_maj_c(pair: TableauPair) -> int:
-    """Major index of an even-map image pair; equals the domino major
-    index of its preimage."""
-    pos = label_positions(pair)
-    return sum(i for i in range(1, _n_of(pair)) if _descent_c(pos, i))
+    """Major index of an even-map image pair (second filling offset 1);
+    equals the domino major index of its preimage."""
+    return _pair_maj(pair, 1)
 
 
 def pair_maj_b(pair: TableauPair) -> int:
-    """Major index of an odd-map image pair; equals the domino major
-    index of its preimage."""
-    pos = label_positions(pair)
-    return sum(i for i in range(1, _n_of(pair)) if _descent_b(pos, i))
-
-
-def _swap_labels(pair: TableauPair, i: int) -> TableauPair:
-    def swap_in(t: Tableau) -> Tableau:
-        return tuple(
-            tuple(i + 1 if x == i else i if x == i + 1 else x for x in row) for row in t
-        )
-
-    return (swap_in(pair[0]), swap_in(pair[1]))
-
-
-def _is_valid_pair(pair: TableauPair) -> bool:
-    for t in pair:
-        for ri, row in enumerate(t):
-            for ci, x in enumerate(row):
-                if ci and row[ci - 1] >= x:
-                    return False
-                if ri and t[ri - 1][ci] >= x:
-                    return False
-    return True
+    """Major index of an odd-map image pair (second filling offset 3);
+    equals the domino major index of its preimage."""
+    return _pair_maj(pair, 3)
 
 
 def _tuple_descent(pos, i) -> bool:
@@ -210,68 +184,56 @@ def _tuple_descent(pos, i) -> bool:
     return (t1 == t2 and r1 < r2) or t1 < t2
 
 
-def _flip_to_pattern(pair: TableauPair, descent, trace: Trace | None) -> TableauPair:
-    """Flip adjacent labels until the tuple descent set equals the
-    pair-level descent set of the input.
+def _flip_to_pattern(pair: TableauPair, offset: int, trace: Trace | None) -> TableauPair:
+    """Swap labels across the fillings until the tuple descent set equals
+    the pair-level descent set of the input at the given offset.
 
-    A label i qualifies for a flip while i and i+1 sit in different
-    fillings and the tuple descent indicator at i disagrees with the
-    target; each flip fixes position i and may expose or resolve
-    mismatches at i-1 and i+1.  Among all qualifying flip sequences the
-    shortest one leads to a unique result (breadth-first search; ties at
-    the minimal length never happen on valid inputs, and are rejected
-    loudly if they ever did).  Flipping a same-filling mismatch is
-    impossible, so branches that strand one are dead ends.
+    For labels i, i+1 in different fillings let the gap g_i be the
+    diagonal of the first filling's cell minus that of the second's: the
+    pair-level comparison of i and i+1 changes exactly when the offset
+    passes g_i, and once the offset exceeds every gap the pair-level rule
+    is the tuple rule.  So slide the offset upward: take the smallest gap
+    above it, swap i and i+1 for every i with that gap (in ascending
+    order; such labels are never consecutive), which restores the
+    descent set, and move the offset to that gap; stop when no gap lies
+    above it.  Every swap keeps the pair standard: i and i+1 sit in
+    different fillings and no label lies between them, so each filling
+    still increases along rows and columns.  A result whose tuple
+    descent set is not the input's raises RuleError.
     """
     n = _n_of(pair)
     pos = label_positions(pair)
-    target = {i: descent(pos, i) for i in range(1, n)}
-
-    queue = deque([pair])
-    parent: dict[TableauPair, tuple[TableauPair, int] | None] = {pair: None}
-    while queue:
-        goals = []
-        for _ in range(len(queue)):
-            cur = queue.popleft()
-            pos = label_positions(cur)
-            mismatched = [
-                i
-                for i in range(1, n)
-                if pos[i][0] != pos[i + 1][0] and _tuple_descent(pos, i) != target[i]
-            ]
-            if not mismatched:
-                if all(_tuple_descent(pos, i) == target[i] for i in range(1, n)):
-                    goals.append(cur)
-                continue
-            for i in mismatched:
-                nxt = _swap_labels(cur, i)
-                if _is_valid_pair(nxt) and nxt not in parent:
-                    parent[nxt] = (cur, i)
-                    queue.append(nxt)
-        if goals:
-            if len(goals) > 1:
-                raise RuleError(f"flip procedure is ambiguous for {pair}",
-                                candidates=tuple(goals))
-            goal = goals[0]
+    target = [_descent_diag(pos, i, offset) for i in range(1, n)]
+    while True:
+        gaps = {
+            i: (_diagonal(pos[i]) - _diagonal(pos[i + 1])) * (1 if pos[i][0] == 1 else -1)
+            for i in range(1, n)
+            if pos[i][0] != pos[i + 1][0]
+        }
+        ahead = [g for g in gaps.values() if g > offset]
+        if not ahead:
+            break
+        offset = min(ahead)
+        for i in sorted(i for i, g in gaps.items() if g == offset):
+            pos[i], pos[i + 1] = pos[i + 1], pos[i]
             if trace is not None:
-                swaps = []
-                node = goal
-                while parent[node] is not None:
-                    node, i = parent[node]
-                    swaps.append(i)
-                trace.swaps.extend(reversed(swaps))
-            return goal
-    raise RuleError(f"flip procedure cannot match the descent set of {pair}")
+                trace.swaps.append(i)
+    if [_tuple_descent(pos, i) for i in range(1, n)] != target:
+        raise RuleError(f"flip procedure cannot match the descent set of {pair}")
+    fillings = [[list(row) for row in t] for t in pair]
+    for label, (f, r, c) in pos.items():
+        fillings[f - 1][r - 1][c - 1] = label
+    return tuple(tuple(tuple(row) for row in t) for t in fillings)
 
 
 def flip_c(pair: TableauPair, trace: Trace | None = None) -> TableauPair:
-    """Flip procedure for even-size map images."""
-    return _flip_to_pattern(pair, _descent_c, trace)
+    """Flip procedure for even-size map images (offset 1)."""
+    return _flip_to_pattern(pair, 1, trace)
 
 
 def flip_b(pair: TableauPair, trace: Trace | None = None) -> TableauPair:
-    """Flip procedure for odd-size map images."""
-    return _flip_to_pattern(pair, _descent_b, trace)
+    """Flip procedure for odd-size map images (offset 3)."""
+    return _flip_to_pattern(pair, 3, trace)
 
 
 def pi_c_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:

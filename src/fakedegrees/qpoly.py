@@ -257,12 +257,18 @@ def q_factorial(n: int) -> QPolynomial:
 
 
 def q_multinomial(n: int, parts: Sequence[int]) -> QPolynomial:
-    """q-multinomial coefficient [n]_q! / prod [part]_q!."""
+    """q-multinomial coefficient [n]_q! / prod [part]_q!; memoised on the
+    sorted nonzero parts, since their order does not matter."""
     if any(p < 0 for p in parts):
         raise ValueError("q_multinomial parts must be nonnegative")
     if sum(parts) != n:
         raise ValueError(f"parts {list(parts)} do not sum to {n}")
-    num = q_factorial(n)
+    return _q_multinomial(tuple(sorted(p for p in parts if p)))
+
+
+@lru_cache(maxsize=None)
+def _q_multinomial(parts: tuple[int, ...]) -> QPolynomial:
+    num = q_factorial(sum(parts))
     for p in parts:
         num = num.exact_div(q_factorial(p))
     return num

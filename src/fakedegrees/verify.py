@@ -3,7 +3,7 @@
 Each suite returns a list of JSON-serializable records; a record with
 "agree" false is a failure, and one that also carries "error" is an input
 on which an internal rule (an insertion or flip step) broke; its "tableau"
-and "candidates" name the domino tableau and any competing flip results.
+names the domino tableau being mapped.
 Suites are deterministic: records are emitted in a fixed enumeration
 order.
 """
@@ -66,12 +66,11 @@ def _agreement(group: str, label: str, polys: dict[str, QPolynomial]) -> dict:
 
 def _error_record(group: str, label: str, message: str, exc: RuleError) -> dict:
     """A failing record for an input on which an internal rule broke, with
-    the domino tableau being mapped and every competing flip result."""
+    the domino tableau being mapped."""
     return _record(
         group, label, {}, False, False,
         error=message,
         tableau=None if exc.tableau is None else exc.tableau.to_json(),
-        candidates=[[[list(row) for row in t] for t in pair] for pair in exc.candidates],
     )
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fakedegrees.bijections import (
     RuleError,
@@ -13,9 +14,9 @@ from fakedegrees.bijections import (
     pi_c,
     pi_c_prime,
 )
-from fakedegrees.dominoes import enumerate_sdt, maj_domino
-from fakedegrees.shapes import lusztig_rho1, lusztig_rho2, multipartitions_of
-from fakedegrees.tableaux import enumerate_tuple_tableaux, maj_tuple
+from fakedegrees.dominoes import DominoTableau, _by_last_domino, enumerate_sdt, maj_domino
+from fakedegrees.shapes import domino_removals, lusztig_rho1, lusztig_rho2, multipartitions_of
+from fakedegrees.tableaux import enumerate_tuple_tableaux, label_positions, maj_tuple
 
 
 def test_pi_parity_checks():
@@ -82,25 +83,33 @@ def test_flip_preserves_shapes_and_labels():
                 assert labels == list(range(1, n + 1))
 
 
-def certify(rho, prime, max_n):
-    for n in range(0, max_n + 1):
-        for pair_shape in multipartitions_of(n, 2):
-            images = []
-            for t in enumerate_sdt(rho(pair_shape)):
-                z = prime(t)
-                assert pair_shapes(z) == pair_shape
-                assert maj_tuple(z) == maj_domino(t)
-                images.append(z)
-            assert len(set(images)) == len(images)  # injective
-            assert sorted(images) == sorted(enumerate_tuple_tableaux(pair_shape))
+def certify(rho, prime, pair_shape_list):
+    for pair_shape in pair_shape_list:
+        images = []
+        for t in enumerate_sdt(rho(pair_shape)):
+            z = prime(t)
+            assert pair_shapes(z) == pair_shape
+            assert maj_tuple(z) == maj_domino(t)
+            images.append(z)
+        assert len(set(images)) == len(images)  # injective
+        assert sorted(images) == sorted(enumerate_tuple_tableaux(pair_shape))
+
+
+PAIR_SHAPES_THROUGH_5 = [ps for n in range(6) for ps in multipartitions_of(n, 2)]
 
 
 def test_pi_c_prime_bijection_certified():
-    certify(lusztig_rho1, pi_c_prime, 5)
+    certify(lusztig_rho1, pi_c_prime, PAIR_SHAPES_THROUGH_5)
 
 
 def test_pi_b_prime_bijection_certified():
-    certify(lusztig_rho2, pi_b_prime, 5)
+    certify(lusztig_rho2, pi_b_prime, PAIR_SHAPES_THROUGH_5)
+
+
+def test_pi_c_prime_injective_where_shortest_flips_collided():
+    """On each of these n = 8 shapes, a breadth-first shortest-flip search
+    sent two domino tableaux to one pair."""
+    certify(lusztig_rho1, pi_c_prime, [((2, 1, 1), (4,)), ((1, 1, 1, 1), (3, 1))])
 
 
 def test_flip_b_small_case():
@@ -110,3 +119,75 @@ def test_flip_b_small_case():
     y = pi_b(t)
     z = flip_b(y)
     assert maj_tuple(z) == maj_domino(t)
+
+
+def random_sdt(shape, rand) -> DominoTableau:
+    """A uniform random standard domino tableau of the shape, drawn from
+    the largest label down: each border domino is taken with probability
+    proportional to the number of tableaux of the shape left without it,
+    the coefficient sum of its entry in the domino memo."""
+    dominoes = []
+    p = shape
+    while sum(p) > 1:
+        entries = list(zip(domino_removals(p), _by_last_domino(p)))
+        pick = rand.randrange(sum(sum(coeffs) for _, (_, coeffs) in entries))
+        for (smaller, cells), (memo_cells, coeffs) in entries:
+            assert cells == memo_cells
+            pick -= sum(coeffs)
+            if pick < 0:
+                break
+        dominoes.append(cells)
+        p = smaller
+    return DominoTableau(shape=shape, dominoes=tuple(reversed(dominoes)))
+
+
+def is_standard_pair(pair, pair_shape) -> bool:
+    labels = sorted(x for t in pair for row in t for x in row)
+    return (
+        pair_shapes(pair) == pair_shape
+        and labels == list(range(1, len(labels) + 1))
+        and all(
+            all(a < b for a, b in zip(row, row[1:])) and all(a < b for a, b in zip(above, row))
+            for t in pair
+            for above, row in zip(((),) + t, t)
+        )
+    )
+
+
+def descent_set(pair, rule) -> set[int]:
+    pos = label_positions(pair)
+    return {i for i in range(1, len(pos)) if rule(pos[i], pos[i + 1])}
+
+
+def tuple_rule(a, b) -> bool:
+    """i+1 strictly lower in the same filling, or i in an earlier one."""
+    return (a[0] == b[0] and a[1] < b[1]) or a[0] < b[0]
+
+
+def diagonal_rule(offset):
+    """i+1 on a strictly larger diagonal 2(r - c), the second filling's
+    shifted by offset."""
+    def key(cell):
+        f, r, c = cell
+        return 2 * (r - c) + (offset if f == 2 else 0)
+
+    return lambda a, b: key(b) > key(a)
+
+
+large_pair_shapes = st.integers(10, 14).flatmap(
+    lambda n: st.sampled_from(list(multipartitions_of(n, 2)))
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(large_pair_shapes, st.randoms(use_true_random=False))
+def test_bijections_past_the_certified_range(pair_shape, rand):
+    for rho, insert, prime, offset in (
+        (lusztig_rho1, pi_c, pi_c_prime, 1),
+        (lusztig_rho2, pi_b, pi_b_prime, 3),
+    ):
+        t = random_sdt(rho(pair_shape), rand)
+        z = prime(t)
+        assert is_standard_pair(z, pair_shape)
+        assert descent_set(z, tuple_rule) == descent_set(insert(t), diagonal_rule(offset))
+        assert maj_tuple(z) == maj_domino(t)

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from fakedegrees import bijections
+from fakedegrees.bijections import RuleError
 from fakedegrees.cli import main
+from fakedegrees.fakedeg import d_rep
+from fakedegrees.verify import route_record
 
 
 def run(capsys, *argv):
@@ -71,13 +75,24 @@ def test_compute_unknown_route_per_group(capsys, argv):
     assert err.startswith("error:")
 
 
-def test_compute_rule_error_exits_3(capsys):
+def test_compute_rule_error_exits_3(capsys, monkeypatch):
+    """A broken flip rule exits 3 from `compute` and becomes a failing
+    record naming the domino tableau."""
+    def broken_flip(pair, trace=None):
+        raise RuleError(f"flip procedure cannot match the descent set of {pair}")
+
+    monkeypatch.setattr(bijections, "flip_c", broken_flip)
     code, out, err = run(
         capsys, "compute", "--group", "d", "--pair", "4|2,1", "--route", "domino"
     )
     assert code == 3
     assert out == ""
-    assert err.startswith("error: flip procedure is ambiguous")
+    assert err.startswith("error: flip procedure cannot match the descent set")
+    record = route_record("typeD(7)", "4|2,1", d_rep(((4,), (2, 1))), ("domino",))
+    assert record["agree"] is False
+    assert record["error"].startswith("domino route: flip procedure cannot match")
+    assert [d["label"] for d in record["tableau"]] == list(range(1, 8))
+    assert "candidates" not in record
 
 
 def test_compute_malformed_pair(capsys):

@@ -128,6 +128,18 @@ def test_q_analogues():
         q_multinomial(3, (1, 1))
 
 
+@given(st.lists(st.integers(0, 4), max_size=4))
+def test_q_multinomial_times_factorials_is_the_factorial(parts):
+    """Memoised on the sorted parts: any order, zeros included, gives the
+    same quotient of [n]_q!."""
+    n = sum(parts)
+    product = q_multinomial(n, parts)
+    for p in parts:
+        product = product * q_factorial(p)
+    assert product == q_factorial(n)
+    assert q_multinomial(n, parts[::-1]) == q_multinomial(n, parts)
+
+
 @given(st.integers(0, 6), st.integers(0, 6))
 def test_q_binomial_symmetry(n, k):
     if k > n:

@@ -2,62 +2,51 @@ import json
 
 import pytest
 
-from fakedegrees.bijections import RuleError, pi_c_prime
-from fakedegrees.dominoes import DominoTableau, is_standard
+from fakedegrees.bijections import pair_shapes, pi_c_prime
+from fakedegrees.dominoes import DominoTableau, is_standard, maj_domino
 from fakedegrees.fakedeg import d_rep, fake_degree_d
 from fakedegrees.shapes import lusztig_rho1
+from fakedegrees.tableaux import enumerate_tuple_tableaux, maj_tuple
 from fakedegrees.verify import errors, failures, route_record, run_suite
 
-# The two type-D labels of rank 7 on which the even flip procedure is
-# ambiguous: the intermediate pair each ambiguity names, the domino
-# tableau being mapped (the cells of dominoes 1..7) and the two flip
-# results that tie at the minimal length.
-AMBIGUOUS_D7 = {
-    ((4,), (2, 1)): (
-        "(((2, 5), (7,)), ((1, 3, 4, 6),))",
-        [[[1, 1], [2, 1]], [[1, 2], [2, 2]], [[1, 3], [2, 3]], [[1, 4], [1, 5]],
-         [[2, 4], [2, 5]], [[1, 6], [1, 7]], [[3, 1], [3, 2]]],
-        [[[[4, 6], [7]], [[1, 2, 3, 5]]], [[[3, 4], [6]], [[1, 2, 5, 7]]]],
-    ),
-    ((2, 1), (1, 1, 1, 1)): (
-        "(((1,), (3,), (4,), (6,)), ((2, 7), (5,)))",
-        [[[1, 1], [1, 2]], [[2, 1], [2, 2]], [[3, 1], [3, 2]], [[4, 1], [5, 1]],
-         [[4, 2], [5, 2]], [[6, 1], [7, 1]], [[1, 3], [2, 3]]],
-        [[[[1], [2], [3], [5]], [[4, 7], [6]]], [[[1], [2], [5], [7]], [[3, 6], [4]]]],
-    ),
+# The two type-D labels of rank 7 on which an earlier, breadth-first flip
+# search was ambiguous, each with the domino tableau (the cells of
+# dominoes 1..7) that its domino route sends through the even bijection.
+FORMER_AMBIGUITIES_D7 = {
+    ((4,), (2, 1)): [
+        [[1, 1], [2, 1]], [[1, 2], [2, 2]], [[1, 3], [2, 3]], [[1, 4], [1, 5]],
+        [[2, 4], [2, 5]], [[1, 6], [1, 7]], [[3, 1], [3, 2]],
+    ],
+    ((2, 1), (1, 1, 1, 1)): [
+        [[1, 1], [1, 2]], [[2, 1], [2, 2]], [[3, 1], [3, 2]], [[4, 1], [5, 1]],
+        [[4, 2], [5, 2]], [[6, 1], [7, 1]], [[1, 3], [2, 3]],
+    ],
 }
 
 
-@pytest.mark.parametrize("pair", sorted(AMBIGUOUS_D7))
-def test_rule_error_becomes_a_failing_record(pair):
-    intermediate, cells, candidates = AMBIGUOUS_D7[pair]
+@pytest.mark.parametrize("pair", sorted(FORMER_AMBIGUITIES_D7))
+def test_domino_route_equals_tuple_route(pair):
     rep = d_rep(pair)
-    with pytest.raises(RuleError) as info:
-        fake_degree_d(rep, "domino")
-    assert str(info.value) == f"flip procedure is ambiguous for {intermediate}"
-    record = route_record("typeD(7)", "label", rep, ("domino",))
-    assert record["agree"] is False
-    assert record["error"] == f"domino route: flip procedure is ambiguous for {intermediate}"
-    assert [d["cells"] for d in record["tableau"]] == cells
-    assert [d["label"] for d in record["tableau"]] == list(range(1, 8))
-    assert record["candidates"] == candidates
-    assert failures([record]) == errors([record]) == [record]
+    assert fake_degree_d(rep, "domino") == fake_degree_d(rep, "tuple")
+    record = route_record("typeD(7)", "label", rep, ("tuple", "domino"))
+    assert record["agree"] is True
+    assert not errors([record])
 
 
-def test_rule_error_names_tableau_and_candidates():
-    """The even bijection raises on the same two domino tableaux, naming
-    each and its competing flip results, as the bijections suite records
-    them for the pair shapes 2,1|4 and 1,1,1,1|2,1 (the type-D route
-    restricts through the swapped ordering)."""
-    for pair, (intermediate, cells, candidates) in AMBIGUOUS_D7.items():
-        t = DominoTableau(shape=lusztig_rho1(pair[::-1]), dominoes=tuple(
+def test_even_bijection_maps_the_former_ambiguous_tableaux():
+    """The even bijection sends both domino tableaux to a tuple tableau of
+    the pair shape with the same maj; the pair shapes are 2,1|4 and
+    1,1,1,1|2,1, since the type-D route restricts through the swapped
+    ordering."""
+    for pair, cells in FORMER_AMBIGUITIES_D7.items():
+        pair_shape = pair[::-1]
+        t = DominoTableau(shape=lusztig_rho1(pair_shape), dominoes=tuple(
             (tuple(a), tuple(b)) for a, b in cells))
         assert is_standard(t)
-        with pytest.raises(RuleError) as info:
-            pi_c_prime(t)
-        assert str(info.value) == f"flip procedure is ambiguous for {intermediate}"
-        assert info.value.tableau == t
-        assert json.loads(json.dumps(info.value.candidates)) == candidates
+        z = pi_c_prime(t)
+        assert pair_shapes(z) == pair_shape
+        assert z in set(enumerate_tuple_tableaux(pair_shape))
+        assert maj_tuple(z) == maj_domino(t)
 
 
 def test_clean_records_carry_no_error():
