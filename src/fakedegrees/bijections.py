@@ -11,10 +11,11 @@ major-index-preserving bijections (`pi_c_prime`, `pi_b_prime`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .dominoes import DominoTableau
-from .shapes import check_partition, lusztig_rho1_inverse, lusztig_rho2_inverse
-from .tableaux import Tableau, label_positions, shape_of
+from .shapes import Partition, check_partition, lusztig_rho1_inverse, lusztig_rho2_inverse
+from .tableaux import Tableau, shape_of
 
 TableauPair = tuple[Tableau, Tableau]
 
@@ -47,19 +48,6 @@ class Trace:
     swaps: list[int] = field(default_factory=list)  # label i of each i/i+1 swap
 
 
-def _add_cell_row(t: Tableau, row: int, label: int) -> tuple[Tableau, tuple[int, int]]:
-    """Append a cell at the end of 1-based row; must stay a partition."""
-    rows = [list(r) for r in t]
-    if row < 1 or row > len(rows) + 1:
-        raise RuleError(f"cannot add to row {row} of shape {shape_of(t)}")
-    while len(rows) < row:
-        rows.append([])
-    rows[row - 1].append(label)
-    if row > 1 and len(rows[row - 1]) > len(rows[row - 2]):
-        raise RuleError(f"row {row} addition breaks shape {shape_of(t)}")
-    return tuple(tuple(r) for r in rows), (row, len(rows[row - 1]))
-
-
 def _case_name(prefix: str, domino: tuple[tuple[int, int], tuple[int, int]]) -> str:
     """Descriptive case label: orientation plus row/column and extreme-
     square parities of the domino, for traces."""
@@ -73,13 +61,33 @@ def _case_name(prefix: str, domino: tuple[tuple[int, int], tuple[int, int]]) -> 
     return f"{prefix}-V{line_par}{ext_par}"
 
 
-def _grown_cell(old: tuple[int, ...], new: tuple[int, ...]) -> tuple[int, int]:
-    """1-based (row, col) of the single cell by which new exceeds old."""
-    for i in range(len(new)):
-        o = old[i] if i < len(old) else 0
-        if new[i] != o:
-            return (i + 1, new[i])
-    raise RuleError(f"shapes {old} -> {new} do not differ by one cell")
+@lru_cache(maxsize=None)
+def _insertion_step(inverse, prev: Partition, cur: Partition) -> tuple[int, int, int]:
+    """(target, row, col) of the cell the pair gains between two
+    consecutive covered regions, 1-based.
+
+    Validates, once per distinct (inverse, prev, cur): both regions are
+    partitions (ValueError otherwise), and the preimage of cur under the
+    Lusztig inverse exceeds that of prev by exactly one cell, at the end of
+    one row of exactly one component, so the grown component is its old
+    shape plus one addable cell (RuleError otherwise).  The memo is
+    process-wide and keyed on the inverse itself, so a replaced inverse
+    is validated afresh.
+    """
+    before = inverse(check_partition(prev))
+    after = inverse(check_partition(cur))
+    grown = [k for k in (0, 1) if before[k] != after[k]]
+    if len(grown) == 1:
+        old, new = before[grown[0]], after[grown[0]]
+        # the first row where they differ must gain one addable cell
+        row = next((i for i, x in enumerate(old) if i >= len(new) or new[i] != x), len(old))
+        col = (old[row] if row < len(old) else 0) + 1
+        if (row == 0 or old[row - 1] >= col) and new == old[:row] + (col,) + old[row + 1:]:
+            return grown[0] + 1, row + 1, col
+    raise RuleError(
+        f"covered regions {prev} -> {cur}: pairs {before} -> {after} "
+        "do not differ by one addable cell in one component"
+    )
 
 
 def _run_insertion(t: DominoTableau, inverse, prefix: str, trace: Trace | None) -> TableauPair:
@@ -88,36 +96,35 @@ def _run_insertion(t: DominoTableau, inverse, prefix: str, trace: Trace | None) 
     At each stage the shapes of the pair are forced: they must be the
     preimage of the covered region under the Lusztig map (the covered
     region after each domino is itself a domino-supporting Young diagram).
-    The new cell receives the domino's label.
+    The new cell receives the domino's label; `_insertion_step` finds it.
     """
     covered = list(t.shape)
-    # peel back to the empty stage, recording shapes
-    stages = [tuple(covered)]
-    for label in range(t.n, 0, -1):
-        for (r, c) in t.cells_of(label):
-            covered[r - 1] -= 1
+    # peel back to the empty stage, recording the covered regions
+    stages = [t.shape]
+    for (r1, _), (r2, _) in reversed(t.dominoes):
+        covered[r1 - 1] -= 1
+        covered[r2 - 1] -= 1
         while covered and covered[-1] == 0:
             covered.pop()
-        stages.append(check_partition(tuple(covered)))
+        stages.append(tuple(covered))
     stages.reverse()
+    if stages[0] not in ((), (1,)):
+        raise ValueError(f"the dominoes do not tile shape {t.shape}")
 
-    pair: TableauPair = ((), ())
-    prev = inverse(stages[0])
+    fillings: tuple[list[list[int]], list[list[int]]] = ([], [])
     for label in range(1, t.n + 1):
-        cur = inverse(stages[label])
-        target = 1 if cur[0] != prev[0] else 2
-        row, col = _grown_cell(prev[target - 1], cur[target - 1])
-        y, cell = _add_cell_row(pair[target - 1], row, label)
-        if cell != (row, col):
-            raise RuleError(f"label {label}: expected cell {(row, col)}, got {cell}")
-        pair = (y, pair[1]) if target == 1 else (pair[0], y)
+        target, row, col = _insertion_step(inverse, stages[label - 1], stages[label])
+        rows = fillings[target - 1]
+        if col == 1:
+            rows.append([label])
+        else:
+            rows[row - 1].append(label)
         if trace is not None:
             trace.steps.append(
                 TraceStep(label=label, rule=_case_name(prefix, t.cells_of(label)),
-                          target=target, cell=cell)
+                          target=target, cell=(row, col))
             )
-        prev = cur
-    return pair
+    return tuple(tuple(map(tuple, rows)) for rows in fillings)
 
 
 def pi_c(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
@@ -134,18 +141,19 @@ def pi_b(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
     return _run_insertion(t, lusztig_rho2_inverse, "piB", trace)
 
 
-def _n_of(pair: TableauPair) -> int:
-    return sum(len(row) for t in pair for row in t)
+def _cells_by_label(pair: TableauPair) -> list:
+    """Label-indexed list of (filling, row, col, diagonal) with diagonal
+    2(r - c), all 1-based; entry 0 is unused."""
+    cells: list = [None] * (1 + sum(len(row) for t in pair for row in t))
+    for f, t in enumerate(pair, start=1):
+        for r, row in enumerate(t, start=1):
+            for c, x in enumerate(row, start=1):
+                cells[x] = (f, r, c, 2 * (r - c))
+    return cells
 
 
-def _diagonal(cell) -> int:
-    """Diagonal 2(r - c) of a (filling, row, col) cell."""
-    _, r, c = cell
-    return 2 * (r - c)
-
-
-def _descent_diag(pos, i, y2_offset: int) -> bool:
-    """Shifted-diagonal descent rule for a tableau pair.
+def _pair_maj(pair: TableauPair, y2_offset: int) -> int:
+    """Shifted-diagonal major index of a tableau pair.
 
     Label i is a descent when the cell of i+1 sits on a strictly larger
     shifted diagonal, where a cell (r, c) has diagonal 2(r - c), offset by
@@ -154,14 +162,8 @@ def _descent_diag(pos, i, y2_offset: int) -> bool:
     same-cell comparisons consistently (the offsets are odd, so ties
     cannot occur).  Validated exhaustively against the domino major index.
     """
-    s1 = _diagonal(pos[i]) + (y2_offset if pos[i][0] == 2 else 0)
-    s2 = _diagonal(pos[i + 1]) + (y2_offset if pos[i + 1][0] == 2 else 0)
-    return s2 > s1
-
-
-def _pair_maj(pair: TableauPair, y2_offset: int) -> int:
-    pos = label_positions(pair)
-    return sum(i for i in range(1, _n_of(pair)) if _descent_diag(pos, i, y2_offset))
+    keys = [d + y2_offset if f == 2 else d for f, _, _, d in _cells_by_label(pair)[1:]]
+    return sum(i for i in range(1, len(keys)) if keys[i] > keys[i - 1])
 
 
 def pair_maj_c(pair: TableauPair) -> int:
@@ -174,14 +176,6 @@ def pair_maj_b(pair: TableauPair) -> int:
     """Major index of an odd-map image pair (second filling offset 3);
     equals the domino major index of its preimage."""
     return _pair_maj(pair, 3)
-
-
-def _tuple_descent(pos, i) -> bool:
-    """Tuple-tableau descent indicator: i+1 strictly lower in the same
-    filling, or i in an earlier filling than i+1."""
-    t1, r1, _ = pos[i]
-    t2, r2, _ = pos[i + 1]
-    return (t1 == t2 and r1 < r2) or t1 < t2
 
 
 def _flip_to_pattern(pair: TableauPair, offset: int, trace: Trace | None) -> TableauPair:
@@ -201,27 +195,32 @@ def _flip_to_pattern(pair: TableauPair, offset: int, trace: Trace | None) -> Tab
     still increases along rows and columns.  A result whose tuple
     descent set is not the input's raises RuleError.
     """
-    n = _n_of(pair)
-    pos = label_positions(pair)
-    target = [_descent_diag(pos, i, offset) for i in range(1, n)]
+    cells = _cells_by_label(pair)
+    n = len(cells) - 1
+    keys = [d + offset if f == 2 else d for f, _, _, d in cells[1:]]
+    target = [keys[i] > keys[i - 1] for i in range(1, n)]
     while True:
-        gaps = {
-            i: (_diagonal(pos[i]) - _diagonal(pos[i + 1])) * (1 if pos[i][0] == 1 else -1)
-            for i in range(1, n)
-            if pos[i][0] != pos[i + 1][0]
-        }
-        ahead = [g for g in gaps.values() if g > offset]
-        if not ahead:
+        gaps = [
+            (i, d1 - d2 if f1 == 1 else d2 - d1)
+            for i, (f1, _, _, d1), (f2, _, _, d2) in zip(range(1, n), cells[1:], cells[2:])
+            if f1 != f2
+        ]
+        offset = min((g for _, g in gaps if g > offset), default=None)
+        if offset is None:
             break
-        offset = min(ahead)
-        for i in sorted(i for i, g in gaps.items() if g == offset):
-            pos[i], pos[i + 1] = pos[i + 1], pos[i]
-            if trace is not None:
-                trace.swaps.append(i)
-    if [_tuple_descent(pos, i) for i in range(1, n)] != target:
+        for i, g in gaps:
+            if g == offset:
+                cells[i], cells[i + 1] = cells[i + 1], cells[i]
+                if trace is not None:
+                    trace.swaps.append(i)
+    tuple_descents = [
+        f1 < f2 or (f1 == f2 and r1 < r2)
+        for (f1, r1, _, _), (f2, r2, _, _) in zip(cells[1:], cells[2:])
+    ]
+    if tuple_descents != target:
         raise RuleError(f"flip procedure cannot match the descent set of {pair}")
     fillings = [[list(row) for row in t] for t in pair]
-    for label, (f, r, c) in pos.items():
+    for label, (f, r, c, _) in enumerate(cells[1:], start=1):
         fillings[f - 1][r - 1][c - 1] = label
     return tuple(tuple(tuple(row) for row in t) for t in fillings)
 

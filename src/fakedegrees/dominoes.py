@@ -59,21 +59,32 @@ class DominoTableau:
 
 def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
     """All standard domino tableaux of the shape, built by peeling the
-    largest-labelled border domino; empty iff the shape supports none."""
-    n = sum(shape) // 2
-    for dominoes in _enumerate_rec(shape, n):
-        yield DominoTableau(shape=shape, dominoes=dominoes)
+    largest-labelled border domino; empty iff the shape supports none.
+
+    The order is that of the recursion which tries the border dominoes of
+    each shape in `domino_removals` order, largest label outermost; the
+    CLI numbers tableaux by it, and the tests pin it against a copy of
+    that recursion.  Each shape's removals are computed once per process,
+    and each tableau's domino tuple is built once, at the leaf, from a
+    stack filled in place.
+    """
+    stack: list = [None] * (sum(shape) // 2)
+
+    def fill(p: Partition, k: int) -> Iterator[DominoTableau]:
+        if k == 0:
+            yield DominoTableau(shape=shape, dominoes=tuple(stack))
+            return
+        for smaller, cells in _removals(p):
+            stack[k - 1] = cells
+            yield from fill(smaller, k - 1)
+
+    yield from fill(shape, len(stack))
 
 
-def _enumerate_rec(shape: Partition, n: int) -> Iterator[tuple[tuple[Cell, Cell], ...]]:
-    if n == 0:
-        size = sum(shape)
-        if size == 0 or shape == (1,):
-            yield ()
-        return
-    for smaller, cells in domino_removals(shape):
-        for rest in _enumerate_rec(smaller, n - 1):
-            yield rest + (cells,)
+@lru_cache(maxsize=None)
+def _removals(p: Partition) -> tuple:
+    """`domino_removals` of p, computed once per process."""
+    return tuple(domino_removals(p))
 
 
 def maj_domino(t: DominoTableau) -> int:
@@ -83,10 +94,8 @@ def maj_domino(t: DominoTableau) -> int:
     smaller row index than every cell of i+1.
     """
     total = 0
-    for i in range(1, t.n):
-        (r1, _), (r2, _) = t.cells_of(i)
-        (s1, _), (s2, _) = t.cells_of(i + 1)
-        if max(r1, r2) < min(s1, s2):
+    for i, (a, b) in enumerate(zip(t.dominoes, t.dominoes[1:]), start=1):
+        if max(a[0][0], a[1][0]) < min(b[0][0], b[1][0]):
             total += i
     return total
 

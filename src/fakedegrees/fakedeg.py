@@ -9,6 +9,7 @@ exactly; the verification module sweeps those agreements exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bijections import pi_c_prime
 from .dominoes import enumerate_sdt, maj_domino, sdt_maj_gf
@@ -146,10 +147,12 @@ def _ordering_parts(rep: Representation, restricted_gf) -> list[QPolynomial]:
     return [_scaled(restricted_gf(ordering), ordering) for ordering in _orderings(rep)]
 
 
+@lru_cache(maxsize=None)
 def _restricted_sdt_gf(pair: Multipartition) -> QPolynomial:
     """Sum of q^maj over SDTs of the even associated shape whose image
     pair under the maj-preserving bijection has the largest label in the
-    first component."""
+    first component.  Memoised per pair, so the two markers of an
+    equal-component label map their shape once."""
     return QPolynomial.from_exponents(
         maj_domino(t)
         for t in enumerate_sdt(lusztig_rho1(pair))

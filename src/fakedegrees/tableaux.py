@@ -79,17 +79,35 @@ def syt_maj_gf(shape: Partition) -> QPolynomial:
 
 
 def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
-    """All standard tuple tableaux of a multipartition shape."""
+    """All standard tuple tableaux of a multipartition shape.
+
+    The order is that of the recursion which places the largest label at
+    each corner in turn (components, then rows, in order), outermost; the
+    CLI numbers tableaux by it, and the tests pin it against a copy of
+    that recursion.  One recursion over a mutable shape records each
+    label's (component, row), and each tableau is built once, at the leaf.
+    """
     n = total_size(mp)
-    if n == 0:
-        yield tuple(() for _ in mp)
-        return
-    for ci, comp in enumerate(mp):
-        for corner in _corners(comp):
-            smaller = mp[:ci] + (_remove_cell(comp, corner),) + mp[ci + 1:]
-            for t in enumerate_tuple_tableaux(smaller):
-                filled = _add_label(t[ci], corner, n)
-                yield t[:ci] + (filled,) + t[ci + 1:]
+    shape = [list(comp) for comp in mp]
+    where: list = [None] * (n + 1)  # label -> 0-based (component, row)
+
+    def fill(k: int) -> Iterator[TupleTableau]:
+        if k == 0:
+            rows = [[[] for _ in comp] for comp in mp]
+            for label in range(1, n + 1):
+                ci, ri = where[label]
+                rows[ci][ri].append(label)
+            yield tuple(tuple(map(tuple, filling)) for filling in rows)
+            return
+        for ci, comp in enumerate(shape):
+            for ri, length in enumerate(comp):
+                if length and (ri + 1 == len(comp) or comp[ri + 1] < length):
+                    comp[ri] -= 1
+                    where[k] = (ci, ri)
+                    yield from fill(k - 1)
+                    comp[ri] += 1
+
+    yield from fill(n)
 
 
 def label_positions(t: TupleTableau) -> dict[int, tuple[int, int, int]]:

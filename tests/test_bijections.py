@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fakedegrees import bijections
 from fakedegrees.bijections import (
     RuleError,
     Trace,
+    _insertion_step,
     flip_b,
     flip_c,
     pair_maj_b,
@@ -14,8 +16,15 @@ from fakedegrees.bijections import (
     pi_c,
     pi_c_prime,
 )
-from fakedegrees.dominoes import DominoTableau, _by_last_domino, enumerate_sdt, maj_domino
-from fakedegrees.shapes import domino_removals, lusztig_rho1, lusztig_rho2, multipartitions_of
+from fakedegrees.dominoes import DominoTableau, _by_last_domino, enumerate_sdt, maj_domino, truncate
+from fakedegrees.shapes import (
+    domino_removals,
+    lusztig_rho1,
+    lusztig_rho1_inverse,
+    lusztig_rho2,
+    lusztig_rho2_inverse,
+    multipartitions_of,
+)
 from fakedegrees.tableaux import enumerate_tuple_tableaux, label_positions, maj_tuple
 
 
@@ -38,6 +47,70 @@ def test_insertion_shapes_and_trace():
                 assert [s.label for s in trace.steps] == list(range(1, n + 1))
             for t in enumerate_sdt(lusztig_rho2(pair_shape)):
                 assert pair_shapes(pi_b(t)) == pair_shape
+
+
+@pytest.mark.parametrize(
+    "bend",
+    [
+        # the grown component gains a second cell
+        lambda pair: tuple((c[0] + 1,) + c[1:] if c else c for c in pair),
+        # the other component grows as well
+        lambda pair: tuple(c or (1,) for c in pair),
+    ],
+    ids=["two-cells", "both-components"],
+)
+def test_insertion_rejects_a_bent_stage(monkeypatch, bend):
+    """An inverse whose preimages of the size-2 regions grow wrongly makes
+    pi_c raise RuleError, although the true inverse's steps are already
+    memoised; the true inverse maps as before afterwards."""
+    tableaux = list(enumerate_sdt((4, 2, 2)))
+    expected = [pi_c(t) for t in tableaux]
+
+    def bent(p):
+        pair = lusztig_rho1_inverse(p)
+        return bend(pair) if sum(p) == 2 else pair
+
+    monkeypatch.setattr(bijections, "lusztig_rho1_inverse", bent)
+    for t in tableaux:
+        with pytest.raises(RuleError, match="one addable cell in one component"):
+            pi_c(t)
+    monkeypatch.undo()
+    assert [pi_c(t) for t in tableaux] == expected
+
+
+def test_insertion_rejects_dominoes_that_do_not_tile():
+    """Every covered region must be a partition, and peeling every domino
+    must leave the empty shape."""
+    below_first = DominoTableau(shape=(2, 2), dominoes=(((2, 1), (2, 2)), ((1, 1), (1, 2))))
+    with pytest.raises(ValueError, match="partition parts must be positive"):
+        pi_c(below_first)
+    too_few = DominoTableau(shape=(4,), dominoes=(((1, 3), (1, 4)),))
+    with pytest.raises(ValueError, match="do not tile"):
+        pi_c(too_few)
+
+
+def test_insertion_memo_is_order_independent_and_immutable():
+    """The process-wide step memo gives the same images whether the small
+    shapes are mapped first or the large ones, and every cached step is a
+    tuple naming the cell the trace reports."""
+    shapes = [ps for n in range(0, 6) for ps in multipartitions_of(n, 2)]
+    maps = ((lusztig_rho1, lusztig_rho1_inverse, pi_c), (lusztig_rho2, lusztig_rho2_inverse, pi_b))
+    runs = []
+    for order in (shapes, shapes[::-1]):
+        _insertion_step.cache_clear()
+        runs.append({
+            (ps, pi): [pi(t) for t in enumerate_sdt(rho(ps))] for ps in order for rho, _, pi in maps
+        })
+        for ps in order:
+            for rho, inverse, pi in maps:
+                for t in enumerate_sdt(rho(ps)):
+                    trace = Trace()
+                    pi(t, trace)
+                    for k, step in enumerate(trace.steps, start=1):
+                        entry = _insertion_step(inverse, truncate(t, k - 1).shape, truncate(t, k).shape)
+                        assert isinstance(entry, tuple)
+                        assert entry == (step.target, *step.cell)
+    assert runs[0] == runs[1]
 
 
 def test_pair_maj_equals_domino_maj():

@@ -11,6 +11,7 @@ from fakedegrees.dominoes import (
 )
 from fakedegrees.qpoly import QPolynomial
 from fakedegrees.shapes import (
+    domino_removals,
     lusztig_rho1,
     lusztig_rho2,
     multipartitions_of,
@@ -90,6 +91,29 @@ def test_memo_is_order_independent_and_immutable():
     assert runs[0] == runs[1]
     for shape, gf in runs[0].items():
         assert gf == QPolynomial.from_exponents(maj_domino(t) for t in enumerate_sdt(shape)), shape
+
+
+def reference_sdt_dominoes(shape, n):
+    """The earlier enumerator, kept as the reference for its order: each
+    border domino of the shape in `domino_removals` order holds the
+    largest label, each smaller tableau's tuple extended by it."""
+    if n == 0:
+        if sum(shape) == 0 or shape == (1,):
+            yield ()
+        return
+    for smaller, cells in domino_removals(shape):
+        for rest in reference_sdt_dominoes(smaller, n - 1):
+            yield rest + (cells,)
+
+
+def test_enumeration_order_is_the_reference_order():
+    """The CLI numbers domino tableaux by this order (`explain --index`),
+    so it is pinned as a sequence, not a set."""
+    for size in range(0, 13):
+        for shape in partitions_of(size):
+            if supports_domino(shape):
+                expected = [DominoTableau(shape, d) for d in reference_sdt_dominoes(shape, size // 2)]
+                assert list(enumerate_sdt(shape)) == expected, shape
 
 
 def test_truncate_prefix_shapes():

@@ -140,6 +140,37 @@ def test_memo_is_order_independent_and_immutable():
         assert total == QPolynomial.from_exponents(majs), mp
 
 
+def reference_tuple_tableaux(mp):
+    """The earlier enumerator, kept as the reference for its order: the
+    largest label at each corner in turn (components, then rows), each
+    smaller tuple tableau rebuilt with it."""
+    n = sum(sum(comp) for comp in mp)
+    if n == 0:
+        yield tuple(() for _ in mp)
+        return
+    for ci, comp in enumerate(mp):
+        for corner, row in enumerate(comp):
+            if corner + 1 == len(comp) or comp[corner + 1] < row:
+                parts = list(comp)
+                parts[corner] -= 1
+                smaller = mp[:ci] + (tuple(x for x in parts if x),) + mp[ci + 1:]
+                for t in reference_tuple_tableaux(smaller):
+                    rows = [list(r) for r in t[ci]]
+                    while len(rows) <= corner:
+                        rows.append([])
+                    rows[corner].append(n)
+                    yield t[:ci] + (tuple(tuple(r) for r in rows),) + t[ci + 1:]
+
+
+def test_enumeration_order_is_the_reference_order():
+    """The CLI numbers tuple tableaux by this order, so it is pinned as a
+    sequence, not a set."""
+    for d, top in ((1, 7), (2, 6), (3, 4)):
+        for n in range(0, top + 1):
+            for mp in multipartitions_of(n, d):
+                assert list(enumerate_tuple_tableaux(mp)) == list(reference_tuple_tableaux(mp)), mp
+
+
 def test_formatting():
     t = ((1, 3), (2,))
     assert format_tableau(t) == "[[1,3],[2]]"
