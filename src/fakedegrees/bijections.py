@@ -193,12 +193,14 @@ def _flip_to_pattern(pair: TableauPair, offset: int, trace: Trace | None) -> Tab
     above it.  Every swap keeps the pair standard: i and i+1 sit in
     different fillings and no label lies between them, so each filling
     still increases along rows and columns.  A result whose tuple
-    descent set is not the input's raises RuleError.
+    descent set is not the input's raises RuleError; with no swap made,
+    the input pair itself is the result.
     """
     cells = _cells_by_label(pair)
     n = len(cells) - 1
     keys = [d + offset if f == 2 else d for f, _, _, d in cells[1:]]
     target = [keys[i] > keys[i - 1] for i in range(1, n)]
+    swapped = False
     while True:
         gaps = [
             (i, d1 - d2 if f1 == 1 else d2 - d1)
@@ -211,6 +213,7 @@ def _flip_to_pattern(pair: TableauPair, offset: int, trace: Trace | None) -> Tab
         for i, g in gaps:
             if g == offset:
                 cells[i], cells[i + 1] = cells[i + 1], cells[i]
+                swapped = True
                 if trace is not None:
                     trace.swaps.append(i)
     tuple_descents = [
@@ -219,6 +222,8 @@ def _flip_to_pattern(pair: TableauPair, offset: int, trace: Trace | None) -> Tab
     ]
     if tuple_descents != target:
         raise RuleError(f"flip procedure cannot match the descent set of {pair}")
+    if not swapped:
+        return pair
     fillings = [[list(row) for row in t] for t in pair]
     for label, (f, r, c, _) in enumerate(cells[1:], start=1):
         fillings[f - 1][r - 1][c - 1] = label

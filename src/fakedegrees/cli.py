@@ -156,15 +156,18 @@ def _cmd_explain(args) -> int:
 def _cmd_verify(args) -> int:
     if args.suite != "all" and args.suite not in SUITES:
         raise UsageError(f"invalid suite {args.suite!r}")
-    records = run_suite(args.suite, args.max_n)
-    if not records:
-        raise UsageError(f"suite {args.suite} has no checks up to --max-n {args.max_n}")
-    text = to_json_lines(records)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
+    try:
+        records = run_suite(args.suite, args.max_n)
+        if not records:
+            raise UsageError(f"suite {args.suite} has no checks up to --max-n {args.max_n}")
+        print(to_json_lines(records), file=out)
+    finally:
+        if out is not sys.stdout:
+            out.close()
     bad = failures(records)
     broken = errors(records)
     summary = f"suite {args.suite}: {len(records)} checks, {len(bad)} failures"

@@ -17,12 +17,12 @@ from .qpoly import ONE, QPolynomial, hook_syt_gf, q_int, q_multinomial
 from .shapes import (
     Multipartition,
     b_multi,
+    from_beta_set,
     lusztig_rho1,
     lusztig_rho2,
     multipartitions_of,
+    symbol_of,
     total_size,
-    _starred_rows,
-    _unstar,
 )
 from .tableaux import (
     largest_label_component,
@@ -299,23 +299,13 @@ def regular_representation_sum(group: str, n: int, d: int = 2) -> QPolynomial:
 # Special partners and exponent containment
 
 
-def symbol_of(pair: Multipartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Defect-1 symbol of an ordered pair: two strictly increasing rows
-    whose lengths differ by one."""
-    alpha_star, beta_star = _starred_rows(pair)
-    return tuple(sorted(alpha_star)), tuple(sorted(beta_star))
-
-
 def special_partner_bc(pair: Multipartition) -> Multipartition:
     """The pair labelling the special representation in the family of the
     given pair: sort all symbol entries increasingly and deal them
     alternately, odd positions to the long row."""
     long_row, short_row = symbol_of(pair)
     merged = sorted(long_row + short_row)
-    new_long = merged[0::2]
-    new_short = merged[1::2]
-    m = len(short_row)
-    return (_unstar(new_long, m + 1), _unstar(new_short, m))
+    return (from_beta_set(merged[0::2]), from_beta_set(merged[1::2]))
 
 
 def embeds_with_shift(a: QPolynomial, b: QPolynomial) -> bool:

@@ -233,7 +233,6 @@ def add_shifted(acc: list[int], coeffs: Sequence[int], s: int) -> None:
 
 
 ONE = QPolynomial([1])
-ZERO = QPolynomial()
 
 
 def q_int(n: int) -> QPolynomial:

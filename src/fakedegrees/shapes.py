@@ -1,12 +1,15 @@
-"""Partitions, multipartitions, hooks, b-statistics, and the Lusztig map.
+"""Partitions, multipartitions, hooks, b-statistics, and the 2-abacus.
 
 A partition is a plain tuple of weakly decreasing positive integers; the
 empty tuple is the empty partition.  A multipartition is a tuple of
 partitions.  Rows and columns are indexed from 1, row 1 at the top.
+With r >= len(p) rows, p has the r beads p_i + r - i; on the 2-abacus the
+even beads lie on runner 0 and the odd ones on runner 1 (James-Kerber).
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
@@ -88,76 +91,68 @@ def total_size(mp: Multipartition) -> int:
     return sum(sum(comp) for comp in mp)
 
 
-def _starred_rows(pair: Multipartition) -> tuple[list[int], list[int]]:
-    """Pad the pair to m+1 and m parts and add the staircases.
+def beta_set(p: Partition, r: int) -> tuple[int, ...]:
+    """The r beads of p on the abacus, largest first: p_i + r - i."""
+    if r < len(p):
+        raise ValueError("not enough rows")
+    return tuple(map(operator.add, tuple(p) + (0,) * (r - len(p)), range(r - 1, -1, -1)))
 
-    Returns the alpha* and beta* sequences (decreasing, pairwise distinct
-    across the two lists).
+
+def from_beta_set(beads: Sequence[int]) -> Partition:
+    """The partition whose beads are the given integers, in any order.
+
+    Raises ValueError unless the beads are distinct and nonnegative.
     """
+    beads = sorted(beads, reverse=True)
+    parts = list(map(operator.sub, beads, range(len(beads) - 1, -1, -1)))
+    if (parts and parts[-1] < 0) or parts != sorted(parts, reverse=True):
+        raise ValueError(f"beads must be distinct and nonnegative: {beads}")
+    return tuple(filter(None, parts))
+
+
+def symbol_of(pair: Multipartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Defect-1 symbol of an ordered pair: two strictly increasing rows
+    whose lengths differ by one."""
     if len(pair) != 2:
         raise ValueError("Lusztig map needs an ordered pair of partitions")
     lam1, lam2 = pair
     m = max(len(lam2), len(lam1) - 1)
-    alpha = list(lam1) + [0] * (m + 1 - len(lam1))
-    beta = list(lam2) + [0] * (m - len(lam2))
-    alpha_star = [alpha[i] + m + 1 - (i + 1) for i in range(m + 1)]
-    beta_star = [beta[j] + m - (j + 1) for j in range(m)]
-    return alpha_star, beta_star
+    return beta_set(lam1, m + 1)[::-1], beta_set(lam2, m)[::-1]
 
 
-def _merge_and_deflate(entries: list[int]) -> Partition:
-    merged = sorted(entries, reverse=True)
-    r = len(merged)
-    parts = [merged[i] - r + (i + 1) for i in range(r)]
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return check_partition(parts)
+def _lusztig(pair: Multipartition, parity: int) -> Partition:
+    """The 2-abacus of the symbol: its long row on runner `parity`, its
+    short row on the other runner."""
+    long_row, short_row = symbol_of(pair)
+    return from_beta_set(
+        [2 * a + parity for a in long_row] + [2 * b + 1 - parity for b in short_row]
+    )
 
 
 def lusztig_rho1(pair: Multipartition) -> Partition:
     """Map an ordered partition pair of total size n to a partition of 2n."""
-    alpha_star, beta_star = _starred_rows(pair)
-    return _merge_and_deflate([2 * a for a in alpha_star] + [2 * b + 1 for b in beta_star])
+    return _lusztig(pair, 0)
 
 
 def lusztig_rho2(pair: Multipartition) -> Partition:
     """Map an ordered partition pair of total size n to a partition of 2n+1."""
-    alpha_star, beta_star = _starred_rows(pair)
-    return _merge_and_deflate([2 * a + 1 for a in alpha_star] + [2 * b for b in beta_star])
-
-
-def _beta_numbers(p: Partition, r: int) -> list[int]:
-    """First-column hook lengths padded to r rows: p_i + r - i."""
-    if r < len(p):
-        raise ValueError("not enough rows")
-    return [(p[i] if i < len(p) else 0) + r - 1 - i for i in range(r)]
-
-
-def _unstar(starred: list[int], stair_top: int) -> Partition:
-    """Subtract the staircase stair_top-1, ..., 0 from a decreasing list."""
-    vals = sorted(starred, reverse=True)
-    parts = [v - (stair_top - 1 - i) for i, v in enumerate(vals)]
-    if any(x < 0 for x in parts) or any(
-        parts[i] < parts[i + 1] for i in range(len(parts) - 1)
-    ):
-        raise ValueError("staircase removal failed")
-    return tuple(x for x in parts if x)
+    return _lusztig(pair, 1)
 
 
 def _lusztig_inverse(p: Partition, parity: int) -> Multipartition:
     """The pair mapping to p under the even (parity 0) or odd (parity 1)
-    Lusztig map: beta numbers of that parity go to the first component."""
+    Lusztig map: the beads on runner `parity` of the 2-abacus of p (an
+    odd number of beads) give the first component, the other runner the
+    second."""
     kind = ("even", "odd")[parity]
     if sum(p) % 2 != parity:
         raise ValueError(f"lusztig_rho{parity + 1}_inverse needs an {kind}-size shape")
-    r = len(p) | 1
-    betas = _beta_numbers(p, r)
-    first = [b // 2 for b in betas if b % 2 == parity]
-    second = [b // 2 for b in betas if b % 2 != parity]
-    m = (r - 1) // 2
-    if len(first) != m + 1:
+    beads = beta_set(p, len(p) | 1)
+    first = [b // 2 for b in beads if b % 2 == parity]
+    second = [b // 2 for b in beads if b % 2 != parity]
+    if len(first) != len(second) + 1:
         raise ValueError(f"shape {p} is not in the image of the {kind} Lusztig map")
-    return (_unstar(first, m + 1), _unstar(second, m))
+    return (from_beta_set(first), from_beta_set(second))
 
 
 @lru_cache(maxsize=None)
@@ -219,14 +214,11 @@ def domino_removals(p: Partition) -> Iterator[tuple[Partition, tuple[Cell, Cell]
 
 
 def two_core(p: Partition) -> Partition:
-    """Remove dominoes greedily until none can be removed."""
-    current = p
-    while True:
-        for smaller, _cells in domino_removals(current):
-            current = smaller
-            break
-        else:
-            return current
+    """The shape left once no domino can be removed: each runner's beads
+    pushed down on the 2-abacus."""
+    beads = beta_set(p, len(p))
+    odd = sum(b % 2 for b in beads)
+    return from_beta_set([*range(0, 2 * (len(beads) - odd), 2), *range(1, 2 * odd, 2)])
 
 
 def supports_domino_by_core(p: Partition) -> bool:

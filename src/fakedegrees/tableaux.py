@@ -24,17 +24,12 @@ def shape_of(t: Tableau) -> Partition:
 def enumerate_syt(shape: Partition) -> Iterator[Tableau]:
     """All standard Young tableaux of the given shape.
 
-    Built by recursive removal of the largest label from a corner, so each
-    tableau appears exactly once; order is deterministic.
+    The one-component case of `enumerate_tuple_tableaux`, in its order:
+    the largest label at each corner in turn, so each tableau appears
+    exactly once.
     """
-    n = sum(shape)
-    if n == 0:
-        yield ()
-        return
-    for corner in _corners(shape):
-        smaller = _remove_cell(shape, corner)
-        for t in enumerate_syt(smaller):
-            yield _add_label(t, corner, n)
+    for (t,) in enumerate_tuple_tableaux((shape,)):
+        yield t
 
 
 def _corners(shape: Partition) -> Iterator[int]:
@@ -48,14 +43,6 @@ def _remove_cell(shape: Partition, row: int) -> Partition:
     parts = list(shape)
     parts[row] -= 1
     return tuple(x for x in parts if x)
-
-
-def _add_label(t: Tableau, row: int, label: int) -> Tableau:
-    rows = [list(r) for r in t]
-    while len(rows) <= row:
-        rows.append([])
-    rows[row].append(label)
-    return tuple(tuple(r) for r in rows)
 
 
 def position_of(t: Tableau, label: int) -> tuple[int, int]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fakedegrees import bijections
+from fakedegrees import bijections, cli
 from fakedegrees.bijections import RuleError
 from fakedegrees.cli import main
 from fakedegrees.fakedeg import d_rep
@@ -229,6 +229,21 @@ def test_verify_out_file(tmp_path, capsys):
         "group", "label", "routes", "agree", "exponents", "palindromic",
     }
 
+
+
+def test_verify_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """An --out path that cannot be opened fails before the sweep, as a
+    usage error, not as a traceback after it."""
+    def no_sweep(*_args):
+        raise AssertionError("the sweep ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_suite", no_sweep)
+    out_file = tmp_path / "missing-dir" / "report.jsonl"
+    code, out, err = run(capsys, "verify", "--suite", "thm1", "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out")
+    assert not out_file.exists()
 
 def test_poincare_cli(capsys):
     code, out, _ = run(capsys, "poincare", "--group", "d", "--n", "2")

@@ -4,10 +4,12 @@ from hypothesis import given, strategies as st
 from fakedegrees.shapes import (
     b_multi,
     b_statistic,
+    beta_set,
     check_partition,
     conjugate,
     format_multipartition,
     format_partition,
+    from_beta_set,
     hooks,
     lusztig_rho1,
     lusztig_rho1_inverse,
@@ -114,6 +116,52 @@ def test_two_core_criterion_matches_search():
     for n in range(0, 9):
         for shape in partitions_of(n):
             assert supports_domino(shape) == supports_domino_by_core(shape), shape
+
+
+@given(partition_lists, st.integers(0, 4))
+def test_beta_set_roundtrip(p, extra):
+    beads = beta_set(p, len(p) + extra)
+    assert len(beads) == len(p) + extra
+    assert list(beads) == sorted(beads, reverse=True)
+    assert from_beta_set(beads) == p
+    assert from_beta_set(beads[::-1]) == p
+
+
+def test_beta_set_needs_enough_rows():
+    with pytest.raises(ValueError):
+        beta_set((2, 1), 1)
+
+
+@pytest.mark.parametrize("beads", [(3, 3), (0, 2, 2), (1, -1), (-1,)])
+def test_from_beta_set_rejects_repeated_or_negative_beads(beads):
+    with pytest.raises(ValueError, match="distinct and nonnegative"):
+        from_beta_set(beads)
+
+
+def greedy_two_core(p):
+    """Reference 2-core: peel the first removable domino (top row first,
+    horizontal before vertical) until none is left."""
+    p = list(p)
+    while True:
+        for i, row in enumerate(p):
+            below = p[i + 1] if i + 1 < len(p) else 0
+            if row - 2 >= below:
+                p[i] -= 2
+                break
+            deeper = p[i + 2] if i + 2 < len(p) else 0
+            if row == below and row - 1 >= deeper:
+                p[i] -= 1
+                p[i + 1] -= 1
+                break
+        else:
+            return tuple(p)
+        p = [x for x in p if x]
+
+
+def test_two_core_matches_greedy_peeling():
+    for n in range(0, 15):
+        for shape in partitions_of(n):
+            assert two_core(shape) == greedy_two_core(shape), shape
 
 
 def test_two_core_examples():

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 from fakedegrees.qpoly import QPolynomial, q_int
@@ -34,6 +35,12 @@ def test_syt_enumeration_counts():
             assert len(set(ts)) == len(ts)
             for t in ts:
                 assert shape_of(t) == shape
+
+
+def test_syt_enumerator_is_a_generator_function():
+    """The benchmark tracer counts the tableaux of generator functions it
+    finds with inspect.isgeneratorfunction."""
+    assert inspect.isgeneratorfunction(enumerate_syt)
 
 
 def test_syt_standardness():
@@ -163,12 +170,15 @@ def reference_tuple_tableaux(mp):
 
 
 def test_enumeration_order_is_the_reference_order():
-    """The CLI numbers tuple tableaux by this order, so it is pinned as a
-    sequence, not a set."""
+    """The CLI numbers tuple tableaux and SYT by this order, so it is
+    pinned as a sequence, not a set."""
     for d, top in ((1, 7), (2, 6), (3, 4)):
         for n in range(0, top + 1):
             for mp in multipartitions_of(n, d):
-                assert list(enumerate_tuple_tableaux(mp)) == list(reference_tuple_tableaux(mp)), mp
+                reference = list(reference_tuple_tableaux(mp))
+                assert list(enumerate_tuple_tableaux(mp)) == reference, mp
+                if d == 1:
+                    assert [(t,) for t in enumerate_syt(mp[0])] == reference, mp
 
 
 def test_formatting():
