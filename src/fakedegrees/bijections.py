@@ -3,9 +3,11 @@
 The even-size map (`pi_c`) and odd-size map (`pi_b`) add one labelled cell
 to a pair of Young tableaux per domino; the receiving cell is forced at
 every stage because the covered region determines the pair of component
-shapes through the (inverse) two-quotient maps.  The pair-level major
-index rules and the flip procedures then turn these into
-major-index-preserving bijections (`pi_c_prime`, `pi_b_prime`).
+shapes through the (inverse) two-quotient maps.  The returned pair is the
+whole record of the insertion: `label_positions` reads each label's
+filling and cell from it.  The pair-level major index rules and the flip
+procedures then turn these into major-index-preserving bijections
+(`pi_c_prime`, `pi_b_prime`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import lru_cache
 
 from .dominoes import DominoTableau
 from .shapes import Partition, check_partition, lusztig_rho1_inverse, lusztig_rho2_inverse
-from .tableaux import Tableau, shape_of
+from .tableaux import Tableau, label_positions, shape_of
 
 TableauPair = tuple[Tableau, Tableau]
 
@@ -35,30 +37,8 @@ class RuleError(RuntimeError):
 
 
 @dataclass
-class TraceStep:
-    label: int
-    rule: str
-    target: int  # 1 or 2, which tableau received the cell
-    cell: tuple[int, int]
-
-
-@dataclass
 class Trace:
-    steps: list[TraceStep] = field(default_factory=list)
     swaps: list[int] = field(default_factory=list)  # label i of each i/i+1 swap
-
-
-def _case_name(prefix: str, domino: tuple[tuple[int, int], tuple[int, int]]) -> str:
-    """Descriptive case label: orientation plus row/column and extreme-
-    square parities of the domino, for traces."""
-    (r1, c1), (r2, c2) = domino
-    if r1 == r2:
-        line_par = "e" if r1 % 2 == 0 else "o"
-        ext_par = "e" if max(c1, c2) % 2 == 0 else "o"
-        return f"{prefix}-H{line_par}{ext_par}"
-    line_par = "e" if c1 % 2 == 0 else "o"
-    ext_par = "e" if max(r1, r2) % 2 == 0 else "o"
-    return f"{prefix}-V{line_par}{ext_par}"
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +70,7 @@ def _insertion_step(inverse, prev: Partition, cur: Partition) -> tuple[int, int,
     )
 
 
-def _run_insertion(t: DominoTableau, inverse, prefix: str, trace: Trace | None) -> TableauPair:
+def _run_insertion(t: DominoTableau, inverse) -> TableauPair:
     """Build the pair stage by stage.
 
     At each stage the shapes of the pair are forced: they must be the
@@ -119,50 +99,45 @@ def _run_insertion(t: DominoTableau, inverse, prefix: str, trace: Trace | None) 
             rows.append([label])
         else:
             rows[row - 1].append(label)
-        if trace is not None:
-            trace.steps.append(
-                TraceStep(label=label, rule=_case_name(prefix, t.cells_of(label)),
-                          target=target, cell=(row, col))
-            )
     return tuple(tuple(map(tuple, rows)) for rows in fillings)
 
 
-def pi_c(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
+def pi_c(t: DominoTableau) -> TableauPair:
     """Insertion map for even-size standard domino tableaux."""
     if t.size % 2 != 0:
         raise ValueError("pi_c needs an even-size shape")
-    return _run_insertion(t, lusztig_rho1_inverse, "piC", trace)
+    return _run_insertion(t, lusztig_rho1_inverse)
 
 
-def pi_b(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
+def pi_b(t: DominoTableau) -> TableauPair:
     """Insertion map for odd-size standard domino tableaux."""
     if t.size % 2 != 1:
         raise ValueError("pi_b needs an odd-size shape")
-    return _run_insertion(t, lusztig_rho2_inverse, "piB", trace)
+    return _run_insertion(t, lusztig_rho2_inverse)
 
 
-def _cells_by_label(pair: TableauPair) -> list:
-    """Label-indexed list of (filling, row, col, diagonal) with diagonal
-    2(r - c), all 1-based; entry 0 is unused."""
-    cells: list = [None] * (1 + sum(len(row) for t in pair for row in t))
-    for f, t in enumerate(pair, start=1):
-        for r, row in enumerate(t, start=1):
-            for c, x in enumerate(row, start=1):
-                cells[x] = (f, r, c, 2 * (r - c))
-    return cells
+def _keyed_cells(pair: TableauPair, offset: int) -> list[tuple[int, int, int, int]]:
+    """(filling, row, col, key) of labels 1..n in order, all 1-based, read
+    from `label_positions`; the pair-level key of a cell (r, c) is its
+    diagonal 2(r - c), plus offset in the second filling."""
+    pos = label_positions(pair)
+    return [
+        (f, r, c, 2 * (r - c) + (offset if f == 2 else 0))
+        for f, r, c in map(pos.__getitem__, range(1, len(pos) + 1))
+    ]
 
 
 def _pair_maj(pair: TableauPair, y2_offset: int) -> int:
     """Shifted-diagonal major index of a tableau pair.
 
-    Label i is a descent when the cell of i+1 sits on a strictly larger
-    shifted diagonal, where a cell (r, c) has diagonal 2(r - c), offset by
-    y2_offset in the second filling.  Within one filling this reduces to
-    "i+1 strictly lower"; across fillings it extends the same-row /
-    same-cell comparisons consistently (the offsets are odd, so ties
-    cannot occur).  Validated exhaustively against the domino major index.
+    Label i is a descent when the cell of i+1 has a strictly larger
+    pair-level key (`_keyed_cells` at y2_offset).  Within one filling this
+    reduces to "i+1 strictly lower"; across fillings it extends the
+    same-row / same-cell comparisons consistently (the offsets are odd, so
+    ties cannot occur).  Validated exhaustively against the domino major
+    index.
     """
-    keys = [d + y2_offset if f == 2 else d for f, _, _, d in _cells_by_label(pair)[1:]]
+    keys = [k for _, _, _, k in _keyed_cells(pair, y2_offset)]
     return sum(i for i in range(1, len(keys)) if keys[i] > keys[i - 1])
 
 
@@ -182,50 +157,49 @@ def _flip_to_pattern(pair: TableauPair, offset: int, trace: Trace | None) -> Tab
     """Swap labels across the fillings until the tuple descent set equals
     the pair-level descent set of the input at the given offset.
 
-    For labels i, i+1 in different fillings let the gap g_i be the
-    diagonal of the first filling's cell minus that of the second's: the
-    pair-level comparison of i and i+1 changes exactly when the offset
-    passes g_i, and once the offset exceeds every gap the pair-level rule
-    is the tuple rule.  So slide the offset upward: take the smallest gap
-    above it, swap i and i+1 for every i with that gap (in ascending
-    order; such labels are never consecutive), which restores the
-    descent set, and move the offset to that gap; stop when no gap lies
-    above it.  Every swap keeps the pair standard: i and i+1 sit in
-    different fillings and no label lies between them, so each filling
-    still increases along rows and columns.  A result whose tuple
+    For labels i, i+1 in different fillings let the gap g_i be the key
+    (`_keyed_cells` at the offset) of the first filling's cell minus that
+    of the second's: the pair-level comparison of i and i+1 changes
+    exactly when the offset is raised by g_i, and once it is raised past
+    every gap the pair-level rule is the tuple rule.  So slide the raise
+    upward from 0: take the smallest gap above it, swap i and i+1 for
+    every i with that gap (in ascending order; such labels are never
+    consecutive), which restores the descent set, and move the raise to
+    that gap; stop when no gap lies above it.  Every swap keeps the pair standard: i and i+1
+    sit in different fillings and no label lies between them, so each
+    filling still increases along rows and columns.  A result whose tuple
     descent set is not the input's raises RuleError; with no swap made,
     the input pair itself is the result.
     """
-    cells = _cells_by_label(pair)
-    n = len(cells) - 1
-    keys = [d + offset if f == 2 else d for f, _, _, d in cells[1:]]
-    target = [keys[i] > keys[i - 1] for i in range(1, n)]
+    cells = _keyed_cells(pair, offset)
+    target = [k2 > k1 for (_, _, _, k1), (_, _, _, k2) in zip(cells, cells[1:])]
+    raised = 0
     swapped = False
     while True:
         gaps = [
-            (i, d1 - d2 if f1 == 1 else d2 - d1)
-            for i, (f1, _, _, d1), (f2, _, _, d2) in zip(range(1, n), cells[1:], cells[2:])
+            (i, k1 - k2 if f1 == 1 else k2 - k1)
+            for i, ((f1, _, _, k1), (f2, _, _, k2)) in enumerate(zip(cells, cells[1:]))
             if f1 != f2
         ]
-        offset = min((g for _, g in gaps if g > offset), default=None)
-        if offset is None:
+        raised = min((g for _, g in gaps if g > raised), default=None)
+        if raised is None:
             break
         for i, g in gaps:
-            if g == offset:
+            if g == raised:
                 cells[i], cells[i + 1] = cells[i + 1], cells[i]
                 swapped = True
                 if trace is not None:
-                    trace.swaps.append(i)
+                    trace.swaps.append(i + 1)
     tuple_descents = [
         f1 < f2 or (f1 == f2 and r1 < r2)
-        for (f1, r1, _, _), (f2, r2, _, _) in zip(cells[1:], cells[2:])
+        for (f1, r1, _, _), (f2, r2, _, _) in zip(cells, cells[1:])
     ]
     if tuple_descents != target:
         raise RuleError(f"flip procedure cannot match the descent set of {pair}")
     if not swapped:
         return pair
     fillings = [[list(row) for row in t] for t in pair]
-    for label, (f, r, c, _) in enumerate(cells[1:], start=1):
+    for label, (f, r, c, _) in enumerate(cells, start=1):
         fillings[f - 1][r - 1][c - 1] = label
     return tuple(tuple(tuple(row) for row in t) for t in fillings)
 
@@ -243,7 +217,7 @@ def flip_b(pair: TableauPair, trace: Trace | None = None) -> TableauPair:
 def pi_c_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
     """Major-index-preserving bijection for even-size shapes."""
     try:
-        return flip_c(pi_c(t, trace), trace)
+        return flip_c(pi_c(t), trace)
     except RuleError as exc:
         exc.tableau = t
         raise
@@ -252,7 +226,7 @@ def pi_c_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
 def pi_b_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
     """Major-index-preserving bijection for odd-size shapes."""
     try:
-        return flip_b(pi_b(t, trace), trace)
+        return flip_b(pi_b(t), trace)
     except RuleError as exc:
         exc.tableau = t
         raise

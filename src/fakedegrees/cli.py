@@ -30,6 +30,7 @@ from .tableaux import (
     enumerate_tuple_tableaux,
     format_tableau,
     format_tuple_tableau,
+    label_positions,
     maj_syt,
     maj_tuple,
 )
@@ -76,35 +77,25 @@ def _cmd_compute(args) -> int:
     return 0 if agree else 1
 
 
+def _format_sdt(t) -> str:
+    return " / ".join(
+        "[" + ",".join(f"({r},{c})" for (r, c) in cells) + "]" for cells in t.dominoes
+    )
+
+
+# --kind -> (shape parser, enumerator, formatter, major index)
+_KINDS = {
+    "syt": (parse_partition, enumerate_syt, format_tableau, maj_syt),
+    "sdt": (parse_partition, enumerate_sdt, _format_sdt, maj_domino),
+    "tuple": (parse_multipartition, enumerate_tuple_tableaux, format_tuple_tableau, maj_tuple),
+}
+
+
 def _cmd_enumerate(args) -> int:
+    parse, tableaux, fmt, maj = _KINDS[args.kind]
     count = 0
-    if args.kind == "syt":
-        shape = parse_partition(args.shape)
-        for t in enumerate_syt(shape):
-            line = format_tableau(t)
-            if args.with_maj:
-                line += f"  maj={maj_syt(t)}"
-            print(line)
-            count += 1
-    elif args.kind == "sdt":
-        shape = parse_partition(args.shape)
-        for t in enumerate_sdt(shape):
-            line = " / ".join(
-                "[" + ",".join(f"({r},{c})" for (r, c) in cells) + "]"
-                for cells in t.dominoes
-            )
-            if args.with_maj:
-                line += f"  maj={maj_domino(t)}"
-            print(line)
-            count += 1
-    elif args.kind == "tuple":
-        mp = parse_multipartition(args.shape)
-        for t in enumerate_tuple_tableaux(mp):
-            line = format_tuple_tableau(t)
-            if args.with_maj:
-                line += f"  maj={maj_tuple(t)}"
-            print(line)
-            count += 1
+    for count, t in enumerate(tableaux(parse(args.shape)), start=1):
+        print(fmt(t) + (f"  maj={maj(t)}" if args.with_maj else ""))
     print(f"count: {count}")
     return 0
 
@@ -114,6 +105,19 @@ def _cmd_map(args) -> int:
     print("rho1:", format_partition(lusztig_rho1(pair)) or "-")
     print("rho2:", format_partition(lusztig_rho2(pair)))
     return 0
+
+
+def _case_name(prefix: str, domino: tuple[tuple[int, int], tuple[int, int]]) -> str:
+    """Descriptive case label of an insertion step: orientation plus
+    row/column and extreme-square parities of the domino."""
+    (r1, c1), (r2, c2) = domino
+    if r1 == r2:
+        line_par = "e" if r1 % 2 == 0 else "o"
+        ext_par = "e" if max(c1, c2) % 2 == 0 else "o"
+        return f"{prefix}-H{line_par}{ext_par}"
+    line_par = "e" if c1 % 2 == 0 else "o"
+    ext_par = "e" if max(r1, r2) % 2 == 0 else "o"
+    return f"{prefix}-V{line_par}{ext_par}"
 
 
 def _cmd_explain(args) -> int:
@@ -128,17 +132,18 @@ def _cmd_explain(args) -> int:
     t = tableaux[args.index]
     even = t.size % 2 == 0
     trace = Trace()
-    pair = pi_c(t, trace) if even else pi_b(t, trace)
+    pair = pi_c(t) if even else pi_b(t)
     pair_maj = pair_maj_c(pair) if even else pair_maj_b(pair)
     final = flip_c(pair, trace) if even else flip_b(pair, trace)
 
     print(f"standard domino tableau #{args.index} of shape {args.shape}:")
     print(t.render())
     print(f"map: {'even (size 2n)' if even else 'odd (size 2n+1)'}")
-    for step in trace.steps:
+    prefix = "piC" if even else "piB"
+    for label, (target, row, col) in sorted(label_positions(pair).items()):
         print(
-            f"  label {step.label}: rule {step.rule} -> "
-            f"tableau {step.target}, cell {step.cell}"
+            f"  label {label}: rule {_case_name(prefix, t.cells_of(label))} -> "
+            f"tableau {target}, cell {(row, col)}"
         )
     print("intermediate pair:", format_tuple_tableau(pair))
     print("pair descent major index:", pair_maj)
@@ -207,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("enumerate", help="list tableaux of a shape")
-    p.add_argument("--kind", choices=("syt", "sdt", "tuple"), required=True)
+    p.add_argument("--kind", choices=tuple(_KINDS), required=True)
     p.add_argument("--shape", required=True)
     p.add_argument("--with-maj", action="store_true")
     p.set_defaults(func=_cmd_enumerate)

@@ -64,9 +64,9 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
     The order is that of the recursion which tries the border dominoes of
     each shape in `domino_removals` order, largest label outermost; the
     CLI numbers tableaux by it, and the tests pin it against a copy of
-    that recursion.  Each shape's removals are computed once per process,
-    and each tableau's domino tuple is built once, at the leaf, from a
-    stack filled in place.
+    that recursion.  Each shape's removals are computed once per process
+    (`domino_removals` is memoised), and each tableau's domino tuple is
+    built once, at the leaf, from a stack filled in place.
     """
     stack: list = [None] * (sum(shape) // 2)
 
@@ -74,17 +74,11 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
         if k == 0:
             yield DominoTableau(shape=shape, dominoes=tuple(stack))
             return
-        for smaller, cells in _removals(p):
+        for smaller, cells in domino_removals(p):
             stack[k - 1] = cells
             yield from fill(smaller, k - 1)
 
     yield from fill(shape, len(stack))
-
-
-@lru_cache(maxsize=None)
-def _removals(p: Partition) -> tuple:
-    """`domino_removals` of p, computed once per process."""
-    return tuple(domino_removals(p))
 
 
 def maj_domino(t: DominoTableau) -> int:

@@ -112,10 +112,11 @@ def from_beta_set(beads: Sequence[int]) -> Partition:
 
 def symbol_of(pair: Multipartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Defect-1 symbol of an ordered pair: two strictly increasing rows
-    whose lengths differ by one."""
+    whose lengths differ by one.  Raises ValueError unless the pair has
+    two components and each is a partition."""
     if len(pair) != 2:
         raise ValueError("Lusztig map needs an ordered pair of partitions")
-    lam1, lam2 = pair
+    lam1, lam2 = map(check_partition, pair)
     m = max(len(lam2), len(lam1) - 1)
     return beta_set(lam1, m + 1)[::-1], beta_set(lam2, m)[::-1]
 
@@ -192,9 +193,12 @@ def supports_domino(p: Partition) -> bool:
     return False
 
 
-def domino_removals(p: Partition) -> Iterator[tuple[Partition, tuple[Cell, Cell]]]:
+@lru_cache(maxsize=None)
+def domino_removals(p: Partition) -> tuple[tuple[Partition, tuple[Cell, Cell]], ...]:
     """Each border domino of p: the smaller shape left by removing it, and
-    its two 1-based cells."""
+    its two 1-based cells.  The memo is process-wide; its entries are
+    tuples, so no caller can change them."""
+    out = []
     k = len(p)
     for i in range(k):
         below = p[i + 1] if i + 1 < k else 0
@@ -202,7 +206,7 @@ def domino_removals(p: Partition) -> Iterator[tuple[Partition, tuple[Cell, Cell]
         if p[i] - 2 >= below:
             parts = list(p)
             parts[i] -= 2
-            yield tuple(x for x in parts if x), ((i + 1, p[i] - 1), (i + 1, p[i]))
+            out.append((tuple(x for x in parts if x), ((i + 1, p[i] - 1), (i + 1, p[i]))))
         if i + 1 < k and p[i] == p[i + 1]:
             deeper = p[i + 2] if i + 2 < k else 0
             # vertical domino at the end of rows i+1, i+2
@@ -210,7 +214,8 @@ def domino_removals(p: Partition) -> Iterator[tuple[Partition, tuple[Cell, Cell]
                 parts = list(p)
                 parts[i] -= 1
                 parts[i + 1] -= 1
-                yield tuple(x for x in parts if x), ((i + 1, p[i]), (i + 2, p[i]))
+                out.append((tuple(x for x in parts if x), ((i + 1, p[i]), (i + 2, p[i]))))
+    return tuple(out)
 
 
 def two_core(p: Partition) -> Partition:

@@ -45,15 +45,6 @@ def _remove_cell(shape: Partition, row: int) -> Partition:
     return tuple(x for x in parts if x)
 
 
-def position_of(t: Tableau, label: int) -> tuple[int, int]:
-    """1-based (row, col) of a label."""
-    for i, row in enumerate(t, start=1):
-        for j, x in enumerate(row, start=1):
-            if x == label:
-                return (i, j)
-    raise ValueError(f"label {label} not in tableau {t}")
-
-
 def maj_syt(t: Tableau) -> int:
     """Sum of labels i with i+1 in a strictly lower row than i: the major
     index of t as a one-filling tuple tableau."""

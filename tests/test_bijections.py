@@ -37,16 +37,29 @@ def test_pi_parity_checks():
         pi_c(t_odd)
 
 
-def test_insertion_shapes_and_trace():
+def restricted_shapes(pair, k):
+    """Shapes of the two fillings cut down to the labels 1..k."""
+    return tuple(
+        tuple(filter(None, (sum(x <= k for x in row) for row in filling))) for filling in pair
+    )
+
+
+def test_insertion_shapes_and_cells():
+    """Each image has the pair shape, and for every k the labels 1..k fill
+    the preimage of the region that dominoes 1..k cover, so each label
+    sits in the cell its domino adds."""
     for n in range(0, 5):
         for pair_shape in multipartitions_of(n, 2):
-            for t in enumerate_sdt(lusztig_rho1(pair_shape)):
-                trace = Trace()
-                pair = pi_c(t, trace)
-                assert pair_shapes(pair) == pair_shape
-                assert [s.label for s in trace.steps] == list(range(1, n + 1))
-            for t in enumerate_sdt(lusztig_rho2(pair_shape)):
-                assert pair_shapes(pi_b(t)) == pair_shape
+            for rho, inverse, pi in (
+                (lusztig_rho1, lusztig_rho1_inverse, pi_c),
+                (lusztig_rho2, lusztig_rho2_inverse, pi_b),
+            ):
+                for t in enumerate_sdt(rho(pair_shape)):
+                    pair = pi(t)
+                    assert pair_shapes(pair) == pair_shape
+                    assert sorted(label_positions(pair)) == list(range(1, n + 1))
+                    for k in range(n + 1):
+                        assert restricted_shapes(pair, k) == inverse(truncate(t, k).shape)
 
 
 @pytest.mark.parametrize(
@@ -92,7 +105,7 @@ def test_insertion_rejects_dominoes_that_do_not_tile():
 def test_insertion_memo_is_order_independent_and_immutable():
     """The process-wide step memo gives the same images whether the small
     shapes are mapped first or the large ones, and every cached step is a
-    tuple naming the cell the trace reports."""
+    tuple naming the filling and cell where the image holds that label."""
     shapes = [ps for n in range(0, 6) for ps in multipartitions_of(n, 2)]
     maps = ((lusztig_rho1, lusztig_rho1_inverse, pi_c), (lusztig_rho2, lusztig_rho2_inverse, pi_b))
     runs = []
@@ -104,12 +117,11 @@ def test_insertion_memo_is_order_independent_and_immutable():
         for ps in order:
             for rho, inverse, pi in maps:
                 for t in enumerate_sdt(rho(ps)):
-                    trace = Trace()
-                    pi(t, trace)
-                    for k, step in enumerate(trace.steps, start=1):
+                    pos = label_positions(pi(t))
+                    for k in range(1, t.n + 1):
                         entry = _insertion_step(inverse, truncate(t, k - 1).shape, truncate(t, k).shape)
                         assert isinstance(entry, tuple)
-                        assert entry == (step.target, *step.cell)
+                        assert entry == pos[k]
     assert runs[0] == runs[1]
 
 

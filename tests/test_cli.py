@@ -129,6 +129,9 @@ def test_enumerate_syt(capsys):
     code, out, _ = run(capsys, "enumerate", "--kind", "syt", "--shape", "3", "--with-maj")
     assert code == 0
     assert out.strip().splitlines() == ["[[1,2,3]]  maj=0", "count: 1"]
+    code, out, _ = run(capsys, "enumerate", "--kind", "tuple", "--shape", "1|1", "--with-maj")
+    assert code == 0
+    assert out == "[[2]] ; [[1]]  maj=0\n[[1]] ; [[2]]  maj=1\ncount: 2\n"
 
 
 def test_map_known_values(capsys):
@@ -164,6 +167,69 @@ def test_explain_flip_example_exact(capsys):
     assert code == 0
     assert "final pair: [[3],[4]] ; [[1,5],[2,6]]" in out
     assert "maj preserved: true" in out
+
+
+# Full `explain` output: an even tableau with three flips, an odd tableau
+# with two, and the smallest tableau, which needs none.
+EXPLAIN_PINNED = {
+    "5,5": (
+        "standard domino tableau #0 of shape 5,5:\n"
+        "1 2 3 4 5\n"
+        "1 2 3 4 5\n"
+        "map: even (size 2n)\n"
+        "  label 1: rule piC-Voe -> tableau 2, cell (1, 1)\n"
+        "  label 2: rule piC-Vee -> tableau 1, cell (1, 1)\n"
+        "  label 3: rule piC-Voe -> tableau 2, cell (1, 2)\n"
+        "  label 4: rule piC-Vee -> tableau 1, cell (1, 2)\n"
+        "  label 5: rule piC-Voe -> tableau 2, cell (1, 3)\n"
+        "intermediate pair: [[2,4]] ; [[1,3,5]]\n"
+        "pair descent major index: 0\n"
+        "flips: (2,3), (4,5), (3,4)\n"
+        "final pair: [[4,5]] ; [[1,2,3]]\n"
+        "maj(domino): 0\n"
+        "maj(tuple): 0\n"
+        "maj preserved: true\n"
+    ),
+    "6,4,1": (
+        "standard domino tableau #0 of shape 6,4,1:\n"
+        "0 2 3 4 5 5\n"
+        "1 2 3 4\n"
+        "1\n"
+        "map: odd (size 2n+1)\n"
+        "  label 1: rule piB-Voo -> tableau 2, cell (1, 1)\n"
+        "  label 2: rule piB-Vee -> tableau 2, cell (1, 2)\n"
+        "  label 3: rule piB-Voe -> tableau 1, cell (1, 1)\n"
+        "  label 4: rule piB-Vee -> tableau 2, cell (1, 3)\n"
+        "  label 5: rule piB-Hoe -> tableau 2, cell (1, 4)\n"
+        "intermediate pair: [[3]] ; [[1,2,4,5]]\n"
+        "pair descent major index: 0\n"
+        "flips: (3,4), (4,5)\n"
+        "final pair: [[5]] ; [[1,2,3,4]]\n"
+        "maj(domino): 0\n"
+        "maj(tuple): 0\n"
+        "maj preserved: true\n"
+    ),
+    "2": (
+        "standard domino tableau #0 of shape 2:\n"
+        "1 1\n"
+        "map: even (size 2n)\n"
+        "  label 1: rule piC-Hoe -> tableau 1, cell (1, 1)\n"
+        "intermediate pair: [[1]] ; []\n"
+        "pair descent major index: 0\n"
+        "flips: none\n"
+        "final pair: [[1]] ; []\n"
+        "maj(domino): 0\n"
+        "maj(tuple): 0\n"
+        "maj preserved: true\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(EXPLAIN_PINNED))
+def test_explain_pinned_output(capsys, shape):
+    code, out, _ = run(capsys, "explain", "--shape", shape, "--index", "0")
+    assert code == 0
+    assert out == EXPLAIN_PINNED[shape]
 
 
 def test_explain_zero_swaps(capsys):

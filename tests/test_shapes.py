@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from fakedegrees.fakedeg import special_partner_bc
 from fakedegrees.shapes import (
     b_multi,
     b_statistic,
@@ -22,6 +23,7 @@ from fakedegrees.shapes import (
     partitions_of,
     supports_domino,
     supports_domino_by_core,
+    symbol_of,
     total_size,
     two_core,
 )
@@ -103,6 +105,20 @@ def test_lusztig_image_is_domino_supporting():
                     assert shape not in images
                     with pytest.raises(ValueError):
                         rho_inv(shape)
+
+
+@pytest.mark.parametrize(
+    "call, pair",
+    [
+        (symbol_of, ((1, 2), ())),
+        (special_partner_bc, ((1, 2), ())),
+        (lusztig_rho1, ((2, 0), ())),
+        (lusztig_rho1, ((1,), (0,))),
+    ],
+)
+def test_pair_components_must_be_partitions(call, pair):
+    with pytest.raises(ValueError, match="partition parts must be"):
+        call(pair)
 
 
 def test_inverse_parity_checks():

@@ -9,10 +9,10 @@ from fakedegrees.tableaux import (
     enumerate_tuple_tableaux,
     format_tableau,
     format_tuple_tableau,
+    label_positions,
     largest_label_component,
     maj_syt,
     maj_tuple,
-    position_of,
     shape_of,
     syt_maj_gf,
     tuple_maj_gf,
@@ -57,10 +57,12 @@ def test_maj_examples():
     assert syt_maj_gf((2, 1)) == QPolynomial([0, 1, 1])
 
 
-def test_position_of():
+def test_label_positions():
     t = ((1, 3), (2,))
-    assert position_of(t, 3) == (1, 2)
-    assert position_of(t, 2) == (2, 1)
+    assert label_positions((t,)) == {1: (1, 1, 1), 3: (1, 1, 2), 2: (1, 2, 1)}
+    assert label_positions(((), t, ((4,),))) == {
+        1: (2, 1, 1), 3: (2, 1, 2), 2: (2, 2, 1), 4: (3, 1, 1),
+    }
 
 
 def test_tuple_enumeration_counts():

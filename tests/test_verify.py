@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,7 @@ from fakedegrees.dominoes import DominoTableau, is_standard, maj_domino
 from fakedegrees.fakedeg import d_rep, fake_degree_d
 from fakedegrees.shapes import lusztig_rho1
 from fakedegrees.tableaux import enumerate_tuple_tableaux, maj_tuple
-from fakedegrees.verify import errors, failures, route_record, run_suite
+from fakedegrees.verify import errors, failures, route_record, run_suite, to_json_lines
 
 # The two type-D labels of rank 7 on which an earlier, breadth-first flip
 # search was ambiguous, each with the domino tableau (the cells of
@@ -76,3 +77,11 @@ def test_route_records_stay_small():
     for record in records:
         assert record["exponents"] == []
         assert len(json.dumps(record)) < 10_000
+
+
+def test_all_suites_through_6_are_pinned():
+    """The JSON-lines report of every suite through n = 6, byte for byte."""
+    report = to_json_lines(run_suite("all", 6)).encode()
+    assert hashlib.sha256(report).hexdigest() == (
+        "9c2ff81fab99c6940300481cdd1ceef9dc4600398f8619ce6dc9eab46b18bc88"
+    )
