@@ -42,11 +42,12 @@ class Trace:
 
 
 @lru_cache(maxsize=None)
-def _insertion_step(inverse, prev: Partition, cur: Partition) -> tuple[int, int, int]:
-    """(target, row, col) of the cell the pair gains between two
-    consecutive covered regions, 1-based.
+def _insertion_step(inverse, prev: Partition, r1: int, r2: int) -> tuple[Partition, int, int, int]:
+    """(cur, target, row, col): the covered region cur after a domino with
+    cells in rows r1 and r2 is laid on the region prev, and the cell the
+    pair gains between the two, 1-based.
 
-    Validates, once per distinct (inverse, prev, cur): both regions are
+    Validates, once per distinct (inverse, prev, r1, r2): both regions are
     partitions (ValueError otherwise), and the preimage of cur under the
     Lusztig inverse exceeds that of prev by exactly one cell, at the end of
     one row of exactly one component, so the grown component is its old
@@ -54,6 +55,12 @@ def _insertion_step(inverse, prev: Partition, cur: Partition) -> tuple[int, int,
     process-wide and keyed on the inverse itself, so a replaced inverse
     is validated afresh.
     """
+    parts = list(prev)
+    while len(parts) < max(r1, r2):
+        parts.append(0)
+    parts[r1 - 1] += 1
+    parts[r2 - 1] += 1
+    cur = tuple(parts)
     before = inverse(check_partition(prev))
     after = inverse(check_partition(cur))
     grown = [k for k in (0, 1) if before[k] != after[k]]
@@ -63,7 +70,7 @@ def _insertion_step(inverse, prev: Partition, cur: Partition) -> tuple[int, int,
         row = next((i for i, x in enumerate(old) if i >= len(new) or new[i] != x), len(old))
         col = (old[row] if row < len(old) else 0) + 1
         if (row == 0 or old[row - 1] >= col) and new == old[:row] + (col,) + old[row + 1:]:
-            return grown[0] + 1, row + 1, col
+            return cur, grown[0] + 1, row + 1, col
     raise RuleError(
         f"covered regions {prev} -> {cur}: pairs {before} -> {after} "
         "do not differ by one addable cell in one component"
@@ -71,34 +78,25 @@ def _insertion_step(inverse, prev: Partition, cur: Partition) -> tuple[int, int,
 
 
 def _run_insertion(t: DominoTableau, inverse) -> TableauPair:
-    """Build the pair stage by stage.
+    """Build the pair stage by stage, from the 2-core of the shape.
 
     At each stage the shapes of the pair are forced: they must be the
     preimage of the covered region under the Lusztig map (the covered
     region after each domino is itself a domino-supporting Young diagram).
-    The new cell receives the domino's label; `_insertion_step` finds it.
+    The new cell receives the domino's label; `_insertion_step` lays the
+    domino and finds the cell.
     """
-    covered = list(t.shape)
-    # peel back to the empty stage, recording the covered regions
-    stages = [t.shape]
-    for (r1, _), (r2, _) in reversed(t.dominoes):
-        covered[r1 - 1] -= 1
-        covered[r2 - 1] -= 1
-        while covered and covered[-1] == 0:
-            covered.pop()
-        stages.append(tuple(covered))
-    stages.reverse()
-    if stages[0] not in ((), (1,)):
-        raise ValueError(f"the dominoes do not tile shape {t.shape}")
-
+    region = (1,) if sum(t.shape) % 2 else ()
     fillings: tuple[list[list[int]], list[list[int]]] = ([], [])
-    for label in range(1, t.n + 1):
-        target, row, col = _insertion_step(inverse, stages[label - 1], stages[label])
+    for label, ((r1, _), (r2, _)) in enumerate(t.dominoes, start=1):
+        region, target, row, col = _insertion_step(inverse, region, r1, r2)
         rows = fillings[target - 1]
         if col == 1:
             rows.append([label])
         else:
             rows[row - 1].append(label)
+    if region != t.shape:
+        raise ValueError(f"the dominoes do not tile shape {t.shape}")
     return tuple(tuple(map(tuple, rows)) for rows in fillings)
 
 
@@ -162,40 +160,41 @@ def _flip_to_pattern(pair: TableauPair, offset: int, trace: Trace | None) -> Tab
     of the second's: the pair-level comparison of i and i+1 changes
     exactly when the offset is raised by g_i, and once it is raised past
     every gap the pair-level rule is the tuple rule.  So slide the raise
-    upward from 0: take the smallest gap above it, swap i and i+1 for
-    every i with that gap (in ascending order; such labels are never
-    consecutive), which restores the descent set, and move the raise to
-    that gap; stop when no gap lies above it.  Every swap keeps the pair standard: i and i+1
-    sit in different fillings and no label lies between them, so each
-    filling still increases along rows and columns.  A result whose tuple
-    descent set is not the input's raises RuleError; with no swap made,
-    the input pair itself is the result.
+    upward from 0: one scan finds the smallest gap above it and every i
+    with that gap, swap i and i+1 for each of them (in ascending order;
+    such labels are never consecutive), which restores the descent set,
+    and move the raise to that gap; stop when no gap lies above it.  Every
+    swap keeps the pair standard: i and i+1 sit in different fillings and
+    no label lies between them, so each filling still increases along rows
+    and columns.  A result whose tuple descent set is not the input's
+    raises RuleError; with no swap made, the input pair itself is the
+    result.
     """
     cells = _keyed_cells(pair, offset)
     target = [k2 > k1 for (_, _, _, k1), (_, _, _, k2) in zip(cells, cells[1:])]
     raised = 0
     swapped = False
     while True:
-        gaps = [
-            (i, k1 - k2 if f1 == 1 else k2 - k1)
-            for i, ((f1, _, _, k1), (f2, _, _, k2)) in enumerate(zip(cells, cells[1:]))
-            if f1 != f2
-        ]
-        raised = min((g for _, g in gaps if g > raised), default=None)
-        if raised is None:
+        level, at = None, []
+        for i, ((f1, _, _, k1), (f2, _, _, k2)) in enumerate(zip(cells, cells[1:])):
+            if f1 != f2:
+                g = k1 - k2 if f1 == 1 else k2 - k1
+                if g > raised:
+                    if level is None or g < level:
+                        level, at = g, [i]
+                    elif g == level:
+                        at.append(i)
+        if level is None:
             break
-        for i, g in gaps:
-            if g == raised:
-                cells[i], cells[i + 1] = cells[i + 1], cells[i]
-                swapped = True
-                if trace is not None:
-                    trace.swaps.append(i + 1)
-    tuple_descents = [
-        f1 < f2 or (f1 == f2 and r1 < r2)
-        for (f1, r1, _, _), (f2, r2, _, _) in zip(cells, cells[1:])
-    ]
-    if tuple_descents != target:
-        raise RuleError(f"flip procedure cannot match the descent set of {pair}")
+        raised = level
+        swapped = True
+        for i in at:
+            cells[i], cells[i + 1] = cells[i + 1], cells[i]
+            if trace is not None:
+                trace.swaps.append(i + 1)
+    for (f1, r1, _, _), (f2, r2, _, _), descent in zip(cells, cells[1:], target):
+        if (f1 < f2 or (f1 == f2 and r1 < r2)) != descent:
+            raise RuleError(f"flip procedure cannot match the descent set of {pair}")
     if not swapped:
         return pair
     fillings = [[list(row) for row in t] for t in pair]

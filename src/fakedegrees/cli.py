@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from .bijections import RuleError, Trace, flip_b, flip_c, pair_maj_b, pair_maj_c, pi_b, pi_c
-from .dominoes import enumerate_sdt, maj_domino
+from .dominoes import enumerate_sdt, maj_domino, sdt_maj_gf
 from .fakedeg import DEFAULT_ROUTE, ROUTES, fake_degree, poincare, representation
 from .qpoly import QPolynomial
 from .shapes import (
@@ -122,14 +123,12 @@ def _case_name(prefix: str, domino: tuple[tuple[int, int], tuple[int, int]]) -> 
 
 def _cmd_explain(args) -> int:
     shape = parse_partition(args.shape)
-    tableaux = list(enumerate_sdt(shape))
-    if not tableaux:
+    count = sum(sdt_maj_gf(shape).coeffs)
+    if not count:
         raise UsageError(f"shape {args.shape!r} supports no standard domino tableaux")
-    if not 0 <= args.index < len(tableaux):
-        raise UsageError(
-            f"index {args.index} out of range (0..{len(tableaux) - 1})"
-        )
-    t = tableaux[args.index]
+    if not 0 <= args.index < count:
+        raise UsageError(f"index {args.index} out of range (0..{count - 1})")
+    t = next(islice(enumerate_sdt(shape), args.index, None))
     even = t.size % 2 == 0
     trace = Trace()
     pair = pi_c(t) if even else pi_b(t)

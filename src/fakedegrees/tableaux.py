@@ -62,30 +62,26 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
     The order is that of the recursion which places the largest label at
     each corner in turn (components, then rows, in order), outermost; the
     CLI numbers tableaux by it, and the tests pin it against a copy of
-    that recursion.  One recursion over a mutable shape records each
-    label's (component, row), and each tableau is built once, at the leaf.
+    that recursion.  One recursion over a mutable shape writes each label
+    into a preallocated grid at the cell it frees, and each tableau is
+    built once, at the leaf, from that grid.
     """
-    n = total_size(mp)
     shape = [list(comp) for comp in mp]
-    where: list = [None] * (n + 1)  # label -> 0-based (component, row)
+    grid = [[[0] * length for length in comp] for comp in mp]
 
     def fill(k: int) -> Iterator[TupleTableau]:
         if k == 0:
-            rows = [[[] for _ in comp] for comp in mp]
-            for label in range(1, n + 1):
-                ci, ri = where[label]
-                rows[ci][ri].append(label)
-            yield tuple(tuple(map(tuple, filling)) for filling in rows)
+            yield tuple(tuple(map(tuple, filling)) for filling in grid)
             return
         for ci, comp in enumerate(shape):
             for ri, length in enumerate(comp):
                 if length and (ri + 1 == len(comp) or comp[ri + 1] < length):
                     comp[ri] -= 1
-                    where[k] = (ci, ri)
+                    grid[ci][ri][comp[ri]] = k
                     yield from fill(k - 1)
                     comp[ri] += 1
 
-    yield from fill(n)
+    yield from fill(total_size(mp))
 
 
 def label_positions(t: TupleTableau) -> dict[int, tuple[int, int, int]]:
@@ -119,9 +115,14 @@ def maj_tuple(t: TupleTableau) -> int:
 
 
 def largest_label_component(t: TupleTableau) -> int:
-    """1-based index of the filling containing the largest label."""
-    pos = label_positions(t)
-    return pos[max(pos)][0]
+    """1-based index of the filling containing the largest label.
+
+    Rows increase, so the largest label ends its row: only the last entry
+    of each row is read."""
+    last = [(row[-1], ci) for ci, filling in enumerate(t, start=1) for row in filling]
+    if not last:
+        raise ValueError("an empty tuple tableau has no largest label")
+    return max(last)[1]
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,13 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fakedegrees import bijections
 from fakedegrees.bijections import (
     RuleError,
+    TableauPair,
     Trace,
-    _insertion_step,
     flip_b,
     flip_c,
     pair_maj_b,
@@ -18,6 +20,8 @@ from fakedegrees.bijections import (
 )
 from fakedegrees.dominoes import DominoTableau, _by_last_domino, enumerate_sdt, maj_domino, truncate
 from fakedegrees.shapes import (
+    Partition,
+    check_partition,
     domino_removals,
     lusztig_rho1,
     lusztig_rho1_inverse,
@@ -105,12 +109,14 @@ def test_insertion_rejects_dominoes_that_do_not_tile():
 def test_insertion_memo_is_order_independent_and_immutable():
     """The process-wide step memo gives the same images whether the small
     shapes are mapped first or the large ones, and every cached step is a
-    tuple naming the filling and cell where the image holds that label."""
+    tuple naming the region the domino leaves covered and the filling and
+    cell where the image holds that label."""
+    step = bijections._insertion_step
     shapes = [ps for n in range(0, 6) for ps in multipartitions_of(n, 2)]
     maps = ((lusztig_rho1, lusztig_rho1_inverse, pi_c), (lusztig_rho2, lusztig_rho2_inverse, pi_b))
     runs = []
     for order in (shapes, shapes[::-1]):
-        _insertion_step.cache_clear()
+        step.cache_clear()
         runs.append({
             (ps, pi): [pi(t) for t in enumerate_sdt(rho(ps))] for ps in order for rho, _, pi in maps
         })
@@ -119,10 +125,169 @@ def test_insertion_memo_is_order_independent_and_immutable():
                 for t in enumerate_sdt(rho(ps)):
                     pos = label_positions(pi(t))
                     for k in range(1, t.n + 1):
-                        entry = _insertion_step(inverse, truncate(t, k - 1).shape, truncate(t, k).shape)
+                        (r1, _), (r2, _) = t.cells_of(k)
+                        entry = step(inverse, truncate(t, k - 1).shape, r1, r2)
                         assert isinstance(entry, tuple)
-                        assert entry == pos[k]
+                        assert entry[0] == truncate(t, k).shape
+                        assert entry[1:] == pos[k]
     assert runs[0] == runs[1]
+
+
+# The insertion and flip as they were before the forward walk and the
+# one-scan flip, copied verbatim: a backward peel recording every covered
+# region, a step memo keyed on two regions, and a flip that lists the gaps,
+# takes their minimum and swaps in three passes per raise.  The maps are
+# pinned to them below.
+
+@lru_cache(maxsize=None)
+def _insertion_step(inverse, prev: Partition, cur: Partition) -> tuple[int, int, int]:
+    """(target, row, col) of the cell the pair gains between two
+    consecutive covered regions, 1-based.
+
+    Validates, once per distinct (inverse, prev, cur): both regions are
+    partitions (ValueError otherwise), and the preimage of cur under the
+    Lusztig inverse exceeds that of prev by exactly one cell, at the end of
+    one row of exactly one component, so the grown component is its old
+    shape plus one addable cell (RuleError otherwise).  The memo is
+    process-wide and keyed on the inverse itself, so a replaced inverse
+    is validated afresh.
+    """
+    before = inverse(check_partition(prev))
+    after = inverse(check_partition(cur))
+    grown = [k for k in (0, 1) if before[k] != after[k]]
+    if len(grown) == 1:
+        old, new = before[grown[0]], after[grown[0]]
+        # the first row where they differ must gain one addable cell
+        row = next((i for i, x in enumerate(old) if i >= len(new) or new[i] != x), len(old))
+        col = (old[row] if row < len(old) else 0) + 1
+        if (row == 0 or old[row - 1] >= col) and new == old[:row] + (col,) + old[row + 1:]:
+            return grown[0] + 1, row + 1, col
+    raise RuleError(
+        f"covered regions {prev} -> {cur}: pairs {before} -> {after} "
+        "do not differ by one addable cell in one component"
+    )
+
+
+def _run_insertion(t: DominoTableau, inverse) -> TableauPair:
+    """Build the pair stage by stage.
+
+    At each stage the shapes of the pair are forced: they must be the
+    preimage of the covered region under the Lusztig map (the covered
+    region after each domino is itself a domino-supporting Young diagram).
+    The new cell receives the domino's label; `_insertion_step` finds it.
+    """
+    covered = list(t.shape)
+    # peel back to the empty stage, recording the covered regions
+    stages = [t.shape]
+    for (r1, _), (r2, _) in reversed(t.dominoes):
+        covered[r1 - 1] -= 1
+        covered[r2 - 1] -= 1
+        while covered and covered[-1] == 0:
+            covered.pop()
+        stages.append(tuple(covered))
+    stages.reverse()
+    if stages[0] not in ((), (1,)):
+        raise ValueError(f"the dominoes do not tile shape {t.shape}")
+
+    fillings: tuple[list[list[int]], list[list[int]]] = ([], [])
+    for label in range(1, t.n + 1):
+        target, row, col = _insertion_step(inverse, stages[label - 1], stages[label])
+        rows = fillings[target - 1]
+        if col == 1:
+            rows.append([label])
+        else:
+            rows[row - 1].append(label)
+    return tuple(tuple(map(tuple, rows)) for rows in fillings)
+
+
+def _keyed_cells(pair: TableauPair, offset: int) -> list[tuple[int, int, int, int]]:
+    """(filling, row, col, key) of labels 1..n in order, all 1-based, read
+    from `label_positions`; the pair-level key of a cell (r, c) is its
+    diagonal 2(r - c), plus offset in the second filling."""
+    pos = label_positions(pair)
+    return [
+        (f, r, c, 2 * (r - c) + (offset if f == 2 else 0))
+        for f, r, c in map(pos.__getitem__, range(1, len(pos) + 1))
+    ]
+
+
+def _flip_to_pattern(pair: TableauPair, offset: int, trace: Trace | None) -> TableauPair:
+    """Swap labels across the fillings until the tuple descent set equals
+    the pair-level descent set of the input at the given offset.
+
+    For labels i, i+1 in different fillings let the gap g_i be the key
+    (`_keyed_cells` at the offset) of the first filling's cell minus that
+    of the second's: the pair-level comparison of i and i+1 changes
+    exactly when the offset is raised by g_i, and once it is raised past
+    every gap the pair-level rule is the tuple rule.  So slide the raise
+    upward from 0: take the smallest gap above it, swap i and i+1 for
+    every i with that gap (in ascending order; such labels are never
+    consecutive), which restores the descent set, and move the raise to
+    that gap; stop when no gap lies above it.  Every swap keeps the pair standard: i and i+1
+    sit in different fillings and no label lies between them, so each
+    filling still increases along rows and columns.  A result whose tuple
+    descent set is not the input's raises RuleError; with no swap made,
+    the input pair itself is the result.
+    """
+    cells = _keyed_cells(pair, offset)
+    target = [k2 > k1 for (_, _, _, k1), (_, _, _, k2) in zip(cells, cells[1:])]
+    raised = 0
+    swapped = False
+    while True:
+        gaps = [
+            (i, k1 - k2 if f1 == 1 else k2 - k1)
+            for i, ((f1, _, _, k1), (f2, _, _, k2)) in enumerate(zip(cells, cells[1:]))
+            if f1 != f2
+        ]
+        raised = min((g for _, g in gaps if g > raised), default=None)
+        if raised is None:
+            break
+        for i, g in gaps:
+            if g == raised:
+                cells[i], cells[i + 1] = cells[i + 1], cells[i]
+                swapped = True
+                if trace is not None:
+                    trace.swaps.append(i + 1)
+    tuple_descents = [
+        f1 < f2 or (f1 == f2 and r1 < r2)
+        for (f1, r1, _, _), (f2, r2, _, _) in zip(cells, cells[1:])
+    ]
+    if tuple_descents != target:
+        raise RuleError(f"flip procedure cannot match the descent set of {pair}")
+    if not swapped:
+        return pair
+    fillings = [[list(row) for row in t] for t in pair]
+    for label, (f, r, c, _) in enumerate(cells, start=1):
+        fillings[f - 1][r - 1][c - 1] = label
+    return tuple(tuple(tuple(row) for row in t) for t in fillings)
+
+
+def with_swaps(flip, *args):
+    """The image of flip(*args, trace) and the swaps it made."""
+    trace = Trace()
+    return flip(*args, trace), trace.swaps
+
+
+def test_maps_equal_the_reference_maps():
+    """On every domino tableau with n <= 6 both insertions give the
+    reference images, and both flips the reference images and swaps, in
+    order; so do the flips on every standard pair with n <= 5, image or
+    not."""
+    for n in range(0, 7):
+        for pair_shape in multipartitions_of(n, 2):
+            for rho, inverse, pi, flip, prime, offset in (
+                (lusztig_rho1, lusztig_rho1_inverse, pi_c, flip_c, pi_c_prime, 1),
+                (lusztig_rho2, lusztig_rho2_inverse, pi_b, flip_b, pi_b_prime, 3),
+            ):
+                for t in enumerate_sdt(rho(pair_shape)):
+                    y = pi(t)
+                    assert y == _run_insertion(t, inverse)
+                    z, swaps = with_swaps(flip, y)
+                    assert (z, swaps) == with_swaps(_flip_to_pattern, y, offset)
+                    assert prime(t) == z
+                if n <= 5:
+                    for y in enumerate_tuple_tableaux(pair_shape):
+                        assert with_swaps(flip, y) == with_swaps(_flip_to_pattern, y, offset)
 
 
 def test_pair_maj_equals_domino_maj():

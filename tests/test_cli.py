@@ -242,11 +242,25 @@ def test_explain_zero_swaps(capsys):
 def test_explain_out_of_range(capsys):
     code, _, err = run(capsys, "explain", "--shape", "2,2,2", "--index", "99")
     assert code == 2
+    assert err == "error: index 99 out of range (0..2)\n"
+
+
+def test_explain_reads_one_tableau_of_a_large_shape(capsys):
+    """The shape 8,8,6,6 has 672,672 domino tableaux; explain maps the one
+    asked for, and checks the index against their count."""
+    code, out, _ = run(capsys, "explain", "--shape", "8,8,6,6", "--index", "0")
+    assert code == 0
+    assert out.startswith("standard domino tableau #0 of shape 8,8,6,6:\n")
+    assert out.endswith("maj preserved: true\n")
+    code, _, err = run(capsys, "explain", "--shape", "8,8,6,6", "--index", "672672")
+    assert code == 2
+    assert err == "error: index 672672 out of range (0..672671)\n"
 
 
 def test_explain_untileable(capsys):
     code, _, err = run(capsys, "explain", "--shape", "2,1", "--index", "0")
     assert code == 2
+    assert err == "error: shape '2,1' supports no standard domino tableaux\n"
 
 
 def test_verify_thm2(capsys):

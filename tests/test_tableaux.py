@@ -1,6 +1,8 @@
 import inspect
 import math
 
+import pytest
+
 from fakedegrees.qpoly import QPolynomial, q_int
 from fakedegrees.shapes import hooks, multipartitions_of, partitions_of
 from fakedegrees.tableaux import (
@@ -63,6 +65,20 @@ def test_label_positions():
     assert label_positions(((), t, ((4,),))) == {
         1: (2, 1, 1), 3: (2, 1, 2), 2: (2, 2, 1), 4: (3, 1, 1),
     }
+
+
+def test_largest_label_component():
+    """The filling holding the largest label, read from the row ends; a
+    tableau with no label is rejected by name."""
+    assert largest_label_component((((1, 3), (2,)), ((4,),))) == 2
+    assert largest_label_component((((1, 4), (2,)), ((3,),))) == 1
+    assert largest_label_component(((), ((1, 2),), ((3,), (4,)))) == 3
+    for t in ((), ((), ())):
+        with pytest.raises(ValueError, match="empty tuple tableau has no largest label"):
+            largest_label_component(t)
+    for mp in multipartitions_of(5, 3):
+        for t in enumerate_tuple_tableaux(mp):
+            assert largest_label_component(t) == label_positions(t)[5][0]
 
 
 def test_tuple_enumeration_counts():
