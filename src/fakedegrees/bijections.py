@@ -3,11 +3,14 @@
 The even-size map (`pi_c`) and odd-size map (`pi_b`) add one labelled cell
 to a pair of Young tableaux per domino; the receiving cell is forced at
 every stage because the covered region determines the pair of component
-shapes through the (inverse) two-quotient maps.  The returned pair is the
-whole record of the insertion: `label_positions` reads each label's
-filling and cell from it.  The pair-level major index rules and the flip
-procedures then turn these into major-index-preserving bijections
-(`pi_c_prime`, `pi_b_prime`).
+shapes through the (inverse) two-quotient maps.  The pair-level major
+index rules and the flip procedures then turn these into
+major-index-preserving bijections (`pi_c_prime`, `pi_b_prime`).
+
+Inside the module one record carries each tableau through both steps:
+the label-ordered list of keyed cells (filling, row, col, key).  The
+insertion produces it, the flip swaps its entries, and `_pair` builds the
+tableau pair once, at the end.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .shapes import Partition, check_partition, lusztig_rho1_inverse, lusztig_rh
 from .tableaux import Tableau, label_positions, shape_of
 
 TableauPair = tuple[Tableau, Tableau]
+# (filling, row, col, key) of one label, 1-based; see `_keyed_cells`
+KeyedCell = tuple[int, int, int, int]
 
 
 class RuleError(RuntimeError):
@@ -77,44 +82,64 @@ def _insertion_step(inverse, prev: Partition, r1: int, r2: int) -> tuple[Partiti
     )
 
 
-def _run_insertion(t: DominoTableau, inverse) -> TableauPair:
-    """Build the pair stage by stage, from the 2-core of the shape.
+def _insert(t: DominoTableau, inverse, offset: int) -> list[KeyedCell]:
+    """The keyed cells of the insertion image, labels 1..n in order.
 
-    At each stage the shapes of the pair are forced: they must be the
-    preimage of the covered region under the Lusztig map (the covered
-    region after each domino is itself a domino-supporting Young diagram).
-    The new cell receives the domino's label; `_insertion_step` lays the
-    domino and finds the cell.
+    Walks forward from the 2-core of the shape.  At each stage the shapes
+    of the pair are forced: they must be the preimage of the covered
+    region under the Lusztig map (the covered region after each domino is
+    itself a domino-supporting Young diagram).  The new cell receives the
+    domino's label; `_insertion_step` lays the domino and finds the cell,
+    keyed as in `_keyed_cells` at the offset.
     """
     region = (1,) if sum(t.shape) % 2 else ()
-    fillings: tuple[list[list[int]], list[list[int]]] = ([], [])
-    for label, ((r1, _), (r2, _)) in enumerate(t.dominoes, start=1):
-        region, target, row, col = _insertion_step(inverse, region, r1, r2)
-        rows = fillings[target - 1]
-        if col == 1:
-            rows.append([label])
-        else:
-            rows[row - 1].append(label)
+    cells = []
+    shift = (0, 0, offset)  # by filling
+    for (r1, _), (r2, _) in t.dominoes:
+        region, f, r, c = _insertion_step(inverse, region, r1, r2)
+        cells.append((f, r, c, 2 * (r - c) + shift[f]))
     if region != t.shape:
         raise ValueError(f"the dominoes do not tile shape {t.shape}")
-    return tuple(tuple(map(tuple, rows)) for rows in fillings)
+    return cells
+
+
+def _pair(cells: list[KeyedCell]) -> TableauPair:
+    """The tableau pair whose label i sits in the cell cells[i-1].
+
+    The cells must form a standard pair in label order, as the insertion
+    and the flip leave them: each label's cell then extends its row, or
+    opens the next row, of what the smaller labels fill.
+    """
+    first: list[list[int]] = []
+    second: list[list[int]] = []
+    fillings = (None, first, second)
+    for label, (f, r, c, _) in enumerate(cells, start=1):
+        rows = fillings[f]
+        if c == 1:
+            rows.append([label])
+        else:
+            rows[r - 1].append(label)
+    return tuple(map(tuple, first)), tuple(map(tuple, second))
+
+
+def _check_parity(t: DominoTableau, parity: int, name: str) -> None:
+    if t.size % 2 != parity:
+        raise ValueError(f"{name} needs an {('even', 'odd')[parity]}-size shape")
 
 
 def pi_c(t: DominoTableau) -> TableauPair:
     """Insertion map for even-size standard domino tableaux."""
-    if t.size % 2 != 0:
-        raise ValueError("pi_c needs an even-size shape")
-    return _run_insertion(t, lusztig_rho1_inverse)
+    _check_parity(t, 0, "pi_c")
+    return _pair(_insert(t, lusztig_rho1_inverse, 1))
 
 
 def pi_b(t: DominoTableau) -> TableauPair:
     """Insertion map for odd-size standard domino tableaux."""
-    if t.size % 2 != 1:
-        raise ValueError("pi_b needs an odd-size shape")
-    return _run_insertion(t, lusztig_rho2_inverse)
+    _check_parity(t, 1, "pi_b")
+    return _pair(_insert(t, lusztig_rho2_inverse, 3))
 
 
-def _keyed_cells(pair: TableauPair, offset: int) -> list[tuple[int, int, int, int]]:
+def _keyed_cells(pair: TableauPair, offset: int) -> list[KeyedCell]:
     """(filling, row, col, key) of labels 1..n in order, all 1-based, read
     from `label_positions`; the pair-level key of a cell (r, c) is its
     diagonal 2(r - c), plus offset in the second filling."""
@@ -151,81 +176,92 @@ def pair_maj_b(pair: TableauPair) -> int:
     return _pair_maj(pair, 3)
 
 
-def _flip_to_pattern(pair: TableauPair, offset: int, trace: Trace | None) -> TableauPair:
+def _flip(cells: list[KeyedCell], trace: Trace | None) -> list[KeyedCell]:
     """Swap labels across the fillings until the tuple descent set equals
-    the pair-level descent set of the input at the given offset.
+    the pair-level descent set of the keyed cells.
 
-    For labels i, i+1 in different fillings let the gap g_i be the key
-    (`_keyed_cells` at the offset) of the first filling's cell minus that
-    of the second's: the pair-level comparison of i and i+1 changes
-    exactly when the offset is raised by g_i, and once it is raised past
-    every gap the pair-level rule is the tuple rule.  So slide the raise
-    upward from 0: one scan finds the smallest gap above it and every i
-    with that gap, swap i and i+1 for each of them (in ascending order;
-    such labels are never consecutive), which restores the descent set,
-    and move the raise to that gap; stop when no gap lies above it.  Every
-    swap keeps the pair standard: i and i+1 sit in different fillings and
-    no label lies between them, so each filling still increases along rows
-    and columns.  A result whose tuple descent set is not the input's
-    raises RuleError; with no swap made, the input pair itself is the
-    result.
+    For labels i, i+1 in different fillings let the gap g_i be the key of
+    the first filling's cell minus that of the second's: the pair-level
+    comparison of i and i+1 changes exactly when the offset is raised by
+    g_i, and once it is raised past every gap the pair-level rule is the
+    tuple rule.  So slide the raise upward from 0: one scan finds the
+    smallest gap above it and every i with that gap, swap i and i+1 for
+    each of them (in ascending order; such labels are never consecutive),
+    which restores the descent set, and move the raise to that gap; stop
+    when no gap lies above it.  Every swap keeps the pair standard: i and
+    i+1 sit in different fillings and no label lies between them, so each
+    filling still increases along rows and columns.  A result whose tuple
+    descent set is not the input's raises RuleError naming the input
+    pair.  The input list is left as it is: the first swap works on a
+    copy, so with no swap made the input list itself is the result.
     """
-    cells = _keyed_cells(pair, offset)
-    target = [k2 > k1 for (_, _, _, k1), (_, _, _, k2) in zip(cells, cells[1:])]
+    if len(cells) < 2:
+        return cells
+    given = cells
     raised = 0
-    swapped = False
     while True:
         level, at = None, []
-        for i, ((f1, _, _, k1), (f2, _, _, k2)) in enumerate(zip(cells, cells[1:])):
+        f1, _, _, k1 = cells[0]
+        for i in range(1, len(cells)):
+            f2, _, _, k2 = cells[i]
             if f1 != f2:
                 g = k1 - k2 if f1 == 1 else k2 - k1
                 if g > raised:
                     if level is None or g < level:
-                        level, at = g, [i]
+                        level, at = g, [i - 1]
                     elif g == level:
-                        at.append(i)
+                        at.append(i - 1)
+            f1, k1 = f2, k2
         if level is None:
             break
         raised = level
-        swapped = True
+        if cells is given:
+            cells = cells.copy()
         for i in at:
             cells[i], cells[i + 1] = cells[i + 1], cells[i]
             if trace is not None:
                 trace.swaps.append(i + 1)
-    for (f1, r1, _, _), (f2, r2, _, _), descent in zip(cells, cells[1:], target):
-        if (f1 < f2 or (f1 == f2 and r1 < r2)) != descent:
-            raise RuleError(f"flip procedure cannot match the descent set of {pair}")
-    if not swapped:
-        return pair
-    fillings = [[list(row) for row in t] for t in pair]
-    for label, (f, r, c, _) in enumerate(cells, start=1):
-        fillings[f - 1][r - 1][c - 1] = label
-    return tuple(tuple(tuple(row) for row in t) for t in fillings)
+    for (f1, r1, _, _), (f2, r2, _, _), (_, _, _, g1), (_, _, _, g2) in zip(
+        cells, cells[1:], given, given[1:]
+    ):
+        if (f1 < f2 or (f1 == f2 and r1 < r2)) != (g2 > g1):
+            raise RuleError(f"flip procedure cannot match the descent set of {_pair(given)}")
+    return cells
+
+
+def _flip_pair(pair: TableauPair, offset: int, trace: Trace | None) -> TableauPair:
+    cells = _keyed_cells(pair, offset)
+    flipped = _flip(cells, trace)
+    return pair if flipped is cells else _pair(flipped)
 
 
 def flip_c(pair: TableauPair, trace: Trace | None = None) -> TableauPair:
     """Flip procedure for even-size map images (offset 1)."""
-    return _flip_to_pattern(pair, 1, trace)
+    return _flip_pair(pair, 1, trace)
 
 
 def flip_b(pair: TableauPair, trace: Trace | None = None) -> TableauPair:
     """Flip procedure for odd-size map images (offset 3)."""
-    return _flip_to_pattern(pair, 3, trace)
+    return _flip_pair(pair, 3, trace)
 
 
 def pi_c_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
-    """Major-index-preserving bijection for even-size shapes."""
+    """Major-index-preserving bijection for even-size shapes: `flip_c`
+    after `pi_c`, with the pair built once."""
+    _check_parity(t, 0, "pi_c")
     try:
-        return flip_c(pi_c(t), trace)
+        return _pair(_flip(_insert(t, lusztig_rho1_inverse, 1), trace))
     except RuleError as exc:
         exc.tableau = t
         raise
 
 
 def pi_b_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
-    """Major-index-preserving bijection for odd-size shapes."""
+    """Major-index-preserving bijection for odd-size shapes: `flip_b`
+    after `pi_b`, with the pair built once."""
+    _check_parity(t, 1, "pi_b")
     try:
-        return flip_b(pi_b(t), trace)
+        return _pair(_flip(_insert(t, lusztig_rho2_inverse, 3), trace))
     except RuleError as exc:
         exc.tableau = t
         raise

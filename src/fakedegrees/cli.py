@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 
 from .bijections import RuleError, Trace, flip_b, flip_c, pair_maj_b, pair_maj_c, pi_b, pi_c
-from .dominoes import enumerate_sdt, maj_domino, sdt_maj_gf
+from .dominoes import enumerate_sdt, maj_domino, sdt_at, sdt_maj_gf
 from .fakedeg import DEFAULT_ROUTE, ROUTES, fake_degree, poincare, representation
 from .qpoly import QPolynomial
 from .shapes import (
@@ -128,7 +127,7 @@ def _cmd_explain(args) -> int:
         raise UsageError(f"shape {args.shape!r} supports no standard domino tableaux")
     if not 0 <= args.index < count:
         raise UsageError(f"index {args.index} out of range (0..{count - 1})")
-    t = next(islice(enumerate_sdt(shape), args.index, None))
+    t = sdt_at(shape, args.index)
     even = t.size % 2 == 0
     trace = Trace()
     pair = pi_c(t) if even else pi_b(t)

@@ -81,16 +81,47 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
     yield from fill(shape, len(stack))
 
 
+def sdt_at(shape: Partition, index: int) -> DominoTableau:
+    """The standard domino tableau at position index of `enumerate_sdt`
+    (shape), without walking the ones before it.
+
+    Descends the `_by_last_domino` memo from the largest label down: the
+    tableaux are grouped by the domino of the largest label, in
+    `domino_removals` order, and each group holds as many as the
+    coefficient sum of its entry.  IndexError outside 0..count-1.
+    """
+    stack: list = []
+    p, rest = shape, index
+    while sum(p) > 1 and rest >= 0:
+        for (smaller, cells), (_, coeffs) in zip(domino_removals(p), _by_last_domino(p)):
+            count = sum(coeffs)
+            if rest < count:
+                break
+            rest -= count
+        else:
+            break
+        stack.append(cells)
+        p = smaller
+    if sum(p) > 1 or rest != 0:
+        raise IndexError(f"no standard domino tableau #{index} of shape {shape}")
+    return DominoTableau(shape=shape, dominoes=tuple(reversed(stack)))
+
+
 def maj_domino(t: DominoTableau) -> int:
     """Sum of labels i whose domino lies strictly above domino i+1.
 
     "Strictly above" compares rows only: every cell of i must have a
-    smaller row index than every cell of i+1.
+    smaller row index than every cell of i+1.  One pass reads each
+    domino's two rows once, in either order, and keeps the bottom row of
+    domino i, the one before (row 0 for i = 0, which adds nothing).
     """
-    total = 0
-    for i, (a, b) in enumerate(zip(t.dominoes, t.dominoes[1:]), start=1):
-        if max(a[0][0], a[1][0]) < min(b[0][0], b[1][0]):
+    total = bottom = 0
+    for i, ((r1, _), (r2, _)) in enumerate(t.dominoes):
+        if r1 > r2:
+            r1, r2 = r2, r1
+        if bottom < r1:
             total += i
+        bottom = r2
     return total
 
 

@@ -18,11 +18,17 @@ from fakedegrees.bijections import (
     pi_c,
     pi_c_prime,
 )
-from fakedegrees.dominoes import DominoTableau, _by_last_domino, enumerate_sdt, maj_domino, truncate
+from fakedegrees.dominoes import (
+    DominoTableau,
+    enumerate_sdt,
+    maj_domino,
+    sdt_at,
+    sdt_maj_gf,
+    truncate,
+)
 from fakedegrees.shapes import (
     Partition,
     check_partition,
-    domino_removals,
     lusztig_rho1,
     lusztig_rho1_inverse,
     lusztig_rho2,
@@ -290,6 +296,29 @@ def test_maps_equal_the_reference_maps():
                         assert with_swaps(flip, y) == with_swaps(_flip_to_pattern, y, offset)
 
 
+def value_error(f, *args) -> str:
+    with pytest.raises(ValueError) as raised:
+        f(*args)
+    return str(raised.value)
+
+
+def test_fused_maps_equal_the_composed_maps():
+    """On every domino tableau with n <= 7 each bijection gives the image
+    and swaps of its flip after its insertion, and the other bijection
+    raises the other insertion's ValueError."""
+    for n in range(0, 8):
+        for pair_shape in multipartitions_of(n, 2):
+            for rho, pi, flip, prime, other_pi, other_prime in (
+                (lusztig_rho1, pi_c, flip_c, pi_c_prime, pi_b, pi_b_prime),
+                (lusztig_rho2, pi_b, flip_b, pi_b_prime, pi_c, pi_c_prime),
+            ):
+                for t in enumerate_sdt(rho(pair_shape)):
+                    assert with_swaps(prime, t) == with_swaps(flip, pi(t))
+                    assert value_error(other_prime, t) == value_error(other_pi, t)
+    assert value_error(pi_c_prime, DominoTableau((1,), ())) == "pi_c needs an even-size shape"
+    assert value_error(pi_b_prime, DominoTableau((), ())) == "pi_b needs an odd-size shape"
+
+
 def test_pair_maj_equals_domino_maj():
     for n in range(0, 6):
         for pair_shape in multipartitions_of(n, 2):
@@ -372,23 +401,9 @@ def test_flip_b_small_case():
 
 
 def random_sdt(shape, rand) -> DominoTableau:
-    """A uniform random standard domino tableau of the shape, drawn from
-    the largest label down: each border domino is taken with probability
-    proportional to the number of tableaux of the shape left without it,
-    the coefficient sum of its entry in the domino memo."""
-    dominoes = []
-    p = shape
-    while sum(p) > 1:
-        entries = list(zip(domino_removals(p), _by_last_domino(p)))
-        pick = rand.randrange(sum(sum(coeffs) for _, (_, coeffs) in entries))
-        for (smaller, cells), (memo_cells, coeffs) in entries:
-            assert cells == memo_cells
-            pick -= sum(coeffs)
-            if pick < 0:
-                break
-        dominoes.append(cells)
-        p = smaller
-    return DominoTableau(shape=shape, dominoes=tuple(reversed(dominoes)))
+    """A uniform random standard domino tableau of the shape: a uniform
+    index into `enumerate_sdt` order, unranked by `sdt_at`."""
+    return sdt_at(shape, rand.randrange(sum(sdt_maj_gf(shape).coeffs)))
 
 
 def is_standard_pair(pair, pair_shape) -> bool:

@@ -75,13 +75,15 @@ def test_compute_unknown_route_per_group(capsys, argv):
     assert err.startswith("error:")
 
 
+def broken_flip(cells, trace=None):
+    """A flip rule that fails on every tableau, naming the input pair."""
+    raise RuleError(f"flip procedure cannot match the descent set of {bijections._pair(cells)}")
+
+
 def test_compute_rule_error_exits_3(capsys, monkeypatch):
     """A broken flip rule exits 3 from `compute` and becomes a failing
     record naming the domino tableau."""
-    def broken_flip(pair, trace=None):
-        raise RuleError(f"flip procedure cannot match the descent set of {pair}")
-
-    monkeypatch.setattr(bijections, "flip_c", broken_flip)
+    monkeypatch.setattr(bijections, "_flip", broken_flip)
     code, out, err = run(
         capsys, "compute", "--group", "d", "--pair", "4|2,1", "--route", "domino"
     )
@@ -93,6 +95,20 @@ def test_compute_rule_error_exits_3(capsys, monkeypatch):
     assert record["error"].startswith("domino route: flip procedure cannot match")
     assert [d["label"] for d in record["tableau"]] == list(range(1, 8))
     assert "candidates" not in record
+
+
+def test_verify_rule_error_exits_3(capsys, monkeypatch):
+    """The same broken flip rule makes the bijection sweep exit 3, with a
+    failing record per pair shape that names the error and the tableau."""
+    monkeypatch.setattr(bijections, "_flip", broken_flip)
+    code, out, err = run(capsys, "verify", "--suite", "bijections", "--max-n", "3")
+    assert code == 3
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert records and all(r["agree"] is False for r in records)
+    assert all(r["error"].startswith("flip procedure cannot match") for r in records)
+    assert all("tableau" in r for r in records)
+    assert [d["label"] for d in records[-1]["tableau"]] == [1, 2, 3]
+    assert "internal rule errors" in err
 
 
 def test_compute_malformed_pair(capsys):

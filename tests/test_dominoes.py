@@ -6,6 +6,7 @@ from fakedegrees.dominoes import (
     enumerate_sdt,
     is_standard,
     maj_domino,
+    sdt_at,
     sdt_maj_gf,
     truncate,
 )
@@ -143,3 +144,36 @@ def test_render_zero_square():
 def test_maj_is_row_strict():
     t = DominoTableau(shape=(2, 2), dominoes=(((1, 1), (2, 1)), ((1, 2), (2, 2))))
     assert maj_domino(t) == 0  # overlapping rows: no descent
+
+
+def reference_maj_domino(t: DominoTableau) -> int:
+    """The earlier two-pass formula: label i is a descent when the larger
+    row of domino i is below the smaller row of domino i+1."""
+    return sum(
+        i
+        for i, (a, b) in enumerate(zip(t.dominoes, t.dominoes[1:]), start=1)
+        if max(a[0][0], a[1][0]) < min(b[0][0], b[1][0])
+    )
+
+
+def test_maj_equals_the_reference_formula():
+    """On every domino tableau with n <= 7, and with each domino's cells
+    given in the other order, as library callers may build them."""
+    for n in range(0, 8):
+        for pair_shape in multipartitions_of(n, 2):
+            for rho in (lusztig_rho1, lusztig_rho2):
+                for t in enumerate_sdt(rho(pair_shape)):
+                    flipped = DominoTableau(t.shape, tuple((b, a) for a, b in t.dominoes))
+                    assert maj_domino(t) == maj_domino(flipped) == reference_maj_domino(t)
+
+
+def test_sdt_at_is_the_enumeration_order():
+    """sdt_at(shape, i) is the i-th tableau of `enumerate_sdt`, and the
+    index just past the last one (or before the first) is an IndexError."""
+    for size in range(0, 14):
+        for shape in partitions_of(size):
+            tableaux = list(enumerate_sdt(shape))
+            assert [sdt_at(shape, i) for i in range(len(tableaux))] == tableaux, shape
+            for index in (-1, len(tableaux)):
+                with pytest.raises(IndexError, match=f"no standard domino tableau #{index}"):
+                    sdt_at(shape, index)
