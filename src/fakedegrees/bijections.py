@@ -9,18 +9,28 @@ major-index-preserving bijections (`pi_c_prime`, `pi_b_prime`).
 
 Inside the module one record carries each tableau through both steps:
 the label-ordered list of keyed cells (filling, row, col, key).  The
-insertion produces it, the flip swaps its entries, and `_pair` builds the
-tableau pair once, at the end.
+insertion produces it, the flip swaps its entries, and `pair_of` builds
+the tableau pair once, at the end.  `map_shape` maps every tableau of a
+shape in one walk, sharing each insertion step among the tableaux that
+share the dominoes of the larger labels.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .dominoes import DominoTableau
-from .shapes import Partition, check_partition, lusztig_rho1_inverse, lusztig_rho2_inverse
-from .tableaux import Tableau, label_positions, shape_of
+from .dominoes import DominoTableau, enumerate_sdt
+from .shapes import (
+    Partition,
+    check_partition,
+    domino_removals,
+    lusztig_rho1_inverse,
+    lusztig_rho2_inverse,
+    two_core,
+)
+from .tableaux import Tableau, label_positions
 
 TableauPair = tuple[Tableau, Tableau]
 # (filling, row, col, key) of one label, 1-based; see `_keyed_cells`
@@ -103,7 +113,7 @@ def _insert(t: DominoTableau, inverse, offset: int) -> list[KeyedCell]:
     return cells
 
 
-def _pair(cells: list[KeyedCell]) -> TableauPair:
+def pair_of(cells: list[KeyedCell]) -> TableauPair:
     """The tableau pair whose label i sits in the cell cells[i-1].
 
     The cells must form a standard pair in label order, as the insertion
@@ -130,13 +140,13 @@ def _check_parity(t: DominoTableau, parity: int, name: str) -> None:
 def pi_c(t: DominoTableau) -> TableauPair:
     """Insertion map for even-size standard domino tableaux."""
     _check_parity(t, 0, "pi_c")
-    return _pair(_insert(t, lusztig_rho1_inverse, 1))
+    return pair_of(_insert(t, lusztig_rho1_inverse, 1))
 
 
 def pi_b(t: DominoTableau) -> TableauPair:
     """Insertion map for odd-size standard domino tableaux."""
     _check_parity(t, 1, "pi_b")
-    return _pair(_insert(t, lusztig_rho2_inverse, 3))
+    return pair_of(_insert(t, lusztig_rho2_inverse, 3))
 
 
 def _keyed_cells(pair: TableauPair, offset: int) -> list[KeyedCell]:
@@ -225,14 +235,14 @@ def _flip(cells: list[KeyedCell], trace: Trace | None) -> list[KeyedCell]:
         cells, cells[1:], given, given[1:]
     ):
         if (f1 < f2 or (f1 == f2 and r1 < r2)) != (g2 > g1):
-            raise RuleError(f"flip procedure cannot match the descent set of {_pair(given)}")
+            raise RuleError(f"flip procedure cannot match the descent set of {pair_of(given)}")
     return cells
 
 
 def _flip_pair(pair: TableauPair, offset: int, trace: Trace | None) -> TableauPair:
     cells = _keyed_cells(pair, offset)
     flipped = _flip(cells, trace)
-    return pair if flipped is cells else _pair(flipped)
+    return pair if flipped is cells else pair_of(flipped)
 
 
 def flip_c(pair: TableauPair, trace: Trace | None = None) -> TableauPair:
@@ -250,7 +260,7 @@ def pi_c_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
     after `pi_c`, with the pair built once."""
     _check_parity(t, 0, "pi_c")
     try:
-        return _pair(_flip(_insert(t, lusztig_rho1_inverse, 1), trace))
+        return pair_of(_flip(_insert(t, lusztig_rho1_inverse, 1), trace))
     except RuleError as exc:
         exc.tableau = t
         raise
@@ -261,11 +271,59 @@ def pi_b_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
     after `pi_b`, with the pair built once."""
     _check_parity(t, 1, "pi_b")
     try:
-        return _pair(_flip(_insert(t, lusztig_rho2_inverse, 3), trace))
+        return pair_of(_flip(_insert(t, lusztig_rho2_inverse, 3), trace))
     except RuleError as exc:
         exc.tableau = t
         raise
 
 
-def pair_shapes(pair: TableauPair) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (shape_of(pair[0]), shape_of(pair[1]))
+def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -> None:
+    """Call visit(maj_domino(t), cells) for each standard domino tableau t
+    of the shape, in `enumerate_sdt` order, with the keyed cells of
+    `pi_c_prime`(t) (even size) or `pi_b_prime`(t) (odd size).
+
+    One recursion peels the largest label first, as `enumerate_sdt` does.
+    Label k's insertion step depends only on its domino and the region
+    under it, so its node reads the step once for every tableau below and
+    writes label k's keyed cell into one reused list (a visit that keeps
+    the list must copy it); k is a descent when domino k's bottom row lies
+    above domino k+1's top row.  Each leaf only flips.  On a RuleError the
+    first tableau below the failing node goes through `pi_c_prime`/
+    `pi_b_prime`, which raises the error the maps one tableau at a time
+    would raise first, naming the tableau.
+    """
+    n, odd = divmod(sum(shape), 2)
+    if two_core(shape) != (1,) * odd:
+        return
+    if odd:
+        inverse, shift, prime = lusztig_rho2_inverse, (0, 0, 3), pi_b_prime
+    else:
+        inverse, shift, prime = lusztig_rho1_inverse, (0, 0, 1), pi_c_prime
+    cells: list = [None] * n
+    stack: list = [None] * n  # stack[k-1] is the domino of label k
+
+    def failed(region: Partition, k: int):
+        """Map the first tableau whose labels above k fill stack[k:]."""
+        first = next(enumerate_sdt(region))
+        t = DominoTableau(shape=shape, dominoes=first.dominoes + tuple(stack[k:]))
+        prime(t)
+        raise RuleError(f"map_shape and {prime.__name__} disagree on {t.dominoes}", t)
+
+    def walk(p: Partition, k: int, maj: int, below: int) -> None:
+        if k == 0:
+            try:
+                image = _flip(cells, None)
+            except RuleError:
+                failed(p, 0)
+            visit(maj, image)
+            return
+        for smaller, domino in domino_removals(p):
+            (top, _), (bottom, _) = stack[k - 1] = domino
+            try:
+                _, f, r, c = _insertion_step(inverse, smaller, top, bottom)
+            except RuleError:
+                failed(smaller, k - 1)
+            cells[k - 1] = (f, r, c, 2 * (r - c) + shift[f])
+            walk(smaller, k - 1, maj + k if bottom < below else maj, top)
+
+    walk(shape, n, 0, 0)

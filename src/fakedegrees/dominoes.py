@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .qpoly import QPolynomial, add_shifted
-from .shapes import Cell, Partition, check_partition, domino_removals
+from .shapes import Cell, Partition, domino_removals
 
 
 @dataclass(frozen=True)
@@ -158,49 +158,3 @@ def _by_last_domino(p: Partition) -> tuple:
             add_shifted(acc, coeffs, n - 1 if descent else 0)
         out.append((cells, tuple(acc)))
     return tuple(out)
-
-
-def is_standard(t: DominoTableau) -> bool:
-    """Every prefix of labels (plus the zero square) covers a Young
-    diagram."""
-    covered: set[Cell] = set()
-    if t.has_zero_square:
-        covered.add((1, 1))
-    if not _is_young(covered):
-        return False
-    for label in range(1, t.n + 1):
-        a, b = t.cells_of(label)
-        if a in covered or b in covered:
-            return False
-        covered.add(a)
-        covered.add(b)
-        if not _is_young(covered):
-            return False
-    return _cells_of_shape(t.shape) == covered
-
-
-def _is_young(cells: set[Cell]) -> bool:
-    for (r, c) in cells:
-        if r > 1 and (r - 1, c) not in cells:
-            return False
-        if c > 1 and (r, c - 1) not in cells:
-            return False
-    return True
-
-
-def _cells_of_shape(shape: Partition) -> set[Cell]:
-    return {(r, c) for r, row in enumerate(shape, start=1) for c in range(1, row + 1)}
-
-
-def truncate(t: DominoTableau, k: int) -> DominoTableau:
-    """The sub-tableau of labels <= k (keeping the zero square)."""
-    cells: list[Cell] = []
-    if t.has_zero_square:
-        cells.append((1, 1))
-    for label in range(1, k + 1):
-        cells.extend(t.cells_of(label))
-    max_row = max((r for r, _ in cells), default=0)
-    shape = tuple(
-        sum(1 for (r, _c) in cells if r == row) for row in range(1, max_row + 1)
-    )
-    return DominoTableau(shape=check_partition(shape), dominoes=t.dominoes[:k])

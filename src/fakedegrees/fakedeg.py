@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bijections import pi_c_prime
-from .dominoes import enumerate_sdt, maj_domino, sdt_maj_gf
+from .bijections import map_shape
+from .dominoes import sdt_maj_gf
 from .qpoly import ONE, QPolynomial, hook_syt_gf, q_int, q_multinomial
 from .shapes import (
     Multipartition,
@@ -25,7 +25,6 @@ from .shapes import (
     total_size,
 )
 from .tableaux import (
-    largest_label_component,
     tuple_maj_gf,
     tuple_maj_gf_by_component,
     tuple_maj_gf_restricted,
@@ -151,13 +150,18 @@ def _ordering_parts(rep: Representation, restricted_gf) -> list[QPolynomial]:
 def _restricted_sdt_gf(pair: Multipartition) -> QPolynomial:
     """Sum of q^maj over SDTs of the even associated shape whose image
     pair under the maj-preserving bijection has the largest label in the
-    first component.  Memoised per pair, so the two markers of an
-    equal-component label map their shape once."""
-    return QPolynomial.from_exponents(
-        maj_domino(t)
-        for t in enumerate_sdt(lusztig_rho1(pair))
-        if largest_label_component(pi_c_prime(t)) == 1
-    )
+    first component: one walk over the shape (`map_shape`), keeping the
+    maj of each tableau whose last keyed cell lies in the first filling.
+    Memoised per pair, so the two markers of an equal-component label map
+    their shape once."""
+    majs: list[int] = []
+
+    def keep(maj: int, cells) -> None:
+        if cells[-1][0] == 1:
+            majs.append(maj)
+
+    map_shape(lusztig_rho1(pair), keep)
+    return QPolynomial.from_exponents(majs)
 
 
 def _d_tuple(rep: Representation) -> QPolynomial:

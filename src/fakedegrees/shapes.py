@@ -175,25 +175,6 @@ def lusztig_rho2_inverse(p: Partition) -> Multipartition:
 
 
 @lru_cache(maxsize=None)
-def supports_domino(p: Partition) -> bool:
-    """Whether at least one standard domino tableau of this shape exists.
-
-    Ground truth by search: peel off one border domino at a time, keeping a
-    Young diagram at each stage, down to the empty shape (even size) or the
-    single zero square (odd size).
-    """
-    n = sum(p)
-    if n == 0:
-        return True
-    if p == (1,):
-        return True
-    for smaller, _cells in domino_removals(p):
-        if supports_domino(smaller):
-            return True
-    return False
-
-
-@lru_cache(maxsize=None)
 def domino_removals(p: Partition) -> tuple[tuple[Partition, tuple[Cell, Cell]], ...]:
     """Each border domino of p: the smaller shape left by removing it, and
     its two 1-based cells.  The memo is process-wide; its entries are
@@ -224,12 +205,6 @@ def two_core(p: Partition) -> Partition:
     beads = beta_set(p, len(p))
     odd = sum(b % 2 for b in beads)
     return from_beta_set([*range(0, 2 * (len(beads) - odd), 2), *range(1, 2 * odd, 2)])
-
-
-def supports_domino_by_core(p: Partition) -> bool:
-    """2-core criterion: empty core for even size, single box for odd."""
-    core = two_core(p)
-    return core == () if sum(p) % 2 == 0 else core == (1,)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

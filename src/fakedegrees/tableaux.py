@@ -17,10 +17,6 @@ Tableau = tuple[tuple[int, ...], ...]
 TupleTableau = tuple[Tableau, ...]
 
 
-def shape_of(t: Tableau) -> Partition:
-    return tuple(len(row) for row in t)
-
-
 def enumerate_syt(shape: Partition) -> Iterator[Tableau]:
     """All standard Young tableaux of the given shape.
 
@@ -63,23 +59,30 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
     each corner in turn (components, then rows, in order), outermost; the
     CLI numbers tableaux by it, and the tests pin it against a copy of
     that recursion.  One recursion over a mutable shape writes each label
-    into a preallocated grid at the cell it frees, and each tableau is
-    built once, at the leaf, from that grid.
+    into a preallocated grid at the cell it frees, reading the rows from
+    a list built once per call, and each tableau is built once, at the
+    leaf, from that grid.
     """
     shape = [list(comp) for comp in mp]
     grid = [[[0] * length for length in comp] for comp in mp]
+    # (component, row index, its grid row, whether it is the last row)
+    rows = [
+        (comp, ri, grid[ci][ri], ri + 1 == len(comp))
+        for ci, comp in enumerate(shape)
+        for ri in range(len(comp))
+    ]
 
     def fill(k: int) -> Iterator[TupleTableau]:
         if k == 0:
-            yield tuple(tuple(map(tuple, filling)) for filling in grid)
+            yield tuple([tuple(map(tuple, filling)) for filling in grid])
             return
-        for ci, comp in enumerate(shape):
-            for ri, length in enumerate(comp):
-                if length and (ri + 1 == len(comp) or comp[ri + 1] < length):
-                    comp[ri] -= 1
-                    grid[ci][ri][comp[ri]] = k
-                    yield from fill(k - 1)
-                    comp[ri] += 1
+        for comp, ri, cells, last in rows:
+            length = comp[ri]
+            if length and (last or comp[ri + 1] < length):
+                comp[ri] = length - 1
+                cells[length - 1] = k
+                yield from fill(k - 1)
+                comp[ri] = length
 
     yield from fill(total_size(mp))
 
@@ -98,18 +101,17 @@ def maj_tuple(t: TupleTableau) -> int:
     """Tuple-tableau major index.
 
     Label i is a descent if i sits strictly above i+1 within the same
-    filling, or if i lives in an earlier filling than i+1.
+    filling, or if i lives in an earlier filling than i+1: the rank of
+    its (component, row), counted over all fillings, is smaller.
     """
-    pos = label_positions(t)
-    n = len(pos)
+    rows = [row for filling in t for row in filling]
+    rank = [0] * (sum(map(len, rows)) + 1)
+    for r, row in enumerate(rows):
+        for x in row:
+            rank[x] = r
     total = 0
-    for i in range(1, n):
-        ci, ri, _ = pos[i]
-        cj, rj, _ = pos[i + 1]
-        if ci == cj:
-            if ri < rj:
-                total += i
-        elif ci < cj:
+    for i in range(1, len(rank) - 1):
+        if rank[i] < rank[i + 1]:
             total += i
     return total
 

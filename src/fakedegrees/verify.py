@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .bijections import RuleError, pi_b_prime, pi_c_prime
-from .dominoes import enumerate_sdt, maj_domino
+from .bijections import RuleError, map_shape, pair_of
 from .fakedeg import (
     ROUTES,
     Representation,
@@ -129,30 +128,31 @@ def suite_bijections(max_n: int) -> list[dict]:
     For each pair shape: every domino tableau maps to a valid tuple
     tableau of that shape with equal major index, images are pairwise
     distinct, and their number equals the number of standard tuple
-    tableaux (hence surjectivity)."""
+    tableaux (hence surjectivity).  Each shape is mapped in one walk
+    (`map_shape`)."""
     out = []
     for n in range(0, max_n + 1):
         for pair_shape in multipartitions_of(n, 2):
-            for kind, rho, prime in (
-                ("even", lusztig_rho1, pi_c_prime),
-                ("odd", lusztig_rho2, pi_b_prime),
-            ):
-                shape = rho(pair_shape)
+            for kind, rho in (("even", lusztig_rho1), ("odd", lusztig_rho2)):
                 group = f"bijection-{kind}({n})"
                 label = format_multipartition(pair_shape)
                 images, majs = [], []
+
+                def keep(maj, cells):
+                    images.append(pair_of(cells))
+                    majs.append(maj)
+
                 try:
-                    for t in enumerate_sdt(shape):
-                        images.append(prime(t))
-                        majs.append(maj_domino(t))
+                    map_shape(rho(pair_shape), keep)
                 except RuleError as exc:
                     out.append(_error_record(group, label, str(exc), exc))
                     continue
                 universe = list(enumerate_tuple_tableaux(pair_shape))
+                distinct = set(images)
                 ok = (
                     all(maj_tuple(z) == m for z, m in zip(images, majs))
-                    and len(set(images)) == len(images)
-                    and sorted(images) == sorted(universe)
+                    and len(distinct) == len(images) == len(universe)
+                    and distinct == set(universe)
                 )
                 counts = {"tableaux": str(len(images)), "targets": str(len(universe))}
                 out.append(_record(group, label, counts, ok, exponents=sorted(majs)))

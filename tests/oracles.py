@@ -1,0 +1,89 @@
+"""Ground-truth checks that only the tests use: a search for domino
+support, a cell-by-cell standardness check, prefixes of a domino tableau
+and the shapes of tableaux."""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from fakedegrees.dominoes import DominoTableau
+from fakedegrees.shapes import Cell, Partition, check_partition, domino_removals, two_core
+
+
+@lru_cache(maxsize=None)
+def supports_domino(p: Partition) -> bool:
+    """Whether at least one standard domino tableau of this shape exists.
+
+    Ground truth by search: peel off one border domino at a time, keeping a
+    Young diagram at each stage, down to the empty shape (even size) or the
+    single zero square (odd size).
+    """
+    n = sum(p)
+    if n == 0:
+        return True
+    if p == (1,):
+        return True
+    for smaller, _cells in domino_removals(p):
+        if supports_domino(smaller):
+            return True
+    return False
+
+
+def supports_domino_by_core(p: Partition) -> bool:
+    """2-core criterion: empty core for even size, single box for odd."""
+    core = two_core(p)
+    return core == () if sum(p) % 2 == 0 else core == (1,)
+
+
+def is_standard(t: DominoTableau) -> bool:
+    """Every prefix of labels (plus the zero square) covers a Young
+    diagram."""
+    covered: set[Cell] = set()
+    if t.has_zero_square:
+        covered.add((1, 1))
+    if not _is_young(covered):
+        return False
+    for label in range(1, t.n + 1):
+        a, b = t.cells_of(label)
+        if a in covered or b in covered:
+            return False
+        covered.add(a)
+        covered.add(b)
+        if not _is_young(covered):
+            return False
+    return _cells_of_shape(t.shape) == covered
+
+
+def _is_young(cells: set[Cell]) -> bool:
+    for (r, c) in cells:
+        if r > 1 and (r - 1, c) not in cells:
+            return False
+        if c > 1 and (r, c - 1) not in cells:
+            return False
+    return True
+
+
+def _cells_of_shape(shape: Partition) -> set[Cell]:
+    return {(r, c) for r, row in enumerate(shape, start=1) for c in range(1, row + 1)}
+
+
+def truncate(t: DominoTableau, k: int) -> DominoTableau:
+    """The sub-tableau of labels <= k (keeping the zero square)."""
+    cells: list[Cell] = []
+    if t.has_zero_square:
+        cells.append((1, 1))
+    for label in range(1, k + 1):
+        cells.extend(t.cells_of(label))
+    max_row = max((r for r, _ in cells), default=0)
+    shape = tuple(
+        sum(1 for (r, _c) in cells if r == row) for row in range(1, max_row + 1)
+    )
+    return DominoTableau(shape=check_partition(shape), dominoes=t.dominoes[:k])
+
+
+def shape_of(t) -> Partition:
+    return tuple(len(row) for row in t)
+
+
+def pair_shapes(pair) -> tuple[Partition, Partition]:
+    return (shape_of(pair[0]), shape_of(pair[1]))

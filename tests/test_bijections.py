@@ -10,9 +10,10 @@ from fakedegrees.bijections import (
     Trace,
     flip_b,
     flip_c,
+    map_shape,
     pair_maj_b,
     pair_maj_c,
-    pair_shapes,
+    pair_of,
     pi_b,
     pi_b_prime,
     pi_c,
@@ -24,7 +25,6 @@ from fakedegrees.dominoes import (
     maj_domino,
     sdt_at,
     sdt_maj_gf,
-    truncate,
 )
 from fakedegrees.shapes import (
     Partition,
@@ -34,8 +34,10 @@ from fakedegrees.shapes import (
     lusztig_rho2,
     lusztig_rho2_inverse,
     multipartitions_of,
+    partitions_of,
 )
 from fakedegrees.tableaux import enumerate_tuple_tableaux, label_positions, maj_tuple
+from oracles import pair_shapes, truncate
 
 
 def test_pi_parity_checks():
@@ -317,6 +319,134 @@ def test_fused_maps_equal_the_composed_maps():
                     assert value_error(other_prime, t) == value_error(other_pi, t)
     assert value_error(pi_c_prime, DominoTableau((1,), ())) == "pi_c needs an even-size shape"
     assert value_error(pi_b_prime, DominoTableau((), ())) == "pi_b needs an odd-size shape"
+
+
+def walked(shape):
+    """(maj, image) of every tableau, in the order `map_shape` visits
+    them; the cell list is copied, since the walk reuses it."""
+    out = []
+    map_shape(shape, lambda maj, cells: out.append((maj, cells.copy())))
+    return [(maj, pair_of(cells)) for maj, cells in out]
+
+
+def mapped(shape):
+    """The same, one tableau at a time."""
+    prime = pi_b_prime if sum(shape) % 2 else pi_c_prime
+    return [(maj_domino(t), prime(t)) for t in enumerate_sdt(shape)]
+
+
+def test_map_shape_equals_the_tableau_maps():
+    """On every shape with n <= 7, of both parities, the walk visits the
+    maj and the image of each tableau in `enumerate_sdt` order, and
+    nothing on a shape that supports no domino tableau."""
+    for size in range(0, 16):
+        for shape in partitions_of(size):
+            assert walked(shape) == mapped(shape), shape
+
+
+def first_failure(shape):
+    """The message and tableau of the first RuleError of the tableau-by-
+    tableau maps, in `enumerate_sdt` order."""
+    prime = pi_b_prime if sum(shape) % 2 else pi_c_prime
+    for t in enumerate_sdt(shape):
+        try:
+            prime(t)
+        except RuleError as exc:
+            return str(exc), exc.tableau
+    raise AssertionError(f"no tableau of {shape} fails")
+
+
+def walk_failure(shape):
+    with pytest.raises(RuleError) as raised:
+        map_shape(shape, lambda maj, cells: None)
+    return str(raised.value), raised.value.tableau
+
+
+def flip_failing_where(fails):
+    """A flip that raises, naming the pair, on the cell lists that fails
+    picks."""
+    flip = bijections._flip
+
+    def broken(cells, trace=None):
+        if fails(cells):
+            raise RuleError(f"flip procedure cannot match the descent set of {pair_of(cells)}")
+        return flip(cells, trace)
+
+    return broken
+
+
+def bent_inverse(shape, bend, at):
+    """The name of the Lusztig inverse of the shape's parity, and that
+    inverse bent on the regions that at picks."""
+    name = ("lusztig_rho1_inverse", "lusztig_rho2_inverse")[sum(shape) % 2]
+    inverse = getattr(bijections, name)
+
+    def bent(p):
+        pair = inverse(p)
+        return bend(pair) if at(p) else pair
+
+    return name, bent
+
+
+def both_components(pair):
+    return tuple(c or (1,) for c in pair)
+
+
+def two_cells(pair):
+    return tuple((c[0] + 1,) + c[1:] if c else c for c in pair)
+
+
+WALK_SHAPES = [lusztig_rho1(((4,), (2, 1))), lusztig_rho2(((4,), (2, 1))), (4, 4, 2, 2)]
+
+
+@pytest.mark.parametrize("shape", WALK_SHAPES)
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda shape: ("_flip", flip_failing_where(lambda cells: True)),
+        # only where the largest label lies in the second filling
+        lambda shape: ("_flip", flip_failing_where(lambda cells: cells[-1][0] == 2)),
+        # the bend of `test_insertion_rejects_a_bent_stage`, at the first domino
+        lambda shape: bent_inverse(shape, two_cells, lambda p: sum(p) == 2 + sum(shape) % 2),
+        # at every region of two dominoes
+        lambda shape: bent_inverse(shape, both_components, lambda p: sum(p) == 4 + sum(shape) % 2),
+        # at the one region the last tableau's dominoes 1, 2 cover
+        lambda shape: bent_inverse(
+            shape,
+            two_cells,
+            lambda p, last=truncate(list(enumerate_sdt(shape))[-1], 2).shape: p == last,
+        ),
+    ],
+    ids=["flip-everywhere", "flip-second-filling", "two-cells", "both-components", "one-region"],
+)
+def test_map_shape_raises_the_first_error_of_the_maps(monkeypatch, shape, fault):
+    """A broken flip or a bent inverse makes the walk raise the message
+    and name the tableau of the first failing `pi_c_prime`/`pi_b_prime`
+    call, at a leaf or at a step, first tableau of the shape or not."""
+    monkeypatch.setattr(bijections, *fault(shape))
+    message, tableau = first_failure(shape)
+    assert walk_failure(shape) == (message, tableau)
+    assert message.startswith(("flip procedure", "covered regions"))
+
+
+def test_map_shape_names_a_tableau_the_maps_accept(monkeypatch):
+    """A flip that fails once, in the walk only, is a disagreement
+    between the walk and the maps, reported on that tableau."""
+    flip = bijections._flip
+    calls = []
+
+    def once(cells, trace=None):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuleError("flip fails once")
+        return flip(cells, trace)
+
+    shape = (4, 2, 2)
+    first = next(enumerate_sdt(shape))
+    monkeypatch.setattr(bijections, "_flip", once)
+    message, tableau = walk_failure(shape)
+    assert message == f"map_shape and pi_c_prime disagree on {first.dominoes}"
+    assert tableau == first
 
 
 def test_pair_maj_equals_domino_maj():

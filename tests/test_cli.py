@@ -77,7 +77,7 @@ def test_compute_unknown_route_per_group(capsys, argv):
 
 def broken_flip(cells, trace=None):
     """A flip rule that fails on every tableau, naming the input pair."""
-    raise RuleError(f"flip procedure cannot match the descent set of {bijections._pair(cells)}")
+    raise RuleError(f"flip procedure cannot match the descent set of {bijections.pair_of(cells)}")
 
 
 def test_compute_rule_error_exits_3(capsys, monkeypatch):

@@ -4,11 +4,9 @@ from fakedegrees.dominoes import (
     DominoTableau,
     _by_last_domino,
     enumerate_sdt,
-    is_standard,
     maj_domino,
     sdt_at,
     sdt_maj_gf,
-    truncate,
 )
 from fakedegrees.qpoly import QPolynomial
 from fakedegrees.shapes import (
@@ -17,8 +15,8 @@ from fakedegrees.shapes import (
     lusztig_rho2,
     multipartitions_of,
     partitions_of,
-    supports_domino,
 )
+from oracles import is_standard, supports_domino, truncate
 
 
 def test_census_222():

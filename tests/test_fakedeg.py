@@ -26,9 +26,12 @@ from fakedegrees.fakedeg import (
     symbol_of,
     wreath_rep,
 )
+from fakedegrees.bijections import pi_c_prime
+from fakedegrees.dominoes import enumerate_sdt, maj_domino
+from fakedegrees.fakedeg import _restricted_sdt_gf
 from fakedegrees.qpoly import QPolynomial
-from fakedegrees.shapes import multipartitions_of
-from fakedegrees.tableaux import enumerate_tuple_tableaux
+from fakedegrees.shapes import lusztig_rho1, multipartitions_of
+from fakedegrees.tableaux import enumerate_tuple_tableaux, largest_label_component
 
 
 def test_representation_validation():
@@ -103,6 +106,22 @@ def test_d_route_agreement():
             ref = fake_degree_d(rep, "tuple")
             assert fake_degree_d(rep, "domino") == ref
             assert fake_degree_d(rep, "shifted") == ref
+
+
+def reference_restricted_sdt_gf(pair):
+    """The domino route's sum as it was before the walk: every tableau
+    enumerated, mapped and tested one by one."""
+    return QPolynomial.from_exponents(
+        maj_domino(t)
+        for t in enumerate_sdt(lusztig_rho1(pair))
+        if largest_label_component(pi_c_prime(t)) == 1
+    )
+
+
+def test_restricted_sdt_gf_equals_the_reference():
+    for n in range(1, 9):
+        for pair in multipartitions_of(n, 2):
+            assert _restricted_sdt_gf(pair) == reference_restricted_sdt_gf(pair), pair
 
 
 # Pairs of rank 8 to 10, past the exhaustive sweeps.

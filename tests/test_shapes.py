@@ -21,12 +21,11 @@ from fakedegrees.shapes import (
     parse_pair,
     parse_partition,
     partitions_of,
-    supports_domino,
-    supports_domino_by_core,
     symbol_of,
     total_size,
     two_core,
 )
+from oracles import supports_domino, supports_domino_by_core
 
 partition_lists = st.lists(st.integers(1, 6), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))

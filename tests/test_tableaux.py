@@ -15,12 +15,12 @@ from fakedegrees.tableaux import (
     largest_label_component,
     maj_syt,
     maj_tuple,
-    shape_of,
     syt_maj_gf,
     tuple_maj_gf,
     tuple_maj_gf_by_component,
     tuple_maj_gf_restricted,
 )
+from oracles import shape_of
 
 
 def syt_count_by_hooks(shape):
@@ -57,6 +57,32 @@ def test_maj_examples():
     assert maj_syt(((1, 2, 3),)) == 0
     assert maj_syt(((1,), (2,), (3,))) == 1 + 2
     assert syt_maj_gf((2, 1)) == QPolynomial([0, 1, 1])
+
+
+def reference_maj_tuple(t):
+    """The earlier maj, through the label -> position dict."""
+    pos = label_positions(t)
+    total = 0
+    for i in range(1, len(pos)):
+        ci, ri, _ = pos[i]
+        cj, rj, _ = pos[i + 1]
+        if (ci == cj and ri < rj) or ci < cj:
+            total += i
+    return total
+
+
+def test_maj_tuple_equals_the_reference_maj():
+    """On every tuple tableau with d = 1, 2, 3 and n <= 6, the empty one
+    included."""
+    count = 0
+    for d in (1, 2, 3):
+        for n in range(0, 7):
+            for mp in multipartitions_of(n, d):
+                for t in enumerate_tuple_tableaux(mp):
+                    assert maj_tuple(t) == reference_maj_tuple(t), t
+                    count += 1
+    assert maj_tuple(((), ())) == 0
+    assert count > 10_000
 
 
 def test_label_positions():

@@ -3,12 +3,13 @@ import json
 
 import pytest
 
-from fakedegrees.bijections import pair_shapes, pi_c_prime
-from fakedegrees.dominoes import DominoTableau, is_standard, maj_domino
+from fakedegrees.bijections import pi_c_prime
+from fakedegrees.dominoes import DominoTableau, maj_domino
 from fakedegrees.fakedeg import d_rep, fake_degree_d
 from fakedegrees.shapes import lusztig_rho1
 from fakedegrees.tableaux import enumerate_tuple_tableaux, maj_tuple
 from fakedegrees.verify import errors, failures, route_record, run_suite, to_json_lines
+from oracles import is_standard, pair_shapes
 
 # The two type-D labels of rank 7 on which an earlier, breadth-first flip
 # search was ambiguous, each with the domino tableau (the cells of
