@@ -17,6 +17,7 @@ from .qpoly import ONE, QPolynomial, hook_syt_gf, q_int, q_multinomial
 from .shapes import (
     Multipartition,
     b_multi,
+    check_partition,
     from_beta_set,
     lusztig_rho1,
     lusztig_rho2,
@@ -51,6 +52,8 @@ class Representation:
     def __post_init__(self):
         if self.group not in ROUTES:
             raise ValueError(f"unknown group {self.group!r}")
+        for comp in self.label:
+            check_partition(comp)
         if self.group == "wreath" and len(self.label) != self.d:
             raise ValueError(f"label {self.label} does not have {self.d} components")
         if self.group != "wreath" and (self.d != 2 or len(self.label) != 2):

@@ -10,8 +10,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from itertools import accumulate
 
-from .shapes import b_statistic, hooks
+from .shapes import b_statistic, check_partition, hooks
 
 
 class QPolynomial:
@@ -267,14 +268,9 @@ def q_multinomial(n: int, parts: Sequence[int]) -> QPolynomial:
 
 @lru_cache(maxsize=None)
 def _q_multinomial(parts: tuple[int, ...]) -> QPolynomial:
-    num = q_factorial(sum(parts))
-    for p in parts:
-        num = num.exact_div(q_factorial(p))
-    return num
-
-
-def q_binomial(n: int, k: int) -> QPolynomial:
-    return q_multinomial(n, (k, n - k))
+    factors = Counter(range(1, sum(parts) + 1))
+    factors.subtract(i for p in parts for i in range(1, p + 1))
+    return _binomial_product(factors)
 
 
 @lru_cache(maxsize=None)
@@ -282,11 +278,29 @@ def hook_syt_gf(shape) -> QPolynomial:
     """Major-index generating function over SYT of a shape, hook form.
 
     Computes q^b(shape) [r]_q! / prod over cells [hook]_q, which equals the
-    enumeration-side sum of q^maj over standard Young tableaux.  Memoised
-    per shape, so a shape pays its divisions once per process.
+    enumeration-side sum of q^maj over standard Young tableaux.  The r
+    factors 1 - q cancel, leaving binomials.  Memoised per shape.
     """
-    r = sum(shape)
-    num = q_factorial(r).shift(b_statistic(shape))
-    for h in hooks(shape):
-        num = num.exact_div(q_int(h))
-    return num
+    factors = Counter(range(1, sum(check_partition(shape)) + 1))
+    factors.subtract(hooks(shape))
+    return _binomial_product(factors).shift(b_statistic(shape))
+
+
+def _binomial_product(factors: Counter[int]) -> QPolynomial:
+    """prod (1 - q^a)^m over the exponents a and multiplicities m in factors
+    (m < 0 divides), one O(len) pass per factor: every product first,
+    p[k] -= p[k - a] walking down, then every quotient, q[k] += q[k - a]
+    walking up, exact iff its top a coefficients close to zero; if they do
+    not, InexactDivisionError names the dividend (multiplied back)."""
+    cs = [1]
+    for a in factors.elements():
+        cs += [0] * a
+        cs[a:] = [x - y for x, y in zip(cs[a:], cs)]
+    for a in (-factors).elements():
+        for r in range(a):
+            cs[r::a] = accumulate(cs[r::a])
+        if any(cs[-a:]):
+            cs[a:] = [x - y for x, y in zip(cs[a:], cs)]
+            raise InexactDivisionError(QPolynomial(cs), ONE - QPolynomial.monomial(a))
+        del cs[-a:]
+    return QPolynomial(cs)

@@ -1,13 +1,22 @@
 """Ground-truth checks that only the tests use: a search for domino
-support, a cell-by-cell standardness check, prefixes of a domino tableau
-and the shapes of tableaux."""
+support, a cell-by-cell standardness check, prefixes of a domino tableau,
+the shapes of tableaux and the hook formula by long division."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
 from fakedegrees.dominoes import DominoTableau
-from fakedegrees.shapes import Cell, Partition, check_partition, domino_removals, two_core
+from fakedegrees.qpoly import QPolynomial, q_factorial, q_int
+from fakedegrees.shapes import (
+    Cell,
+    Partition,
+    b_statistic,
+    check_partition,
+    domino_removals,
+    hooks,
+    two_core,
+)
 
 
 @lru_cache(maxsize=None)
@@ -87,3 +96,14 @@ def shape_of(t) -> Partition:
 
 def pair_shapes(pair) -> tuple[Partition, Partition]:
     return (shape_of(pair[0]), shape_of(pair[1]))
+
+
+def hook_syt_gf_by_long_division(shape: Partition) -> QPolynomial:
+    """The hook form q^b(shape) [r]_q! / prod over cells [hook]_q, computed
+    as [r]_q! by repeated products, then one exact long division by [h]_q
+    per cell."""
+    r = sum(shape)
+    num = q_factorial(r).shift(b_statistic(shape))
+    for h in hooks(shape):
+        num = num.exact_div(q_int(h))
+    return num

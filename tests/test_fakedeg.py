@@ -48,6 +48,25 @@ def test_representation_validation():
     assert d_rep(((1,), (1,)), marker=2).marker == 2
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fake_degree_wreath(((2, 0),), 1, "formula"),
+        lambda: fake_degree_wreath(((2, 0),), 1, "enumeration"),
+        lambda: fake_degree_wreath(((1, 2),), 1, "formula"),
+        lambda: fake_degree_wreath(((1, 2),), 1, "enumeration"),
+        lambda: fake_degree_bc(((1, 2), ())),
+        lambda: d_rep(((2,), (1, 2))),
+        lambda: Representation(group="wreath", d=2, label=((1,), (0,))),
+    ],
+)
+def test_label_components_must_be_partitions(call):
+    """Every route refuses a component that is not a partition, instead of
+    one returning 1, another 2 + q, and the formula an IndexError."""
+    with pytest.raises(ValueError, match="partition parts must be"):
+        call()
+
+
 def test_wreath_examples():
     assert fake_degree_wreath(((1, 1), (1,)), 2) == QPolynomial([0, 0, 0, 1, 0, 1, 0, 1])
     assert fake_degree_wreath(((4,),), 1) == QPolynomial([1])

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,12 +7,15 @@ from fakedegrees.qpoly import (
     ONE,
     InexactDivisionError,
     QPolynomial,
+    _binomial_product,
     hook_syt_gf,
-    q_binomial,
     q_factorial,
     q_int,
     q_multinomial,
 )
+from fakedegrees.shapes import partitions_of
+
+from oracles import hook_syt_gf_by_long_division
 
 polys = st.builds(QPolynomial, st.lists(st.integers(-9, 9), max_size=8))
 
@@ -122,7 +127,7 @@ def test_q_analogues():
     assert q_int(0) == ONE
     assert q_int(3) == QPolynomial([1, 1, 1])
     assert q_factorial(3) == q_int(2) * q_int(3)
-    assert q_binomial(4, 2) == QPolynomial([1, 1, 2, 1, 1])
+    assert q_multinomial(4, (2, 2)) == QPolynomial([1, 1, 2, 1, 1])
     assert q_multinomial(3, (1, 1, 1)).evaluate_at_one() == 6
     with pytest.raises(ValueError):
         q_multinomial(3, (1, 1))
@@ -144,13 +149,70 @@ def test_q_multinomial_times_factorials_is_the_factorial(parts):
 def test_q_binomial_symmetry(n, k):
     if k > n:
         return
-    assert q_binomial(n, k) == q_binomial(n, n - k)
+    assert q_multinomial(n, (k, n - k)) == q_multinomial(n, (n - k, k))
 
 
 def test_hook_syt_gf_matches_enumeration():
-    from fakedegrees.shapes import partitions_of
     from fakedegrees.tableaux import syt_maj_gf
 
     for n in range(0, 7):
         for shape in partitions_of(n):
             assert hook_syt_gf(shape) == syt_maj_gf(shape), shape
+
+
+def test_hook_syt_gf_matches_long_division():
+    """All 915 partitions of size <= 16."""
+    shapes = [shape for n in range(17) for shape in partitions_of(n)]
+    assert len(shapes) == 915
+    for shape in shapes:
+        assert hook_syt_gf(shape) == hook_syt_gf_by_long_division(shape), shape
+
+
+def test_hook_syt_gf_needs_a_partition():
+    for shape in ((1, 2), (2, 0)):
+        with pytest.raises(ValueError, match="partition parts must be"):
+            hook_syt_gf(shape)
+
+
+@st.composite
+def exact_factor_multisets(draw):
+    """Numerator exponents b, and denominators a each matched to a distinct
+    numerator with a | b, so that the quotient is a polynomial."""
+    numerators = draw(st.lists(st.integers(1, 12), max_size=8))
+    denominators = [
+        draw(st.sampled_from([a for a in range(1, b + 1) if b % a == 0]))
+        for b in numerators
+        if draw(st.booleans())
+    ]
+    return numerators, denominators
+
+
+@given(exact_factor_multisets())
+def test_binomial_product_is_the_quotient_of_q_integers(case):
+    """Since 1 - q^a = (1 - q) [a]_q, the kernel agrees with products and
+    long divisions by q_int."""
+    numerators, denominators = case
+    expected = ONE
+    for b in numerators:
+        expected = expected * q_int(b) * QPolynomial([1, -1])
+    for a in denominators:
+        expected = expected.exact_div(q_int(a) * QPolynomial([1, -1]))
+    factors = Counter(numerators)
+    factors.subtract(denominators)
+    assert _binomial_product(factors) == expected
+
+
+def test_binomial_product_raises_on_an_inexact_quotient():
+    def binomial(a):
+        return ONE - QPolynomial.monomial(a)
+
+    assert _binomial_product(Counter()) == ONE
+    for numerators, a in (((2,), 3), ((1,), 2), ((2, 3), 4)):
+        factors = Counter(numerators)
+        factors[a] -= 1
+        with pytest.raises(InexactDivisionError) as err:
+            _binomial_product(factors)
+        dividend = ONE
+        for b in numerators:
+            dividend = dividend * binomial(b)
+        assert (err.value.num, err.value.den) == (dividend, binomial(a))
