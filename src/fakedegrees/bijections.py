@@ -1,10 +1,11 @@
 """Constructive maps from standard domino tableaux to tableau pairs.
 
-The even-size map (`pi_c`) and odd-size map (`pi_b`) add one labelled cell
-to a pair of Young tableaux per domino; the receiving cell is forced at
-every stage because the covered region determines the pair of component
-shapes through the (inverse) two-quotient maps.  The pair-level major
-index rules and the flip procedures then turn these into
+The even-size map (`pi_c`) and odd-size map (`pi_b`) put each domino's
+label in one cell of a pair of Young tableaux; the cell is forced at every
+stage because the covered region determines the pair of component shapes
+through the (inverse) two-quotient maps, so lifting the dominoes off the
+shape, largest label first, reads off each label's cell.  The pair-level
+major index rules and the flip procedures then turn these into
 major-index-preserving bijections (`pi_c_prime`, `pi_b_prime`).
 
 Inside the module one record carries each tableau through both steps:
@@ -12,7 +13,9 @@ the label-ordered list of keyed cells (filling, row, col, key).  The
 insertion produces it, the flip swaps its entries, and `pair_of` builds
 the tableau pair once, at the end.  `map_shape` maps every tableau of a
 shape in one walk, sharing each insertion step among the tableaux that
-share the dominoes of the larger labels.
+share the dominoes of the larger labels.  The walk and the insertion read
+the same memoised steps (`_insertion_step`) in the same order, so the
+walk's first RuleError is the first one the maps would raise.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .dominoes import DominoTableau, enumerate_sdt
+from .dominoes import DominoTableau, sdt_at
 from .shapes import (
     Partition,
     check_partition,
@@ -56,28 +59,39 @@ class Trace:
     swaps: list[int] = field(default_factory=list)  # label i of each i/i+1 swap
 
 
-@lru_cache(maxsize=None)
-def _insertion_step(inverse, prev: Partition, r1: int, r2: int) -> tuple[Partition, int, int, int]:
-    """(cur, target, row, col): the covered region cur after a domino with
-    cells in rows r1 and r2 is laid on the region prev, and the cell the
-    pair gains between the two, 1-based.
+def _map_of(odd: int) -> tuple[Callable, int, str]:
+    """(Lusztig inverse, second-filling key offset, name) of the insertion
+    for sizes of the parity odd: `pi_c` (offset 1) for even sizes, `pi_b`
+    (offset 3) for odd.  The inverse is read at call time, so a replaced
+    one takes effect."""
+    if odd:
+        return lusztig_rho2_inverse, 3, "pi_b"
+    return lusztig_rho1_inverse, 1, "pi_c"
 
-    Validates, once per distinct (inverse, prev, r1, r2): both regions are
-    partitions (ValueError otherwise), and the preimage of cur under the
-    Lusztig inverse exceeds that of prev by exactly one cell, at the end of
-    one row of exactly one component, so the grown component is its old
-    shape plus one addable cell (RuleError otherwise).  The memo is
-    process-wide and keyed on the inverse itself, so a replaced inverse
-    is validated afresh.
+
+@lru_cache(maxsize=None)
+def _insertion_step(inverse, offset: int, region: Partition, r1: int, r2: int):
+    """(smaller, cell): the covered region left when a domino with cells
+    in rows r1 and r2 is lifted off region, and the keyed cell (filling,
+    row, col, key) of the domino's label, the cell the pair loses between
+    the two, keyed as in `_keyed_cells` at the offset.
+
+    Validates, once per distinct (inverse, offset, region, r1, r2): both
+    regions are partitions (ValueError otherwise), and the preimage of
+    region under the Lusztig inverse exceeds that of smaller by exactly
+    one cell, at the end of one row of exactly one component, so the grown
+    component is its old shape plus one addable cell (RuleError
+    otherwise).  The memo is process-wide and keyed on the inverse
+    itself, so a replaced inverse is validated afresh.
     """
-    parts = list(prev)
-    while len(parts) < max(r1, r2):
-        parts.append(0)
-    parts[r1 - 1] += 1
-    parts[r2 - 1] += 1
-    cur = tuple(parts)
-    before = inverse(check_partition(prev))
-    after = inverse(check_partition(cur))
+    parts = list(region) + [0] * max(r1, r2)
+    parts[r1 - 1] -= 1
+    parts[r2 - 1] -= 1
+    while parts and parts[-1] == 0:
+        parts.pop()
+    smaller = tuple(parts)
+    before = inverse(check_partition(smaller))
+    after = inverse(check_partition(region))
     grown = [k for k in (0, 1) if before[k] != after[k]]
     if len(grown) == 1:
         old, new = before[grown[0]], after[grown[0]]
@@ -85,30 +99,31 @@ def _insertion_step(inverse, prev: Partition, r1: int, r2: int) -> tuple[Partiti
         row = next((i for i, x in enumerate(old) if i >= len(new) or new[i] != x), len(old))
         col = (old[row] if row < len(old) else 0) + 1
         if (row == 0 or old[row - 1] >= col) and new == old[:row] + (col,) + old[row + 1:]:
-            return cur, grown[0] + 1, row + 1, col
+            return smaller, (grown[0] + 1, row + 1, col, 2 * (row + 1 - col) + offset * grown[0])
     raise RuleError(
-        f"covered regions {prev} -> {cur}: pairs {before} -> {after} "
+        f"covered regions {smaller} -> {region}: pairs {before} -> {after} "
         "do not differ by one addable cell in one component"
     )
 
 
-def _insert(t: DominoTableau, inverse, offset: int) -> list[KeyedCell]:
+def _insert(t: DominoTableau, odd: int) -> list[KeyedCell]:
     """The keyed cells of the insertion image, labels 1..n in order.
 
-    Walks forward from the 2-core of the shape.  At each stage the shapes
-    of the pair are forced: they must be the preimage of the covered
-    region under the Lusztig map (the covered region after each domino is
-    itself a domino-supporting Young diagram).  The new cell receives the
-    domino's label; `_insertion_step` lays the domino and finds the cell,
-    keyed as in `_keyed_cells` at the offset.
+    Lifts the dominoes off the shape, largest label first, down to the
+    2-core (`()` or `(1,)`).  The shapes of the pair are forced at every
+    stage: they are the preimage of the covered region under the Lusztig
+    map, so the cell each lift takes from the pair holds the domino's
+    label; `_insertion_step` lifts the domino and keys the cell.
     """
-    region = (1,) if sum(t.shape) % 2 else ()
-    cells = []
-    shift = (0, 0, offset)  # by filling
-    for (r1, _), (r2, _) in t.dominoes:
-        region, f, r, c = _insertion_step(inverse, region, r1, r2)
-        cells.append((f, r, c, 2 * (r - c) + shift[f]))
-    if region != t.shape:
+    inverse, offset, name = _map_of(odd)
+    if t.size % 2 != odd:
+        raise ValueError(f"{name} needs an {('even', 'odd')[odd]}-size shape")
+    region, cells = t.shape, []
+    for (r1, _), (r2, _) in reversed(t.dominoes):
+        region, cell = _insertion_step(inverse, offset, region, r1, r2)
+        cells.append(cell)
+    cells.reverse()
+    if region != (1,) * odd:
         raise ValueError(f"the dominoes do not tile shape {t.shape}")
     return cells
 
@@ -132,21 +147,14 @@ def pair_of(cells: list[KeyedCell]) -> TableauPair:
     return tuple(map(tuple, first)), tuple(map(tuple, second))
 
 
-def _check_parity(t: DominoTableau, parity: int, name: str) -> None:
-    if t.size % 2 != parity:
-        raise ValueError(f"{name} needs an {('even', 'odd')[parity]}-size shape")
-
-
 def pi_c(t: DominoTableau) -> TableauPair:
     """Insertion map for even-size standard domino tableaux."""
-    _check_parity(t, 0, "pi_c")
-    return pair_of(_insert(t, lusztig_rho1_inverse, 1))
+    return pair_of(_insert(t, 0))
 
 
 def pi_b(t: DominoTableau) -> TableauPair:
     """Insertion map for odd-size standard domino tableaux."""
-    _check_parity(t, 1, "pi_b")
-    return pair_of(_insert(t, lusztig_rho2_inverse, 3))
+    return pair_of(_insert(t, 1))
 
 
 def _keyed_cells(pair: TableauPair, offset: int) -> list[KeyedCell]:
@@ -160,30 +168,30 @@ def _keyed_cells(pair: TableauPair, offset: int) -> list[KeyedCell]:
     ]
 
 
-def _pair_maj(pair: TableauPair, y2_offset: int) -> int:
+def _pair_maj(pair: TableauPair, odd: int) -> int:
     """Shifted-diagonal major index of a tableau pair.
 
     Label i is a descent when the cell of i+1 has a strictly larger
-    pair-level key (`_keyed_cells` at y2_offset).  Within one filling this
-    reduces to "i+1 strictly lower"; across fillings it extends the
-    same-row / same-cell comparisons consistently (the offsets are odd, so
-    ties cannot occur).  Validated exhaustively against the domino major
-    index.
+    pair-level key (`_keyed_cells` at the offset of the parity's map).
+    Within one filling this reduces to "i+1 strictly lower"; across
+    fillings it extends the same-row / same-cell comparisons consistently
+    (the offsets are odd, so ties cannot occur).  Validated exhaustively
+    against the domino major index.
     """
-    keys = [k for _, _, _, k in _keyed_cells(pair, y2_offset)]
+    keys = [k for _, _, _, k in _keyed_cells(pair, _map_of(odd)[1])]
     return sum(i for i in range(1, len(keys)) if keys[i] > keys[i - 1])
 
 
 def pair_maj_c(pair: TableauPair) -> int:
     """Major index of an even-map image pair (second filling offset 1);
     equals the domino major index of its preimage."""
-    return _pair_maj(pair, 1)
+    return _pair_maj(pair, 0)
 
 
 def pair_maj_b(pair: TableauPair) -> int:
     """Major index of an odd-map image pair (second filling offset 3);
     equals the domino major index of its preimage."""
-    return _pair_maj(pair, 3)
+    return _pair_maj(pair, 1)
 
 
 def _flip(cells: list[KeyedCell], trace: Trace | None) -> list[KeyedCell]:
@@ -239,42 +247,40 @@ def _flip(cells: list[KeyedCell], trace: Trace | None) -> list[KeyedCell]:
     return cells
 
 
-def _flip_pair(pair: TableauPair, offset: int, trace: Trace | None) -> TableauPair:
-    cells = _keyed_cells(pair, offset)
+def _flip_pair(pair: TableauPair, odd: int, trace: Trace | None) -> TableauPair:
+    cells = _keyed_cells(pair, _map_of(odd)[1])
     flipped = _flip(cells, trace)
     return pair if flipped is cells else pair_of(flipped)
 
 
 def flip_c(pair: TableauPair, trace: Trace | None = None) -> TableauPair:
     """Flip procedure for even-size map images (offset 1)."""
-    return _flip_pair(pair, 1, trace)
+    return _flip_pair(pair, 0, trace)
 
 
 def flip_b(pair: TableauPair, trace: Trace | None = None) -> TableauPair:
     """Flip procedure for odd-size map images (offset 3)."""
-    return _flip_pair(pair, 3, trace)
+    return _flip_pair(pair, 1, trace)
+
+
+def _prime(t: DominoTableau, odd: int, trace: Trace | None) -> TableauPair:
+    try:
+        return pair_of(_flip(_insert(t, odd), trace))
+    except RuleError as exc:
+        exc.tableau = t
+        raise
 
 
 def pi_c_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
     """Major-index-preserving bijection for even-size shapes: `flip_c`
     after `pi_c`, with the pair built once."""
-    _check_parity(t, 0, "pi_c")
-    try:
-        return pair_of(_flip(_insert(t, lusztig_rho1_inverse, 1), trace))
-    except RuleError as exc:
-        exc.tableau = t
-        raise
+    return _prime(t, 0, trace)
 
 
 def pi_b_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
     """Major-index-preserving bijection for odd-size shapes: `flip_b`
     after `pi_b`, with the pair built once."""
-    _check_parity(t, 1, "pi_b")
-    try:
-        return pair_of(_flip(_insert(t, lusztig_rho2_inverse, 3), trace))
-    except RuleError as exc:
-        exc.tableau = t
-        raise
+    return _prime(t, 1, trace)
 
 
 def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -> None:
@@ -282,48 +288,40 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
     of the shape, in `enumerate_sdt` order, with the keyed cells of
     `pi_c_prime`(t) (even size) or `pi_b_prime`(t) (odd size).
 
-    One recursion peels the largest label first, as `enumerate_sdt` does.
-    Label k's insertion step depends only on its domino and the region
-    under it, so its node reads the step once for every tableau below and
-    writes label k's keyed cell into one reused list (a visit that keeps
-    the list must copy it); k is a descent when domino k's bottom row lies
-    above domino k+1's top row.  Each leaf only flips.  On a RuleError the
-    first tableau below the failing node goes through `pi_c_prime`/
-    `pi_b_prime`, which raises the error the maps one tableau at a time
-    would raise first, naming the tableau.
+    One recursion lifts the largest label first, as `enumerate_sdt` and
+    `_insert` do.  Label k's insertion step depends only on its domino and
+    the region under it, so its node reads the step once for every
+    tableau below and writes label k's keyed cell into one reused list (a
+    visit that keeps the list must copy it); k is a descent when domino
+    k's bottom row lies above domino k+1's top row.  Each leaf only flips.
+    The walk takes each tableau's steps and flip in the order the maps
+    take them, so its first RuleError is theirs: it names the leaf's
+    tableau, or for a failing step the first tableau below that node.
     """
     n, odd = divmod(sum(shape), 2)
     if two_core(shape) != (1,) * odd:
         return
-    if odd:
-        inverse, shift, prime = lusztig_rho2_inverse, (0, 0, 3), pi_b_prime
-    else:
-        inverse, shift, prime = lusztig_rho1_inverse, (0, 0, 1), pi_c_prime
+    inverse, offset, _ = _map_of(odd)
     cells: list = [None] * n
     stack: list = [None] * n  # stack[k-1] is the domino of label k
-
-    def failed(region: Partition, k: int):
-        """Map the first tableau whose labels above k fill stack[k:]."""
-        first = next(enumerate_sdt(region))
-        t = DominoTableau(shape=shape, dominoes=first.dominoes + tuple(stack[k:]))
-        prime(t)
-        raise RuleError(f"map_shape and {prime.__name__} disagree on {t.dominoes}", t)
 
     def walk(p: Partition, k: int, maj: int, below: int) -> None:
         if k == 0:
             try:
                 image = _flip(cells, None)
-            except RuleError:
-                failed(p, 0)
+            except RuleError as exc:
+                exc.tableau = DominoTableau(shape=shape, dominoes=tuple(stack))
+                raise
             visit(maj, image)
             return
         for smaller, domino in domino_removals(p):
             (top, _), (bottom, _) = stack[k - 1] = domino
             try:
-                _, f, r, c = _insertion_step(inverse, smaller, top, bottom)
-            except RuleError:
-                failed(smaller, k - 1)
-            cells[k - 1] = (f, r, c, 2 * (r - c) + shift[f])
+                _, cells[k - 1] = _insertion_step(inverse, offset, p, top, bottom)
+            except RuleError as exc:
+                first = sdt_at(smaller, 0).dominoes  # labels 1..k-1 of the first tableau below
+                exc.tableau = DominoTableau(shape=shape, dominoes=first + tuple(stack[k - 1:]))
+                raise
             walk(smaller, k - 1, maj + k if bottom < below else maj, top)
 
     walk(shape, n, 0, 0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .bijections import RuleError, Trace, flip_b, flip_c, pair_maj_b, pair_maj_c, pi_b, pi_c
 from .dominoes import enumerate_sdt, maj_domino, sdt_at, sdt_maj_gf
@@ -128,23 +129,24 @@ def _cmd_explain(args) -> int:
     if not 0 <= args.index < count:
         raise UsageError(f"index {args.index} out of range (0..{count - 1})")
     t = sdt_at(shape, args.index)
-    even = t.size % 2 == 0
+    insert, pair_maj, flip, prefix, kind = (
+        (pi_b, pair_maj_b, flip_b, "piB", "odd (size 2n+1)") if t.size % 2
+        else (pi_c, pair_maj_c, flip_c, "piC", "even (size 2n)")
+    )
     trace = Trace()
-    pair = pi_c(t) if even else pi_b(t)
-    pair_maj = pair_maj_c(pair) if even else pair_maj_b(pair)
-    final = flip_c(pair, trace) if even else flip_b(pair, trace)
+    pair = insert(t)
+    final = flip(pair, trace)
 
     print(f"standard domino tableau #{args.index} of shape {args.shape}:")
     print(t.render())
-    print(f"map: {'even (size 2n)' if even else 'odd (size 2n+1)'}")
-    prefix = "piC" if even else "piB"
+    print(f"map: {kind}")
     for label, (target, row, col) in sorted(label_positions(pair).items()):
         print(
             f"  label {label}: rule {_case_name(prefix, t.cells_of(label))} -> "
             f"tableau {target}, cell {(row, col)}"
         )
     print("intermediate pair:", format_tuple_tableau(pair))
-    print("pair descent major index:", pair_maj)
+    print("pair descent major index:", pair_maj(pair))
     if trace.swaps:
         print("flips:", ", ".join(f"({i},{i + 1})" for i in trace.swaps))
     else:
@@ -159,18 +161,16 @@ def _cmd_explain(args) -> int:
 def _cmd_verify(args) -> int:
     if args.suite != "all" and args.suite not in SUITES:
         raise UsageError(f"invalid suite {args.suite!r}")
-    try:
-        out = open(args.out, "w") if args.out else sys.stdout
-    except OSError as exc:
-        raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
-    try:
-        records = run_suite(args.suite, args.max_n)
-        if not records:
-            raise UsageError(f"suite {args.suite} has no checks up to --max-n {args.max_n}")
+    if args.out:
+        try:
+            open(args.out, "a").close()  # writable, checked before the sweep without emptying it
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
+    records = run_suite(args.suite, args.max_n)
+    if not records:
+        raise UsageError(f"suite {args.suite} has no checks up to --max-n {args.max_n}")
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
         print(to_json_lines(records), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     bad = failures(records)
     broken = errors(records)
     summary = f"suite {args.suite}: {len(records)} checks, {len(bad)} failures"

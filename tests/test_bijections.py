@@ -1,3 +1,4 @@
+from ast import literal_eval
 from functools import lru_cache
 
 import pytest
@@ -117,27 +118,34 @@ def test_insertion_rejects_dominoes_that_do_not_tile():
 def test_insertion_memo_is_order_independent_and_immutable():
     """The process-wide step memo gives the same images whether the small
     shapes are mapped first or the large ones, and every cached step is a
-    tuple naming the region the domino leaves covered and the filling and
-    cell where the image holds that label."""
+    tuple naming the region left once the domino is lifted off and the
+    filling, cell and key of that label in the image."""
     step = bijections._insertion_step
     shapes = [ps for n in range(0, 6) for ps in multipartitions_of(n, 2)]
-    maps = ((lusztig_rho1, lusztig_rho1_inverse, pi_c), (lusztig_rho2, lusztig_rho2_inverse, pi_b))
+    maps = (
+        (lusztig_rho1, lusztig_rho1_inverse, 1, pi_c),
+        (lusztig_rho2, lusztig_rho2_inverse, 3, pi_b),
+    )
     runs = []
     for order in (shapes, shapes[::-1]):
         step.cache_clear()
         runs.append({
-            (ps, pi): [pi(t) for t in enumerate_sdt(rho(ps))] for ps in order for rho, _, pi in maps
+            (ps, pi): [pi(t) for t in enumerate_sdt(rho(ps))]
+            for ps in order
+            for rho, *_, pi in maps
         })
         for ps in order:
-            for rho, inverse, pi in maps:
+            for rho, inverse, offset, pi in maps:
                 for t in enumerate_sdt(rho(ps)):
                     pos = label_positions(pi(t))
                     for k in range(1, t.n + 1):
                         (r1, _), (r2, _) = t.cells_of(k)
-                        entry = step(inverse, truncate(t, k - 1).shape, r1, r2)
+                        entry = step(inverse, offset, truncate(t, k).shape, r1, r2)
                         assert isinstance(entry, tuple)
-                        assert entry[0] == truncate(t, k).shape
-                        assert entry[1:] == pos[k]
+                        smaller, (f, r, c, key) = entry
+                        assert smaller == truncate(t, k - 1).shape
+                        assert (f, r, c) == pos[k]
+                        assert key == 2 * (r - c) + (offset if f == 2 else 0)
     assert runs[0] == runs[1]
 
 
@@ -429,24 +437,19 @@ def test_map_shape_raises_the_first_error_of_the_maps(monkeypatch, shape, fault)
     assert message.startswith(("flip procedure", "covered regions"))
 
 
-def test_map_shape_names_a_tableau_the_maps_accept(monkeypatch):
-    """A flip that fails once, in the walk only, is a disagreement
-    between the walk and the maps, reported on that tableau."""
-    flip = bijections._flip
-    calls = []
-
-    def once(cells, trace=None):
-        calls.append(None)
-        if len(calls) == 1:
-            raise RuleError("flip fails once")
-        return flip(cells, trace)
-
-    shape = (4, 2, 2)
-    first = next(enumerate_sdt(shape))
-    monkeypatch.setattr(bijections, "_flip", once)
-    message, tableau = walk_failure(shape)
-    assert message == f"map_shape and pi_c_prime disagree on {first.dominoes}"
-    assert tableau == first
+@pytest.mark.parametrize("shape", WALK_SHAPES)
+def test_map_shape_and_the_maps_fail_first_at_the_larger_label(monkeypatch, shape):
+    """An inverse bent at the regions of one and of two dominoes breaks
+    the steps of labels 1 and 3; both lift the largest label first, so
+    the walk and the maps report label 3's step, on the same tableau."""
+    odd = sum(shape) % 2
+    monkeypatch.setattr(
+        bijections, *bent_inverse(shape, two_cells, lambda p: sum(p) in (2 + odd, 4 + odd))
+    )
+    message, tableau = first_failure(shape)
+    assert walk_failure(shape) == (message, tableau)
+    regions = message.removeprefix("covered regions ").split(":")[0].split(" -> ")
+    assert [sum(literal_eval(region)) for region in regions] == [4 + odd, 6 + odd]
 
 
 def test_pair_maj_equals_domino_maj():

@@ -145,11 +145,16 @@ def test_q_multinomial_times_factorials_is_the_factorial(parts):
     assert q_multinomial(n, parts[::-1]) == q_multinomial(n, parts)
 
 
-@given(st.integers(0, 6), st.integers(0, 6))
-def test_q_binomial_symmetry(n, k):
-    if k > n:
-        return
-    assert q_multinomial(n, (k, n - k)) == q_multinomial(n, (n - k, k))
+def test_q_binomial_pascal():
+    """[n, k] = [n-1, k-1] + q^k [n-1, k] for 1 <= k <= n-1, n <= 8: each
+    side reads other memo entries, so the closed form is checked against
+    the recurrence."""
+    def binomial(n, k):
+        return q_multinomial(n, (k, n - k))
+
+    for n in range(2, 9):
+        for k in range(1, n):
+            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k).shift(k)
 
 
 def test_hook_syt_gf_matches_enumeration():
