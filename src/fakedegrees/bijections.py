@@ -26,6 +26,7 @@ from functools import lru_cache
 
 from .dominoes import DominoTableau, sdt_at
 from .shapes import (
+    Cell,
     Partition,
     check_partition,
     domino_removals,
@@ -70,28 +71,29 @@ def _map_of(odd: int) -> tuple[Callable, int, str]:
 
 
 @lru_cache(maxsize=None)
-def _insertion_step(inverse, offset: int, region: Partition, r1: int, r2: int):
-    """(smaller, cell): the covered region left when a domino with cells
-    in rows r1 and r2 is lifted off region, and the keyed cell (filling,
-    row, col, key) of the domino's label, the cell the pair loses between
-    the two, keyed as in `_keyed_cells` at the offset.
+def _insertion_step(inverse, offset: int, region: Partition, domino: tuple[Cell, Cell]):
+    """(smaller, cell): the covered region left when the domino, its two
+    cells in either order, is lifted off region, and the keyed cell
+    (filling, row, col, key) of the domino's label, the cell the pair
+    loses between the two, keyed as in `_keyed_cells` at the offset.
 
-    Validates, once per distinct (inverse, offset, region, r1, r2): both
-    regions are partitions (ValueError otherwise), and the preimage of
-    region under the Lusztig inverse exceeds that of smaller by exactly
-    one cell, at the end of one row of exactly one component, so the grown
-    component is its old shape plus one addable cell (RuleError
-    otherwise).  The memo is process-wide and keyed on the inverse
-    itself, so a replaced inverse is validated afresh.
+    Validates, once per distinct (inverse, offset, region, domino): region
+    is a partition and the domino is one of its border dominoes
+    (`domino_removals`), so a tableau that is not standard is refused
+    (ValueError otherwise); and the preimage of region under the Lusztig
+    inverse exceeds that of smaller by exactly one cell, at the end of one
+    row of exactly one component, so the grown component is its old shape
+    plus one addable cell (RuleError otherwise).  The memo is process-wide
+    and keyed on the inverse itself, so a replaced inverse is validated
+    afresh.
     """
-    parts = list(region) + [0] * max(r1, r2)
-    parts[r1 - 1] -= 1
-    parts[r2 - 1] -= 1
-    while parts and parts[-1] == 0:
-        parts.pop()
-    smaller = tuple(parts)
-    before = inverse(check_partition(smaller))
-    after = inverse(check_partition(region))
+    for smaller, cells in domino_removals(check_partition(region)):
+        if cells == domino or cells == domino[::-1]:
+            break
+    else:
+        raise ValueError(f"cells {domino} are not a border domino of {region}")
+    before = inverse(smaller)
+    after = inverse(region)
     grown = [k for k in (0, 1) if before[k] != after[k]]
     if len(grown) == 1:
         old, new = before[grown[0]], after[grown[0]]
@@ -119,8 +121,8 @@ def _insert(t: DominoTableau, odd: int) -> list[KeyedCell]:
     if t.size % 2 != odd:
         raise ValueError(f"{name} needs an {('even', 'odd')[odd]}-size shape")
     region, cells = t.shape, []
-    for (r1, _), (r2, _) in reversed(t.dominoes):
-        region, cell = _insertion_step(inverse, offset, region, r1, r2)
+    for domino in reversed(t.dominoes):
+        region, cell = _insertion_step(inverse, offset, region, domino)
         cells.append(cell)
     cells.reverse()
     if region != (1,) * odd:
@@ -317,7 +319,7 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
         for smaller, domino in domino_removals(p):
             (top, _), (bottom, _) = stack[k - 1] = domino
             try:
-                _, cells[k - 1] = _insertion_step(inverse, offset, p, top, bottom)
+                _, cells[k - 1] = _insertion_step(inverse, offset, p, domino)
             except RuleError as exc:
                 first = sdt_at(smaller, 0).dominoes  # labels 1..k-1 of the first tableau below
                 exc.tableau = DominoTableau(shape=shape, dominoes=first + tuple(stack[k - 1:]))

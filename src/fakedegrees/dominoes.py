@@ -10,7 +10,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qpoly import QPolynomial, add_shifted
+from .qpoly import QPolynomial, add_raised
 from .shapes import Cell, Partition, domino_removals
 
 
@@ -87,19 +87,22 @@ def sdt_at(shape: Partition, index: int) -> DominoTableau:
 
     Descends the `_by_last_domino` memo from the largest label down: the
     tableaux are grouped by the domino of the largest label, in
-    `domino_removals` order, and each group holds as many as the
-    coefficient sum of its entry.  IndexError outside 0..count-1.
+    `domino_removals` order, and the coefficient sum of a running-sum
+    entry counts the tableaux in its group and the groups before it.
+    IndexError outside 0..count-1.
     """
     stack: list = []
     p, rest = shape, index
     while sum(p) > 1 and rest >= 0:
+        before = 0
         for (smaller, cells), (_, coeffs) in zip(domino_removals(p), _by_last_domino(p)):
-            count = sum(coeffs)
-            if rest < count:
+            upto = sum(coeffs)
+            if rest < upto:
                 break
-            rest -= count
+            before = upto
         else:
             break
+        rest -= before
         stack.append(cells)
         p = smaller
     if sum(p) > 1 or rest != 0:
@@ -128,21 +131,26 @@ def maj_domino(t: DominoTableau) -> int:
 def sdt_maj_gf(shape: Partition) -> QPolynomial:
     """Sum of q^maj over all standard domino tableaux of the shape; zero
     when the shape supports none."""
-    acc: list[int] = []
-    for _cells, coeffs in _by_last_domino(shape):
-        add_shifted(acc, coeffs, 0)
-    return QPolynomial(acc)
+    entries = _by_last_domino(shape)
+    return QPolynomial(entries[-1][1] if entries else ())
 
 
 @lru_cache(maxsize=None)
 def _by_last_domino(p: Partition) -> tuple:
-    """The same sum split by the domino holding the largest label n:
-    (cells, coefficients) pairs; the shapes (), (1,) have one tableau,
-    keyed None.
+    """Running sums of the same sum by the domino holding the largest
+    label n: (cells, coefficients) pairs, one per border domino in
+    `domino_removals` order, whose coefficients sum over the tableaux with
+    n in that domino or an earlier one.  The last entry is the whole sum;
+    the shapes (), (1,) have one tableau, keyed None, and a shape with no
+    border domino has no entry.
 
     Recursion on that domino: removing it leaves a tableau of the smaller
     shape, and n-1 is a descent exactly when the domino of n-1 lies
-    strictly above the domino of n.  The memo is process-wide, so each
+    strictly above the domino of n, that is when its bottom row lies above
+    the top row of n's.  `domino_removals` lists the bottom rows in
+    nondecreasing order, so the descents are a prefix of the smaller
+    shape's entries; with below the entry of the last of them, the domino
+    adds total - below + q^(n-1) below.  The memo is process-wide, so each
     shape is solved once; its entries are tuples, so no caller can change
     them.
     """
@@ -150,11 +158,15 @@ def _by_last_domino(p: Partition) -> tuple:
     if n == 0:
         return ((None, (1,)),)
     out = []
+    acc: list[int] = []
     for smaller, cells in domino_removals(p):
-        acc: list[int] = []
-        for prev, coeffs in _by_last_domino(smaller):
-            # cells[0] lies in a domino's top row, cells[1] in its bottom row
-            descent = prev is not None and prev[1][0] < cells[0][0]
-            add_shifted(acc, coeffs, n - 1 if descent else 0)
+        entries = _by_last_domino(smaller)
+        below: tuple[int, ...] = ()
+        for prev, coeffs in entries:
+            # cells[0] lies in a domino's top row, prev[1] in its bottom row
+            if prev is None or prev[1][0] >= cells[0][0]:
+                break
+            below = coeffs
+        add_raised(acc, entries[-1][1] if entries else (), below, n - 1)
         out.append((cells, tuple(acc)))
     return tuple(out)

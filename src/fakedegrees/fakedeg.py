@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
+from operator import add
 
 from .bijections import map_shape
 from .dominoes import sdt_maj_gf
@@ -25,11 +27,7 @@ from .shapes import (
     symbol_of,
     total_size,
 )
-from .tableaux import (
-    tuple_maj_gf,
-    tuple_maj_gf_by_component,
-    tuple_maj_gf_restricted,
-)
+from .tableaux import tuple_maj_gf, tuple_maj_gf_restricted
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,22 @@ def d_rep(pair: Multipartition, marker: int = 1) -> Representation:
 
 
 def _scaled(inner: QPolynomial, mp: Multipartition, d: int = 2) -> QPolynomial:
-    return inner.substitute_power(d).shift(b_multi(mp))
+    """q^b(mp) inner(q^d), written with one slice assignment."""
+    cs, b = inner.coeffs, b_multi(mp)
+    out = [0] * (b + d * len(cs))
+    out[b::d] = cs
+    return QPolynomial(out)
+
+
+def _scaled_sum(terms, d: int = 2) -> QPolynomial:
+    """Sum of q^b p(q^d) over the (coefficients of p, b) terms, in one
+    coefficient list: the first term is written into zeros, each later one
+    added, one slice assignment each."""
+    out = [0] * max(b + d * len(cs) for cs, b in terms)
+    for i, (cs, b) in enumerate(terms):
+        stop = b + d * len(cs)
+        out[b:stop:d] = map(add, out[b:stop:d], cs) if i else cs
+    return QPolynomial(out)
 
 
 def _formula(rep: Representation) -> QPolynomial:
@@ -143,10 +156,11 @@ def _orderings(rep: Representation) -> list[Multipartition]:
     return [rep.label, (lam2, lam1)]
 
 
-def _ordering_parts(rep: Representation, restricted_gf) -> list[QPolynomial]:
-    """One term per ordering of a type-D pair (one when the components are
-    equal): its restricted generating function, scaled."""
-    return [_scaled(restricted_gf(ordering), ordering) for ordering in _orderings(rep)]
+def _ordering_terms(rep: Representation, restricted_gf) -> list[tuple]:
+    """One (coefficients, b) term per ordering of a type-D pair (one when
+    the components are equal): its restricted generating function and its
+    b-shift."""
+    return [(restricted_gf(ordering).coeffs, b_multi(ordering)) for ordering in _orderings(rep)]
 
 
 @lru_cache(maxsize=None)
@@ -169,22 +183,25 @@ def _restricted_sdt_gf(pair: Multipartition) -> QPolynomial:
 
 def _d_tuple(rep: Representation) -> QPolynomial:
     """Restricted tuple generating functions of both orderings."""
-    return sum(_ordering_parts(rep, tuple_maj_gf_restricted), QPolynomial())
+    return _scaled_sum(_ordering_terms(rep, tuple_maj_gf_restricted))
 
 
 def _d_domino(rep: Representation) -> QPolynomial:
     """The same restriction, transported through the maj-preserving
     bijection."""
-    return sum(_ordering_parts(rep, _restricted_sdt_gf), QPolynomial())
+    return _scaled_sum(_ordering_terms(rep, _restricted_sdt_gf))
 
 
 def _d_shifted(rep: Representation) -> QPolynomial:
     """A single sum over tuple tableaux of the canonical ordering,
     subtracting n from the exponent whenever the largest label falls in the
-    second filling; halved when the components are equal."""
-    b = b_multi(rep.label)
-    first, second = tuple_maj_gf_by_component(rep.label)
-    total = first.substitute_power(2).shift(b) + second.substitute_power(2).shift(b - rep.n)
+    second filling; halved when the components are equal.  The sum over
+    the second filling is the total less the first; both are written
+    raised by q^n, which is then taken off."""
+    n, b = rep.n, b_multi(rep.label)
+    first = tuple_maj_gf_restricted(rep.label).coeffs
+    second = tuple(t - f for t, f in zip_longest(tuple_maj_gf(rep.label).coeffs, first, fillvalue=0))
+    total = _scaled_sum([(first, b + n), (second, b)]).shift(-n)
     lam1, lam2 = rep.label
     return total.exact_div(QPolynomial([2])) if lam1 == lam2 else total
 
@@ -295,11 +312,13 @@ def all_representations(group: str, n: int, d: int = 2) -> list[Representation]:
 def regular_representation_sum(group: str, n: int, d: int = 2) -> QPolynomial:
     """Sum of dim(V) * f_V over all irreducibles; equals the Poincaré
     polynomial."""
-    out = QPolynomial()
+    acc: list[int] = []
     for rep in all_representations(group, n, d):
-        f = fake_degree(rep)
-        out = out + f * QPolynomial([f.evaluate_at_one()])
-    return out
+        cs = fake_degree(rep).coeffs
+        dim = sum(cs)
+        acc.extend([0] * (len(cs) - len(acc)))
+        acc[: len(cs)] = [a + dim * c for a, c in zip(acc, cs)]
+    return QPolynomial(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +389,7 @@ def check_corollary1_d(n: int) -> list[dict]:
             continue  # same polynomial as marker 1
         mu = d_rep(special_partner_bc(rep.label))
         f_mu = fake_degree_d(mu)
-        parts = _ordering_parts(rep, tuple_maj_gf_restricted)
+        parts = [_scaled(tuple_maj_gf_restricted(o), o) for o in _orderings(rep)]
         out.append(
             {
                 "label": rep.label,

@@ -11,6 +11,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import accumulate
+from operator import add, sub
 
 from .shapes import b_statistic, check_partition, hooks
 
@@ -223,14 +224,17 @@ class InexactDivisionError(ArithmeticError):
         self.den = den
 
 
-def add_shifted(acc: list[int], coeffs: Sequence[int], s: int) -> None:
-    """Add q^s times the polynomial with these coefficients into the
-    coefficient list acc, in place, growing acc as needed."""
-    grow = s + len(coeffs) - len(acc)
+def add_raised(acc: list[int], total: Sequence[int], below: Sequence[int], s: int) -> None:
+    """Add total - below + q^s below into the coefficient list acc, in
+    place, growing acc as needed: a sum whose part below gains the factor
+    q^s."""
+    m = len(below)
+    grow = max(len(total), s + m) - len(acc)
     if grow > 0:
         acc.extend([0] * grow)
-    for k, c in enumerate(coeffs, s):
-        acc[k] += c
+    acc[: len(total)] = map(add, acc, total)
+    acc[:m] = map(sub, acc, below)
+    acc[s : s + m] = map(add, acc[s : s + m], below)
 
 
 ONE = QPolynomial([1])

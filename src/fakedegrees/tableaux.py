@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .qpoly import QPolynomial, add_shifted
+from .qpoly import QPolynomial, add_raised
 from .shapes import Multipartition, Partition, total_size
 
 Tableau = tuple[tuple[int, ...], ...]
@@ -129,28 +129,35 @@ def largest_label_component(t: TupleTableau) -> int:
 
 @lru_cache(maxsize=None)
 def _maj_gf_by_last_cell(shape: Multipartition) -> tuple:
-    """Sum of q^maj over the standard tuple tableaux of the shape, split by
-    the cell holding the largest label n: (key, coefficients) pairs whose
-    key is the 0-based (component, row) of that cell.  The empty shape has
-    one tableau, keyed None.
+    """Running sums of q^maj over the standard tuple tableaux of the shape,
+    by the cell holding the largest label n: (key, coefficients) pairs,
+    one per corner in (component, row) order, whose key is the 0-based
+    (component, row) of the corner and whose coefficients sum over the
+    tableaux with n at that corner or an earlier one.  The last entry is
+    the whole sum; the empty shape has one tableau, keyed None.
 
     Recursion on that cell: removing it leaves a tableau of the smaller
     shape whose largest label n-1 sits at some corner, and n-1 is a descent
-    exactly when that corner precedes the cell of n in (component, row)
-    order.  The memo is process-wide, so each shape is solved once; its
-    entries are tuples, so no caller can change them.
+    exactly when that corner precedes the cell of n, a prefix of the
+    smaller shape's entries.  So with below the entry of the last corner
+    before the cell, the cell adds total - below + q^(n-1) below.  The
+    memo is process-wide, so each shape is solved once; its entries are
+    tuples, so no caller can change them.
     """
     n = total_size(shape)
     if n == 0:
         return ((None, (1,)),)
     out = []
+    acc: list[int] = []
     for ci, comp in enumerate(shape):
         for ri in _corners(comp):
-            smaller = shape[:ci] + (_remove_cell(comp, ri),) + shape[ci + 1:]
-            acc: list[int] = []
-            for key, coeffs in _maj_gf_by_last_cell(smaller):
-                descent = key is not None and key < (ci, ri)
-                add_shifted(acc, coeffs, n - 1 if descent else 0)
+            entries = _maj_gf_by_last_cell(shape[:ci] + (_remove_cell(comp, ri),) + shape[ci + 1:])
+            below: tuple[int, ...] = ()
+            for key, coeffs in entries:
+                if key is None or key >= (ci, ri):
+                    break
+                below = coeffs
+            add_raised(acc, entries[-1][1], below, n - 1)
             out.append(((ci, ri), tuple(acc)))
     return tuple(out)
 
@@ -158,20 +165,20 @@ def _maj_gf_by_last_cell(shape: Multipartition) -> tuple:
 def tuple_maj_gf_by_component(mp: Multipartition) -> tuple[QPolynomial, ...]:
     """Sum of q^maj over all standard tuple tableaux of the shape, split by
     the component holding the largest label (all zero for the empty
-    shape)."""
-    parts: list[list[int]] = [[] for _ in mp]
-    for key, coeffs in _maj_gf_by_last_cell(mp):
-        if key is not None:
-            add_shifted(parts[key[0]], coeffs, 0)
-    return tuple(QPolynomial(p) for p in parts)
+    shape): differences of the running sums at the ends of the
+    components."""
+    last = {key[0]: coeffs for key, coeffs in _maj_gf_by_last_cell(mp) if key is not None}
+    parts, prev = [], QPolynomial()
+    for ci in range(len(mp)):
+        end = QPolynomial(last[ci]) if ci in last else prev
+        parts.append(end - prev)
+        prev = end
+    return tuple(parts)
 
 
 def tuple_maj_gf(mp: Multipartition) -> QPolynomial:
     """Sum of q^maj over all standard tuple tableaux of the shape."""
-    acc: list[int] = []
-    for _key, coeffs in _maj_gf_by_last_cell(mp):
-        add_shifted(acc, coeffs, 0)
-    return QPolynomial(acc)
+    return QPolynomial(_maj_gf_by_last_cell(mp)[-1][1])
 
 
 def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
@@ -181,7 +188,12 @@ def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
         raise ValueError("restricted generating function needs a pair shape")
     if total_size(mp) == 0:
         raise ValueError("restricted generating function needs n >= 1")
-    return tuple_maj_gf_by_component(mp)[0]
+    first: tuple[int, ...] = ()
+    for key, coeffs in _maj_gf_by_last_cell(mp):
+        if key[0]:
+            break
+        first = coeffs
+    return QPolynomial(first)
 
 
 def format_tableau(t: Tableau) -> str:

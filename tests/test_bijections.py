@@ -105,14 +105,54 @@ def test_insertion_rejects_a_bent_stage(monkeypatch, bend):
 
 
 def test_insertion_rejects_dominoes_that_do_not_tile():
-    """Every covered region must be a partition, and peeling every domino
-    must leave the empty shape."""
-    below_first = DominoTableau(shape=(2, 2), dominoes=(((2, 1), (2, 2)), ((1, 1), (1, 2))))
+    """The shape must be a partition, every domino a border domino of the
+    region it is lifted off, and lifting every domino must leave the
+    2-core."""
+    not_a_partition = DominoTableau(shape=(2, 0), dominoes=(((1, 1), (1, 2)),))
     with pytest.raises(ValueError, match="partition parts must be positive"):
+        pi_c(not_a_partition)
+    below_first = DominoTableau(shape=(2, 2), dominoes=(((2, 1), (2, 2)), ((1, 1), (1, 2))))
+    with pytest.raises(ValueError, match="not a border domino of"):
         pi_c(below_first)
     too_few = DominoTableau(shape=(4,), dominoes=(((1, 3), (1, 4)),))
     with pytest.raises(ValueError, match="do not tile"):
         pi_c(too_few)
+
+
+# Domino tableaux that tile their shape but are not standard: label 1
+# lies right of label 2, in one row or in two columns, for both parities
+# (the odd ones with the zero square at (1, 1)).
+NOT_STANDARD = [
+    DominoTableau((4,), (((1, 3), (1, 4)), ((1, 1), (1, 2)))),
+    DominoTableau((2, 2), (((1, 2), (2, 2)), ((1, 1), (2, 1)))),
+    DominoTableau((5,), (((1, 4), (1, 5)), ((1, 2), (1, 3)))),
+    DominoTableau((2, 2, 1), (((1, 2), (2, 2)), ((2, 1), (3, 1)))),
+]
+
+
+@pytest.mark.parametrize("t", NOT_STANDARD, ids=["row", "columns", "odd-row", "odd-columns"])
+def test_insertion_rejects_a_tableau_that_is_not_standard(t):
+    """Each step lifts only a border domino of the region it is lifted
+    off, so no map gives an image of a tableau that is not standard; the
+    rows of its dominoes alone would give one."""
+    for f in (pi_c, pi_b, pi_c_prime, pi_b_prime):
+        with pytest.raises(ValueError):
+            f(t)
+
+
+def test_insertion_reads_a_domino_in_either_order():
+    """A standard tableau with one domino's cells given in the other order
+    maps to the same pair as the tableau itself, for every label of every
+    domino tableau with n <= 5 of both parities."""
+    for n in range(0, 6):
+        for pair_shape in multipartitions_of(n, 2):
+            for rho, pi, prime in ((lusztig_rho1, pi_c, pi_c_prime), (lusztig_rho2, pi_b, pi_b_prime)):
+                for t in enumerate_sdt(rho(pair_shape)):
+                    image, bijected = pi(t), prime(t)
+                    for k in range(t.n):
+                        a, b = t.dominoes[k]
+                        turned = DominoTableau(t.shape, t.dominoes[:k] + ((b, a),) + t.dominoes[k + 1:])
+                        assert (pi(turned), prime(turned)) == (image, bijected)
 
 
 def test_insertion_memo_is_order_independent_and_immutable():
@@ -139,8 +179,7 @@ def test_insertion_memo_is_order_independent_and_immutable():
                 for t in enumerate_sdt(rho(ps)):
                     pos = label_positions(pi(t))
                     for k in range(1, t.n + 1):
-                        (r1, _), (r2, _) = t.cells_of(k)
-                        entry = step(inverse, offset, truncate(t, k).shape, r1, r2)
+                        entry = step(inverse, offset, truncate(t, k).shape, t.cells_of(k))
                         assert isinstance(entry, tuple)
                         smaller, (f, r, c, key) = entry
                         assert smaller == truncate(t, k - 1).shape

@@ -92,6 +92,25 @@ def test_memo_is_order_independent_and_immutable():
         assert gf == QPolynomial.from_exponents(maj_domino(t) for t in enumerate_sdt(shape)), shape
 
 
+def test_memo_entries_are_running_sums():
+    """The memo has one entry per border domino, in `domino_removals`
+    order, and entry k sums q^maj over the enumerated tableaux whose
+    largest label lies in domino k or an earlier one, for every shape of
+    size <= 13."""
+    for size in range(0, 14):
+        for shape in partitions_of(size):
+            entries = _by_last_domino(shape)
+            if size < 2:
+                assert entries == ((None, (1,)),), shape
+                continue
+            removals = [cells for _, cells in domino_removals(shape)]
+            assert [cells for cells, _ in entries] == removals, shape
+            placed = [(removals.index(t.dominoes[-1]), maj_domino(t)) for t in enumerate_sdt(shape)]
+            for k, (_, coeffs) in enumerate(entries):
+                below = QPolynomial.from_exponents(m for j, m in placed if j <= k)
+                assert QPolynomial(coeffs) == below, (shape, k)
+
+
 def reference_sdt_dominoes(shape, n):
     """The earlier enumerator, kept as the reference for its order: each
     border domino of the shape in `domino_removals` order holds the

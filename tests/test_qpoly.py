@@ -8,6 +8,7 @@ from fakedegrees.qpoly import (
     InexactDivisionError,
     QPolynomial,
     _binomial_product,
+    add_raised,
     hook_syt_gf,
     q_factorial,
     q_int,
@@ -69,6 +70,15 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
+
+
+@given(polys, polys, polys, st.integers(0, 6))
+def test_add_raised_is_the_raised_sum(acc, total, below, s):
+    """The in-place step of the running-sum memos: acc + total - below +
+    q^s below, whatever the lengths."""
+    out = list(acc.coeffs)
+    add_raised(out, total.coeffs, below.coeffs, s)
+    assert QPolynomial(out) == acc + total - below + below.shift(s)
 
 
 @given(polys, polys)

@@ -191,6 +191,26 @@ def test_memo_is_order_independent_and_immutable():
         assert total == QPolynomial.from_exponents(majs), mp
 
 
+def test_memo_entries_are_running_sums():
+    """The memo has one entry per corner, keyed in (component, row) order,
+    and entry k sums q^maj over the enumerated tableaux whose largest
+    label sits at key k or an earlier one, for every tuple shape with
+    d <= 3 and n <= 6."""
+    for d in (1, 2, 3):
+        assert _maj_gf_by_last_cell(((),) * d) == ((None, (1,)),)
+        for n in range(1, 7):
+            for mp in multipartitions_of(n, d):
+                placed = []
+                for t in enumerate_tuple_tableaux(mp):
+                    ci, r, _ = label_positions(t)[n]
+                    placed.append(((ci - 1, r - 1), maj_tuple(t)))
+                entries = _maj_gf_by_last_cell(mp)
+                assert [key for key, _ in entries] == sorted({key for key, _ in placed}), mp
+                for key, coeffs in entries:
+                    below = QPolynomial.from_exponents(m for k, m in placed if k <= key)
+                    assert QPolynomial(coeffs) == below, (mp, key)
+
+
 def reference_tuple_tableaux(mp):
     """The earlier enumerator, kept as the reference for its order: the
     largest label at each corner in turn (components, then rows), each
