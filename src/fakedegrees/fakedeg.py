@@ -15,7 +15,7 @@ from operator import add
 
 from .bijections import map_shape
 from .dominoes import sdt_maj_gf
-from .qpoly import ONE, QPolynomial, hook_syt_gf, q_int, q_multinomial
+from .qpoly import QPolynomial, hook_syt_gf, product, q_int, q_multinomial
 from .shapes import (
     Multipartition,
     b_multi,
@@ -52,6 +52,8 @@ class Representation:
             raise ValueError(f"unknown group {self.group!r}")
         for comp in self.label:
             check_partition(comp)
+        if self.group == "wreath" and self.d < 1:
+            raise ValueError(f"wreath products G(d,1,n) need d >= 1, got d = {self.d}")
         if self.group == "wreath" and len(self.label) != self.d:
             raise ValueError(f"label {self.label} does not have {self.d} components")
         if self.group != "wreath" and (self.d != 2 or len(self.label) != 2):
@@ -128,9 +130,8 @@ def _scaled_sum(terms, d: int = 2) -> QPolynomial:
 def _formula(rep: Representation) -> QPolynomial:
     """The q-multinomial of the component sizes times the hook-length form
     of each component's SYT generating function."""
-    inner = q_multinomial(rep.n, [sum(c) for c in rep.label])
-    for comp in rep.label:
-        inner = inner * hook_syt_gf(comp)
+    sizes = [sum(c) for c in rep.label]
+    inner = product([q_multinomial(rep.n, sizes), *map(hook_syt_gf, rep.label)])
     return _scaled(inner, rep.label, rep.d)
 
 
@@ -253,10 +254,7 @@ def poincare_wreath(d: int, n: int) -> QPolynomial:
     """Hilbert series of the coinvariant algebra: prod over i of [d*i]_q."""
     if d < 1 or n < 0:
         raise ValueError("poincare_wreath needs d >= 1, n >= 0")
-    out = ONE
-    for i in range(1, n + 1):
-        out = out * q_int(d * i)
-    return out
+    return product(q_int(d * i) for i in range(1, n + 1))
 
 
 def poincare_bc(n: int) -> QPolynomial:
@@ -267,10 +265,7 @@ def poincare_d(n: int) -> QPolynomial:
     """[n]_q times prod over i < n of [2i]_q (degrees 2, 4, ..., 2n-2, n)."""
     if n < 2:
         raise ValueError("type D needs n >= 2")
-    out = q_int(n)
-    for i in range(1, n):
-        out = out * q_int(2 * i)
-    return out
+    return product([q_int(n), *(q_int(2 * i) for i in range(1, n))])
 
 
 def poincare(group: str, n: int, d: int = 2) -> QPolynomial:

@@ -99,15 +99,7 @@ class QPolynomial:
         return QPolynomial(out)
 
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return QPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPolynomial(out)
+        return product((self, other))
 
     def exact_div(self, other: "QPolynomial") -> "QPolynomial":
         """Long division, raising if the quotient is not exact.
@@ -240,6 +232,44 @@ def add_raised(acc: list[int], total: Sequence[int], below: Sequence[int], s: in
 ONE = QPolynomial([1])
 
 
+def product(polys: Iterable[QPolynomial]) -> QPolynomial:
+    """Product of the polynomials by Kronecker substitution: each factor is
+    read at q = 2^(8w) by Horner, the values are multiplied as integers,
+    and the product's coefficients are read back as w-byte digits.
+
+    Every coefficient of the product lies within +-bound, bound being the
+    product of the factors' absolute coefficient sums, and w is the least
+    byte count with bound < 2^(8w - 1) = half.  Adding half to every digit
+    (half times the repunit (2^(8w len) - 1) / (2^(8w) - 1)) leaves each
+    one in [0, 2^(8w)), so no digit borrows from the next and the result
+    is exact with no check afterwards.  Factors equal to 1 are dropped, a
+    zero factor gives zero, and a single factor is returned as it is.
+    """
+    factors = [p for p in polys if p.coeffs != (1,)]
+    if len(factors) < 2:
+        return factors[0] if factors else ONE
+    if not all(p.coeffs for p in factors):
+        return QPolynomial()
+    bound = 1
+    for p in factors:
+        bound *= sum(map(abs, p.coeffs))
+    w = bound.bit_length() // 8 + 1
+    bits = 8 * w
+    value = 1
+    for p in factors:
+        x = 0
+        for c in reversed(p.coeffs):
+            x = (x << bits) + c
+        value *= x
+    length = sum(len(p.coeffs) for p in factors) - len(factors) + 1
+    half = 1 << (bits - 1)
+    value += half * (((1 << (bits * length)) - 1) // ((1 << bits) - 1))
+    digits = value.to_bytes(w * length, "little")
+    return QPolynomial(
+        [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * length, w)]
+    )
+
+
 def q_int(n: int) -> QPolynomial:
     """The q-analogue 1 + q + ... + q^(n-1); by convention [0]_q = 1."""
     if n < 0:
@@ -254,10 +284,7 @@ def q_factorial(n: int) -> QPolynomial:
     """Product [n]_q [n-1]_q ... [1]_q, with the empty product equal to 1."""
     if n < 0:
         raise ValueError("q_factorial requires n >= 0")
-    out = ONE
-    for k in range(2, n + 1):
-        out = out * q_int(k)
-    return out
+    return product(map(q_int, range(1, n + 1)))
 
 
 def q_multinomial(n: int, parts: Sequence[int]) -> QPolynomial:

@@ -1,13 +1,14 @@
-"""Ground-truth checks that only the tests use: a search for domino
-support, a cell-by-cell standardness check, prefixes of a domino tableau,
-the shapes of tableaux and the hook formula by long division."""
+"""Ground-truth checks that only the tests use: schoolbook polynomial
+multiplication, a search for domino support, a cell-by-cell standardness
+check, prefixes of a domino tableau, the shapes of tableaux and the hook
+formula by long division."""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from fakedegrees.dominoes import DominoTableau
-from fakedegrees.qpoly import QPolynomial, q_factorial, q_int
+from fakedegrees.qpoly import ONE, QPolynomial, q_int
 from fakedegrees.shapes import (
     Cell,
     Partition,
@@ -17,6 +18,29 @@ from fakedegrees.shapes import (
     hooks,
     two_core,
 )
+
+
+def mul_by_convolution(a: QPolynomial, b: QPolynomial) -> QPolynomial:
+    """The schoolbook product: every pair of coefficients, one at a time."""
+    if not a.coeffs or not b.coeffs:
+        return QPolynomial()
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return QPolynomial(out)
+
+
+def product_by_convolution(polys) -> QPolynomial:
+    """The product of the polynomials, folded pairwise by
+    mul_by_convolution; the empty product is 1."""
+    return reduce(mul_by_convolution, polys, ONE)
+
+
+@lru_cache(maxsize=None)
+def q_factorial_by_convolution(r: int) -> QPolynomial:
+    """[r]_q! = [1]_q [2]_q ... [r]_q by schoolbook products."""
+    return product_by_convolution(map(q_int, range(1, r + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -100,10 +124,10 @@ def pair_shapes(pair) -> tuple[Partition, Partition]:
 
 def hook_syt_gf_by_long_division(shape: Partition) -> QPolynomial:
     """The hook form q^b(shape) [r]_q! / prod over cells [hook]_q, computed
-    as [r]_q! by repeated products, then one exact long division by [h]_q
-    per cell."""
+    as [r]_q! by schoolbook products, then one exact long division by
+    [h]_q per cell."""
     r = sum(shape)
-    num = q_factorial(r).shift(b_statistic(shape))
+    num = q_factorial_by_convolution(r).shift(b_statistic(shape))
     for h in hooks(shape):
         num = num.exact_div(q_int(h))
     return num

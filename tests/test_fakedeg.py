@@ -29,9 +29,11 @@ from fakedegrees.fakedeg import (
 from fakedegrees.bijections import pi_c_prime
 from fakedegrees.dominoes import enumerate_sdt, maj_domino
 from fakedegrees.fakedeg import _restricted_sdt_gf
-from fakedegrees.qpoly import QPolynomial
-from fakedegrees.shapes import lusztig_rho1, multipartitions_of
+from fakedegrees.qpoly import QPolynomial, hook_syt_gf, q_int, q_multinomial
+from fakedegrees.shapes import b_multi, lusztig_rho1, multipartitions_of
 from fakedegrees.tableaux import enumerate_tuple_tableaux, largest_label_component
+
+from oracles import product_by_convolution
 
 
 def test_representation_validation():
@@ -46,6 +48,23 @@ def test_representation_validation():
     r = d_rep(((1,), (2,)), marker=2)
     assert r.label == ((2,), (1,)) and r.marker == 1
     assert d_rep(((1,), (1,)), marker=2).marker == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Representation(group="wreath", d=0, label=()),
+        lambda: Representation(group="wreath", d=-1, label=()),
+        lambda: fake_degree_wreath((), 0, "formula"),
+        lambda: fake_degree_wreath((), 0, "enumeration"),
+        lambda: dimension(wreath_rep((), 0)),
+    ],
+)
+def test_wreath_needs_a_positive_cyclic_order(call):
+    """G(0,1,n) is no group: the empty label of d = 0 is refused when the
+    representation is built, not by a slice with step 0 in a route."""
+    with pytest.raises(ValueError, match="need d >= 1"):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -174,6 +193,32 @@ def test_poincare_examples():
     assert poincare_wreath(3, 1) == QPolynomial([1, 1, 1])
     with pytest.raises(ValueError):
         poincare_d(1)
+
+
+def test_poincare_products_are_the_schoolbook_products():
+    for d in range(1, 5):
+        for n in range(9):
+            expected = product_by_convolution(q_int(d * i) for i in range(1, n + 1))
+            assert poincare_wreath(d, n) == expected, (d, n)
+    for n in range(2, 11):
+        expected = product_by_convolution([q_int(n), *(q_int(2 * i) for i in range(1, n))])
+        assert poincare_d(n) == expected, n
+
+
+def test_formula_product_is_the_schoolbook_product():
+    """Every label with d <= 4 and n <= 6 (1,574 labels): the formula
+    route's one kernel call against the folded factors."""
+    count = 0
+    for d in range(1, 5):
+        for n in range(7):
+            for mp in multipartitions_of(n, d):
+                factors = [q_multinomial(n, [sum(c) for c in mp]), *map(hook_syt_gf, mp)]
+                inner = product_by_convolution(factors).coeffs
+                expected = [0] * (b_multi(mp) + d * len(inner))
+                expected[b_multi(mp) :: d] = inner
+                assert fake_degree_wreath(mp, d, "formula") == QPolynomial(expected), mp
+                count += 1
+    assert count == 1574
 
 
 def test_fake_degree_reads_the_route_table():

@@ -10,13 +10,19 @@ from fakedegrees.qpoly import (
     _binomial_product,
     add_raised,
     hook_syt_gf,
+    product,
     q_factorial,
     q_int,
     q_multinomial,
 )
 from fakedegrees.shapes import partitions_of
 
-from oracles import hook_syt_gf_by_long_division
+from oracles import (
+    hook_syt_gf_by_long_division,
+    mul_by_convolution,
+    product_by_convolution,
+    q_factorial_by_convolution,
+)
 
 polys = st.builds(QPolynomial, st.lists(st.integers(-9, 9), max_size=8))
 
@@ -66,10 +72,53 @@ def test_arithmetic_basics():
 
 @given(polys, polys, polys)
 def test_ring_axioms(a, b, c):
+    assert a * b == mul_by_convolution(a, b)
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
+
+
+# Signed factors of length 0-30 and coefficients up to 2^70 in size, with
+# the zero polynomial and 1 drawn often.
+kernel_factors = st.one_of(
+    st.just(QPolynomial()),
+    st.just(ONE),
+    st.builds(QPolynomial, st.lists(st.integers(-(2**70), 2**70), max_size=30)),
+)
+
+
+@given(st.lists(kernel_factors, max_size=5))
+def test_product_is_the_folded_schoolbook_product(factors):
+    assert product(factors) == product_by_convolution(factors)
+    assert product(iter(factors)) == product(factors)
+
+
+def test_product_of_no_factor_one_factor_and_a_zero_factor():
+    p = QPolynomial([3, 0, -2])
+    assert product([]) == ONE
+    assert product([p]) is p
+    assert product([ONE, p, ONE]) is p
+    assert product([ONE, ONE]) == ONE
+    assert product([p, QPolynomial(), p]) == QPolynomial()
+    assert product([QPolynomial()]) == QPolynomial()
+
+
+@pytest.mark.parametrize("bound", [127, 128, 255, 256, 2**63 - 1, 2**63, 2**63 + 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_product_is_exact_at_a_byte_edge(bound, sign):
+    """The product of the absolute coefficient sums is the bound; here some
+    coefficient reaches it, or two neighbours of opposite sign share it, on
+    either side of a byte edge of the width."""
+    a = bound // 2
+    cases = [
+        [QPolynomial([0, sign * bound]), QPolynomial([0, 0, -1])],
+        [QPolynomial([sign * bound]), QPolynomial([0, 1]), QPolynomial([0, -1])],
+        [QPolynomial([0, sign * a, -sign * (bound - a)]), QPolynomial([0, 1])],
+    ]
+    for factors in cases:
+        assert product(factors) == product_by_convolution(factors), factors
+    assert max(map(abs, product(cases[0]).coeffs)) == bound
 
 
 @given(polys, polys, polys, st.integers(0, 6))
@@ -136,7 +185,8 @@ def test_pretty():
 def test_q_analogues():
     assert q_int(0) == ONE
     assert q_int(3) == QPolynomial([1, 1, 1])
-    assert q_factorial(3) == q_int(2) * q_int(3)
+    for n in range(13):
+        assert q_factorial(n) == q_factorial_by_convolution(n)
     assert q_multinomial(4, (2, 2)) == QPolynomial([1, 1, 2, 1, 1])
     assert q_multinomial(3, (1, 1, 1)).evaluate_at_one() == 6
     with pytest.raises(ValueError):
