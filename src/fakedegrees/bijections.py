@@ -265,24 +265,24 @@ def flip_b(pair: TableauPair, trace: Trace | None = None) -> TableauPair:
     return _flip_pair(pair, 1, trace)
 
 
-def _prime(t: DominoTableau, odd: int, trace: Trace | None) -> TableauPair:
+def _prime(t: DominoTableau, odd: int) -> TableauPair:
     try:
-        return pair_of(_flip(_insert(t, odd), trace))
+        return pair_of(_flip(_insert(t, odd), None))
     except RuleError as exc:
         exc.tableau = t
         raise
 
 
-def pi_c_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
+def pi_c_prime(t: DominoTableau) -> TableauPair:
     """Major-index-preserving bijection for even-size shapes: `flip_c`
     after `pi_c`, with the pair built once."""
-    return _prime(t, 0, trace)
+    return _prime(t, 0)
 
 
-def pi_b_prime(t: DominoTableau, trace: Trace | None = None) -> TableauPair:
+def pi_b_prime(t: DominoTableau) -> TableauPair:
     """Major-index-preserving bijection for odd-size shapes: `flip_b`
     after `pi_b`, with the pair built once."""
-    return _prime(t, 1, trace)
+    return _prime(t, 1)
 
 
 def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -> None:

@@ -47,10 +47,7 @@ def _poly_json(p: QPolynomial) -> dict:
 
 
 def _cmd_compute(args) -> int:
-    text = args.multi if args.multi is not None else args.pair
-    if text is None:
-        raise UsageError("--pair or --multi is required")
-    rep = representation(args.group, parse_multipartition(text), args.d, args.marker)
+    rep = representation(args.group, parse_multipartition(args.label), args.d, args.marker)
     route = args.route or DEFAULT_ROUTE[args.group]
     names = ROUTES[args.group] if route == "all" else (route,)
     results = {name: fake_degree(rep, name) for name in names}
@@ -202,8 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="compute a fake degree polynomial")
     p.add_argument("--group", choices=tuple(ROUTES), required=True)
     p.add_argument("--d", type=int, default=2, help="cyclic order for wreath")
-    p.add_argument("--pair", help='ordered pair "p1|p2", e.g. "1,1|1"')
-    p.add_argument("--multi", help='d-multipartition "p1|...|pd"')
+    label = p.add_mutually_exclusive_group(required=True)
+    label.add_argument(
+        "--pair", dest="label", metavar="PAIR", help='ordered pair "p1|p2", e.g. "1,1|1"'
+    )
+    label.add_argument(
+        "--multi", dest="label", metavar="MULTI", help='d-multipartition "p1|...|pd"'
+    )
     p.add_argument("--marker", type=int, default=1, choices=(1, 2))
     p.add_argument("--route", default=None, help="route name or 'all' (default: one canonical route)")
     p.add_argument("--format", choices=("text", "json"), default="text")

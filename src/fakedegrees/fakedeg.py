@@ -116,14 +116,14 @@ def _scaled(inner: QPolynomial, mp: Multipartition, d: int = 2) -> QPolynomial:
     return QPolynomial(out)
 
 
-def _scaled_sum(terms, d: int = 2) -> QPolynomial:
-    """Sum of q^b p(q^d) over the (coefficients of p, b) terms, in one
+def _scaled_sum(terms) -> QPolynomial:
+    """Sum of q^b p(q^2) over the (coefficients of p, b) terms, in one
     coefficient list: the first term is written into zeros, each later one
     added, one slice assignment each."""
-    out = [0] * max(b + d * len(cs) for cs, b in terms)
+    out = [0] * max(b + 2 * len(cs) for cs, b in terms)
     for i, (cs, b) in enumerate(terms):
-        stop = b + d * len(cs)
-        out[b:stop:d] = map(add, out[b:stop:d], cs) if i else cs
+        stop = b + 2 * len(cs)
+        out[b:stop:2] = map(add, out[b:stop:2], cs) if i else cs
     return QPolynomial(out)
 
 
@@ -276,11 +276,6 @@ def poincare(group: str, n: int, d: int = 2) -> QPolynomial:
     if group == "d":
         return poincare_d(n)
     return poincare_wreath(d if group == "wreath" else 2, n)
-
-
-def dimension(rep: Representation) -> int:
-    """Dimension of the irreducible: the fake degree evaluated at 1."""
-    return fake_degree(rep).evaluate_at_one()
 
 
 def all_representations(group: str, n: int, d: int = 2) -> list[Representation]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import add, sub
 
 from .shapes import b_statistic, check_partition, hooks
@@ -36,8 +36,8 @@ class QPolynomial:
         raise AttributeError("QPolynomial is immutable")
 
     @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "QPolynomial":
-        return cls([0] * k + [c])
+    def monomial(cls, k: int) -> "QPolynomial":
+        return cls([0] * k + [1])
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "QPolynomial":
@@ -78,27 +78,24 @@ class QPolynomial:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __getitem__(self, k: int) -> int:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
+    def _coefficientwise(self, other, op) -> "QPolynomial":
+        """op of each pair of coefficients, the shorter list padded with
+        zeros; NotImplemented for a non-polynomial, so Python raises
+        TypeError."""
+        if not isinstance(other, QPolynomial):
+            return NotImplemented
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return QPolynomial(op(a, b) for a, b in pairs)
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return QPolynomial(out)
+        return self._coefficientwise(other, add)
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            out[k] -= c
-        return QPolynomial(out)
+        return self._coefficientwise(other, sub)
 
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
+        if not isinstance(other, QPolynomial):
+            return NotImplemented
         return product((self, other))
 
     def exact_div(self, other: "QPolynomial") -> "QPolynomial":
@@ -132,17 +129,6 @@ class QPolynomial:
             raise InexactDivisionError(self, other)
         return QPolynomial(quot)
 
-    def substitute_power(self, d: int) -> "QPolynomial":
-        """Return p(q^d): the coefficient of q^k moves to q^(d*k)."""
-        if d < 1:
-            raise ValueError("power substitution requires d >= 1")
-        if d == 1 or self.is_zero():
-            return self
-        out = [0] * ((len(self.coeffs) - 1) * d + 1)
-        for k, c in enumerate(self.coeffs):
-            out[d * k] = c
-        return QPolynomial(out)
-
     def shift(self, s: int) -> "QPolynomial":
         """Multiply by q^s; s may be negative down to the lowest degree."""
         if self.is_zero():
@@ -155,12 +141,6 @@ class QPolynomial:
 
     def evaluate_at_one(self) -> int:
         return sum(self.coeffs)
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def is_palindromic(self) -> bool:
         """Whether the nonzero coefficient block reads the same reversed."""
@@ -177,13 +157,6 @@ class QPolynomial:
                 raise ValueError("exponent multiset needs nonnegative coefficients")
             out.extend([k] * c)
         return out
-
-    def to_json(self) -> dict:
-        return {"coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QPolynomial":
-        return cls(data["coeffs"])
 
     def pretty(self) -> str:
         """Render like ``q^3 + q^5 + q^7`` with ascending exponents."""

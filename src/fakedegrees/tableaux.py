@@ -162,20 +162,6 @@ def _maj_gf_by_last_cell(shape: Multipartition) -> tuple:
     return tuple(out)
 
 
-def tuple_maj_gf_by_component(mp: Multipartition) -> tuple[QPolynomial, ...]:
-    """Sum of q^maj over all standard tuple tableaux of the shape, split by
-    the component holding the largest label (all zero for the empty
-    shape): differences of the running sums at the ends of the
-    components."""
-    last = {key[0]: coeffs for key, coeffs in _maj_gf_by_last_cell(mp) if key is not None}
-    parts, prev = [], QPolynomial()
-    for ci in range(len(mp)):
-        end = QPolynomial(last[ci]) if ci in last else prev
-        parts.append(end - prev)
-        prev = end
-    return tuple(parts)
-
-
 def tuple_maj_gf(mp: Multipartition) -> QPolynomial:
     """Sum of q^maj over all standard tuple tableaux of the shape."""
     return QPolynomial(_maj_gf_by_last_cell(mp)[-1][1])

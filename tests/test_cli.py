@@ -111,6 +111,21 @@ def test_verify_rule_error_exits_3(capsys, monkeypatch):
     assert "internal rule errors" in err
 
 
+@pytest.mark.parametrize(
+    "label",
+    [(), ("--pair", "1|1", "--multi", "2|"), ("--multi", "2|", "--pair", "1|1")],
+    ids=["neither", "pair-and-multi", "multi-and-pair"],
+)
+def test_compute_takes_exactly_one_label(capsys, label):
+    """Neither --pair nor --multi, or both, is a usage error: the label is
+    never silently taken from one of the two."""
+    with pytest.raises(SystemExit) as exited:
+        main(["compute", "--group", "bc", *label])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "--pair" in err and "--multi" in err
+
+
 def test_compute_malformed_pair(capsys):
     code, _, err = run(capsys, "compute", "--group", "bc", "--pair", "2,3")
     assert code == 2

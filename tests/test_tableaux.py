@@ -17,7 +17,6 @@ from fakedegrees.tableaux import (
     maj_tuple,
     syt_maj_gf,
     tuple_maj_gf,
-    tuple_maj_gf_by_component,
     tuple_maj_gf_restricted,
 )
 from oracles import shape_of
@@ -156,20 +155,19 @@ def test_restricted_complement_identity():
 
 def test_recursion_matches_enumeration():
     """The recursion on the largest label gives the same sums as listing
-    every tuple tableau, in total and split by the component holding the
-    largest label."""
+    every tuple tableau, in total and, for pairs, restricted to the
+    tableaux whose largest label is in the first filling."""
     for d in (1, 2, 3):
         for n in range(0, 7):
             for mp in multipartitions_of(n, d):
-                majs, by_component = [], [[] for _ in mp]
+                majs, first = [], []
                 for t in enumerate_tuple_tableaux(mp):
                     majs.append(maj_tuple(t))
-                    if n:
-                        by_component[largest_label_component(t) - 1].append(majs[-1])
+                    if n and largest_label_component(t) == 1:
+                        first.append(majs[-1])
                 assert tuple_maj_gf(mp) == QPolynomial.from_exponents(majs), mp
-                assert tuple_maj_gf_by_component(mp) == tuple(
-                    QPolynomial.from_exponents(m) for m in by_component
-                ), mp
+                if d == 2 and n:
+                    assert tuple_maj_gf_restricted(mp) == QPolynomial.from_exponents(first), mp
 
 
 def test_memo_is_order_independent_and_immutable():
@@ -180,13 +178,13 @@ def test_memo_is_order_independent_and_immutable():
     runs = []
     for order in (shapes, shapes[::-1]):
         _maj_gf_by_last_cell.cache_clear()
-        runs.append({mp: (tuple_maj_gf(mp), tuple_maj_gf_by_component(mp)) for mp in order})
+        runs.append({mp: (tuple_maj_gf(mp), _maj_gf_by_last_cell(mp)) for mp in order})
         for mp in order:
             entries = _maj_gf_by_last_cell(mp)
             assert isinstance(entries, tuple)
             assert all(isinstance(e, tuple) and isinstance(e[1], tuple) for e in entries)
     assert runs[0] == runs[1]
-    for mp, (total, _parts) in runs[0].items():
+    for mp, (total, _entries) in runs[0].items():
         majs = [maj_tuple(t) for t in enumerate_tuple_tableaux(mp)]
         assert total == QPolynomial.from_exponents(majs), mp
 
