@@ -13,9 +13,10 @@ the label-ordered list of keyed cells (filling, row, col, key).  The
 insertion produces it, the flip swaps its entries, and `pair_of` builds
 the tableau pair once, at the end.  `map_shape` maps every tableau of a
 shape in one walk, sharing each insertion step among the tableaux that
-share the dominoes of the larger labels.  The walk and the insertion read
-the same memoised steps (`_insertion_step`) in the same order, so the
-walk's first RuleError is the first one the maps would raise.
+share the dominoes of the larger labels.  The walk and the insertion
+follow the same step graph (`_step_graph`), one node per covered region
+and one dict lookup per label, in the same order, so the walk's first
+RuleError is the first one the maps would raise.
 """
 
 from __future__ import annotations
@@ -70,42 +71,83 @@ def _map_of(odd: int) -> tuple[Callable, int, str]:
     return lusztig_rho1_inverse, 1, "pi_c"
 
 
-@lru_cache(maxsize=None)
-def _insertion_step(inverse, offset: int, region: Partition, domino: tuple[Cell, Cell]):
-    """(smaller, cell): the covered region left when the domino, its two
-    cells in either order, is lifted off region, and the keyed cell
-    (filling, row, col, key) of the domino's label, the cell the pair
-    loses between the two, keyed as in `_keyed_cells` at the offset.
+class _StepGraph(dict):
+    """The insertion steps of one (Lusztig inverse, key offset): a dict
+    from a covered region to its node (`_RegionNode`), each node made
+    once, on its first lookup, for a region that is a partition
+    (ValueError otherwise)."""
 
-    Validates, once per distinct (inverse, offset, region, domino): region
-    is a partition and the domino is one of its border dominoes
-    (`domino_removals`), so a tableau that is not standard is refused
-    (ValueError otherwise); and the preimage of region under the Lusztig
-    inverse exceeds that of smaller by exactly one cell, at the end of one
-    row of exactly one component, so the grown component is its old shape
-    plus one addable cell (RuleError otherwise).  The memo is process-wide
-    and keyed on the inverse itself, so a replaced inverse is validated
-    afresh.
+    __slots__ = ("inverse", "offset")
+
+    def __init__(self, inverse, offset: int):
+        super().__init__()
+        self.inverse, self.offset = inverse, offset
+
+    def __missing__(self, region: Partition) -> _RegionNode:
+        node = self[region] = _RegionNode(self, check_partition(region))
+        return node
+
+
+@lru_cache(maxsize=None)
+def _step_graph(inverse, offset: int) -> _StepGraph:
+    """The process-wide step graph of (inverse, offset).  The memo is keyed
+    on the inverse itself, so a replaced inverse starts a graph of its
+    own, validated afresh."""
+    return _StepGraph(inverse, offset)
+
+
+class _RegionNode(dict):
+    """The insertion steps out of one covered region: a dict from a
+    domino, its two cells in the order asked for, to (node, cell), the
+    node of the region left when the domino is lifted off and the keyed
+    cell (filling, row, col, key) of the domino's label, the cell the pair
+    loses between the two regions, keyed as in `_keyed_cells` at the
+    graph's offset.  A map follows one dict lookup per label.
+
+    A missing domino is validated, once per domino: it is one of the
+    region's border dominoes (`domino_removals`), so a tableau that is not
+    standard is refused (ValueError otherwise); and
+    the preimage of region under the Lusztig inverse exceeds that of the
+    smaller region by exactly one cell, at the end of one row of exactly
+    one component, so the grown component is its old shape plus one
+    addable cell (RuleError otherwise).  The domino's cells in the other
+    order reuse the entry.  Entries are tuples, so no caller can change
+    them.
     """
-    for smaller, cells in domino_removals(check_partition(region)):
-        if cells == domino or cells == domino[::-1]:
-            break
-    else:
-        raise ValueError(f"cells {domino} are not a border domino of {region}")
-    before = inverse(smaller)
-    after = inverse(region)
-    grown = [k for k in (0, 1) if before[k] != after[k]]
-    if len(grown) == 1:
-        old, new = before[grown[0]], after[grown[0]]
-        # the first row where they differ must gain one addable cell
-        row = next((i for i, x in enumerate(old) if i >= len(new) or new[i] != x), len(old))
-        col = (old[row] if row < len(old) else 0) + 1
-        if (row == 0 or old[row - 1] >= col) and new == old[:row] + (col,) + old[row + 1:]:
-            return smaller, (grown[0] + 1, row + 1, col, 2 * (row + 1 - col) + offset * grown[0])
-    raise RuleError(
-        f"covered regions {smaller} -> {region}: pairs {before} -> {after} "
-        "do not differ by one addable cell in one component"
-    )
+
+    __slots__ = ("graph", "region")
+
+    def __init__(self, graph: _StepGraph, region: Partition):
+        super().__init__()
+        self.graph, self.region = graph, region
+
+    def __missing__(self, domino: tuple[Cell, Cell]):
+        entry = self.get(domino[::-1]) or self._step(domino)
+        self[domino] = entry
+        return entry
+
+    def _step(self, domino: tuple[Cell, Cell]):
+        graph, region = self.graph, self.region
+        for smaller, cells in domino_removals(region):
+            if cells == domino or cells == domino[::-1]:
+                break
+        else:
+            raise ValueError(f"cells {domino} are not a border domino of {region}")
+        before = graph.inverse(smaller)
+        after = graph.inverse(region)
+        grown = [k for k in (0, 1) if before[k] != after[k]]
+        if len(grown) == 1:
+            old, new = before[grown[0]], after[grown[0]]
+            # the first row where they differ must gain one addable cell
+            row = next((i for i, x in enumerate(old) if i >= len(new) or new[i] != x), len(old))
+            col = (old[row] if row < len(old) else 0) + 1
+            if (row == 0 or old[row - 1] >= col) and new == old[:row] + (col,) + old[row + 1:]:
+                key = 2 * (row + 1 - col) + graph.offset * grown[0]
+                return graph[smaller], (grown[0] + 1, row + 1, col, key)
+        raise RuleError(
+            f"covered regions {smaller} -> {region}: pairs {before} -> {after} "
+            "do not differ by one addable cell in one component"
+        )
 
 
 def _insert(t: DominoTableau, odd: int) -> list[KeyedCell]:
@@ -115,17 +157,18 @@ def _insert(t: DominoTableau, odd: int) -> list[KeyedCell]:
     2-core (`()` or `(1,)`).  The shapes of the pair are forced at every
     stage: they are the preimage of the covered region under the Lusztig
     map, so the cell each lift takes from the pair holds the domino's
-    label; `_insertion_step` lifts the domino and keys the cell.
+    label; the step graph (`_StepGraph`) lifts the domino and keys the
+    cell, one lookup per label.
     """
     inverse, offset, name = _map_of(odd)
     if t.size % 2 != odd:
         raise ValueError(f"{name} needs an {('even', 'odd')[odd]}-size shape")
-    region, cells = t.shape, []
+    node, cells = _step_graph(inverse, offset)[t.shape], []
     for domino in reversed(t.dominoes):
-        region, cell = _insertion_step(inverse, offset, region, domino)
+        node, cell = node[domino]
         cells.append(cell)
     cells.reverse()
-    if region != (1,) * odd:
+    if node.region != (1,) * odd:
         raise ValueError(f"the dominoes do not tile shape {t.shape}")
     return cells
 
@@ -140,12 +183,13 @@ def pair_of(cells: list[KeyedCell]) -> TableauPair:
     first: list[list[int]] = []
     second: list[list[int]] = []
     fillings = (None, first, second)
-    for label, (f, r, c, _) in enumerate(cells, start=1):
-        rows = fillings[f]
+    label = 0
+    for f, r, c, _ in cells:
+        label += 1
         if c == 1:
-            rows.append([label])
+            fillings[f].append([label])
         else:
-            rows[r - 1].append(label)
+            fillings[f][r - 1].append(label)
     return tuple(map(tuple, first)), tuple(map(tuple, second))
 
 
@@ -307,7 +351,7 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
     cells: list = [None] * n
     stack: list = [None] * n  # stack[k-1] is the domino of label k
 
-    def walk(p: Partition, k: int, maj: int, below: int) -> None:
+    def walk(node: _RegionNode, k: int, maj: int, below: int) -> None:
         if k == 0:
             try:
                 image = _flip(cells, None)
@@ -316,14 +360,14 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
                 raise
             visit(maj, image)
             return
-        for smaller, domino in domino_removals(p):
+        for smaller, domino in domino_removals(node.region):
             (top, _), (bottom, _) = stack[k - 1] = domino
             try:
-                _, cells[k - 1] = _insertion_step(inverse, offset, p, domino)
+                child, cells[k - 1] = node[domino]
             except RuleError as exc:
                 first = sdt_at(smaller, 0).dominoes  # labels 1..k-1 of the first tableau below
                 exc.tableau = DominoTableau(shape=shape, dominoes=first + tuple(stack[k - 1:]))
                 raise
-            walk(smaller, k - 1, maj + k if bottom < below else maj, top)
+            walk(child, k - 1, maj + k if bottom < below else maj, top)
 
-    walk(shape, n, 0, 0)
+    walk(_step_graph(inverse, offset)[shape], n, 0, 0)

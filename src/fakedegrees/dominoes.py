@@ -14,7 +14,7 @@ from .qpoly import QPolynomial, add_raised
 from .shapes import Cell, Partition, domino_removals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DominoTableau:
     shape: Partition
     # dominoes[i] is the cell pair of the domino labelled i+1
@@ -64,21 +64,30 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
     The order is that of the recursion which tries the border dominoes of
     each shape in `domino_removals` order, largest label outermost; the
     CLI numbers tableaux by it, and the tests pin it against a copy of
-    that recursion.  Each shape's removals are computed once per process
-    (`domino_removals` is memoised), and each tableau's domino tuple is
-    built once, at the leaf, from a stack filled in place.
+    that recursion.  One generator frame runs that recursion with an
+    explicit stack: levels[k] iterates the removals of the region under
+    label k+1, and stack[k] holds that label's domino.  Each shape's
+    removals are computed once per process (`domino_removals` is
+    memoised), and each tableau's domino tuple is built once, at the
+    leaf, from the stack filled in place.
     """
-    stack: list = [None] * (sum(shape) // 2)
-
-    def fill(p: Partition, k: int) -> Iterator[DominoTableau]:
-        if k == 0:
-            yield DominoTableau(shape=shape, dominoes=tuple(stack))
-            return
-        for smaller, cells in domino_removals(p):
-            stack[k - 1] = cells
-            yield from fill(smaller, k - 1)
-
-    yield from fill(shape, len(stack))
+    n = sum(shape) // 2
+    if n == 0:
+        yield DominoTableau(shape=shape, dominoes=())
+        return
+    stack: list = [None] * n
+    levels: list = [None] * n
+    levels[-1] = iter(domino_removals(shape))
+    k = n - 1
+    while k < n:
+        for smaller, stack[k] in levels[k]:
+            if k:
+                k -= 1
+                levels[k] = iter(domino_removals(smaller))
+                break
+            yield DominoTableau(shape, tuple(stack))
+        else:
+            k += 1
 
 
 def sdt_at(shape: Partition, index: int) -> DominoTableau:

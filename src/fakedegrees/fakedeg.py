@@ -86,8 +86,11 @@ def representation(
     group: str, label: Multipartition, d: int = 2, marker: int = 1
 ) -> Representation:
     """The representation of a label as given; a type-D pair is put in
-    canonical order first, and the marker is read for type D only."""
+    canonical order first, and the marker is read for type D only.  Types
+    B/C and D take d = 2 (ValueError otherwise)."""
     if group == "d":
+        if d != 2:
+            raise ValueError(f"types B/C/D take d = 2, got d = {d}")
         return d_rep(label, marker)
     return Representation(group=group, d=d, label=label)
 
@@ -269,10 +272,13 @@ def poincare_d(n: int) -> QPolynomial:
 
 
 def poincare(group: str, n: int, d: int = 2) -> QPolynomial:
-    """Poincaré polynomial of the named group of rank n; d is read for
-    wreath products only."""
+    """Poincaré polynomial of the named group of rank n; d is the cyclic
+    order of a wreath product, and must be 2 for types B/C and D
+    (ValueError otherwise)."""
     if group not in ROUTES:
         raise ValueError(f"unknown group {group!r}")
+    if group != "wreath" and d != 2:
+        raise ValueError(f"types B/C/D take d = 2, got d = {d}")
     if group == "d":
         return poincare_d(n)
     return poincare_wreath(d if group == "wreath" else 2, n)

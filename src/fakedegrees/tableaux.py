@@ -58,10 +58,12 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
     The order is that of the recursion which places the largest label at
     each corner in turn (components, then rows, in order), outermost; the
     CLI numbers tableaux by it, and the tests pin it against a copy of
-    that recursion.  One recursion over a mutable shape writes each label
-    into a preallocated grid at the cell it frees, reading the rows from
-    a list built once per call, and each tableau is built once, at the
-    leaf, from that grid.
+    that recursion.  One generator frame runs that recursion over a
+    mutable shape with an explicit stack: chosen[k] is the row whose
+    corner holds label k, and j the next row to try for the label being
+    placed.  Each label is written into a preallocated grid at the cell it
+    frees, reading the rows from a list built once per call, and each
+    tableau is built once, at the leaf, from that grid.
     """
     shape = [list(comp) for comp in mp]
     grid = [[[0] * length for length in comp] for comp in mp]
@@ -71,20 +73,37 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
         for ci, comp in enumerate(shape)
         for ri in range(len(comp))
     ]
-
-    def fill(k: int) -> Iterator[TupleTableau]:
-        if k == 0:
-            yield tuple([tuple(map(tuple, filling)) for filling in grid])
-            return
-        for comp, ri, cells, last in rows:
+    n, m = total_size(mp), len(rows)
+    if n == 0:
+        yield tuple([tuple(map(tuple, filling)) for filling in grid])
+        return
+    chosen = [0] * (n + 1)
+    k, j = n, 0
+    while True:
+        while j < m:
+            comp, ri, cells, last = rows[j]
             length = comp[ri]
             if length and (last or comp[ri + 1] < length):
-                comp[ri] = length - 1
-                cells[length - 1] = k
-                yield from fill(k - 1)
-                comp[ri] = length
-
-    yield from fill(total_size(mp))
+                break
+            j += 1
+        else:
+            # no corner left for label k: take label k+1 to its next corner
+            k += 1
+            if k > n:
+                return
+            j = chosen[k]
+            comp, ri, _, _ = rows[j]
+            comp[ri] += 1
+            j += 1
+            continue
+        cells[length - 1] = k
+        if k == 1:
+            yield tuple([tuple(map(tuple, filling)) for filling in grid])
+            j = m  # label 1's cell was the last one left
+            continue
+        comp[ri] = length - 1
+        chosen[k] = j
+        k, j = k - 1, 0
 
 
 def label_positions(t: TupleTableau) -> dict[int, tuple[int, int, int]]:
@@ -102,17 +121,24 @@ def maj_tuple(t: TupleTableau) -> int:
 
     Label i is a descent if i sits strictly above i+1 within the same
     filling, or if i lives in an earlier filling than i+1: the rank of
-    its (component, row), counted over all fillings, is smaller.
+    its (component, row), counted over all fillings, is smaller.  One pass
+    over the cells maps each label to that rank, one over the labels sums
+    the descents.
     """
-    rows = [row for filling in t for row in filling]
-    rank = [0] * (sum(map(len, rows)) + 1)
-    for r, row in enumerate(rows):
-        for x in row:
-            rank[x] = r
+    rank: dict[int, int] = {}
+    r = 0
+    for filling in t:
+        for row in filling:
+            for x in row:
+                rank[x] = r
+            r += 1
     total = 0
-    for i in range(1, len(rank) - 1):
-        if rank[i] < rank[i + 1]:
-            total += i
+    prev = rank.get(1)
+    for i in range(2, len(rank) + 1):
+        cur = rank[i]
+        if prev < cur:
+            total += i - 1
+        prev = cur
     return total
 
 

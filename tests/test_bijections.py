@@ -156,11 +156,12 @@ def test_insertion_reads_a_domino_in_either_order():
 
 
 def test_insertion_memo_is_order_independent_and_immutable():
-    """The process-wide step memo gives the same images whether the small
-    shapes are mapped first or the large ones, and every cached step is a
-    tuple naming the region left once the domino is lifted off and the
-    filling, cell and key of that label in the image."""
-    step = bijections._insertion_step
+    """The process-wide step graph gives the same images whether the small
+    shapes are mapped first or the large ones, and every entry of a
+    region's node is a tuple naming the node of the region left once the
+    domino is lifted off and the filling, cell and key of that label in
+    the image."""
+    graph_of = bijections._step_graph
     shapes = [ps for n in range(0, 6) for ps in multipartitions_of(n, 2)]
     maps = (
         (lusztig_rho1, lusztig_rho1_inverse, 1, pi_c),
@@ -168,7 +169,7 @@ def test_insertion_memo_is_order_independent_and_immutable():
     )
     runs = []
     for order in (shapes, shapes[::-1]):
-        step.cache_clear()
+        graph_of.cache_clear()
         runs.append({
             (ps, pi): [pi(t) for t in enumerate_sdt(rho(ps))]
             for ps in order
@@ -176,13 +177,15 @@ def test_insertion_memo_is_order_independent_and_immutable():
         })
         for ps in order:
             for rho, inverse, offset, pi in maps:
+                graph = graph_of(inverse, offset)
                 for t in enumerate_sdt(rho(ps)):
                     pos = label_positions(pi(t))
                     for k in range(1, t.n + 1):
-                        entry = step(inverse, offset, truncate(t, k).shape, t.cells_of(k))
+                        entry = graph[truncate(t, k).shape][t.cells_of(k)]
                         assert isinstance(entry, tuple)
-                        smaller, (f, r, c, key) = entry
-                        assert smaller == truncate(t, k - 1).shape
+                        child, (f, r, c, key) = entry
+                        assert child is graph[truncate(t, k - 1).shape]
+                        assert child.region == truncate(t, k - 1).shape
                         assert (f, r, c) == pos[k]
                         assert key == 2 * (r - c) + (offset if f == 2 else 0)
     assert runs[0] == runs[1]

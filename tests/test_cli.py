@@ -27,6 +27,26 @@ def test_compute_bc_empty_pair(capsys):
     assert out.strip() == "1"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--group", "d", "--pair", "2|1"),
+        ("poincare", "--group", "bc", "--n", "3"),
+        ("poincare", "--group", "d", "--n", "3"),
+    ],
+    ids=["compute-d", "poincare-bc", "poincare-d"],
+)
+def test_d_other_than_2_is_refused_outside_wreath(capsys, argv):
+    """Types B/C and D are the d = 2 case: another --d is a usage error,
+    not the d = 2 answer; --d 2, the default, is accepted."""
+    code, out, err = run(capsys, *argv, "--d", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: types B/C/D take d = 2, got d = 5\n"
+    code, out, _ = run(capsys, *argv, "--d", "2")
+    assert code == 0 and out
+    assert out == run(capsys, *argv)[1]
+
+
 def test_compute_route_all_agreement(capsys):
     code, out, _ = run(
         capsys, "compute", "--group", "bc", "--pair", "1,1|1", "--route", "all"

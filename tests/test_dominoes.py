@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from fakedegrees.dominoes import (
@@ -182,6 +184,13 @@ def test_maj_equals_the_reference_formula():
                 for t in enumerate_sdt(rho(pair_shape)):
                     flipped = DominoTableau(t.shape, tuple((b, a) for a, b in t.dominoes))
                     assert maj_domino(t) == maj_domino(flipped) == reference_maj_domino(t)
+
+
+def test_enumerate_sdt_yields_before_listing_the_shape():
+    """The first tableaux of a shape with 6,726,720 of them come without
+    the rest being built: the enumerator is lazy."""
+    shape = (10, 8, 8, 6)
+    assert list(islice(enumerate_sdt(shape), 3)) == [sdt_at(shape, i) for i in range(3)]
 
 
 def test_sdt_at_is_the_enumeration_order():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from fakedegrees.dominoes import enumerate_sdt
 from fakedegrees.qpoly import QPolynomial, q_int
 from fakedegrees.shapes import hooks, multipartitions_of, partitions_of
 from fakedegrees.tableaux import (
@@ -38,10 +39,15 @@ def test_syt_enumeration_counts():
                 assert shape_of(t) == shape
 
 
-def test_syt_enumerator_is_a_generator_function():
+@pytest.mark.parametrize(
+    "enumerator",
+    [enumerate_syt, enumerate_tuple_tableaux, enumerate_sdt],
+    ids=lambda f: f.__name__,
+)
+def test_enumerators_are_generator_functions(enumerator):
     """The benchmark tracer counts the tableaux of generator functions it
     finds with inspect.isgeneratorfunction."""
-    assert inspect.isgeneratorfunction(enumerate_syt)
+    assert inspect.isgeneratorfunction(enumerator)
 
 
 def test_syt_standardness():
