@@ -4,13 +4,15 @@ Exit codes: 0 success, 1 verification or route-agreement failure, 2 usage
 error (malformed input, unknown names, out-of-range indices, a sweep with
 no checks), 3 an internal rule broke (a bijection or flip step raised
 RuleError; `verify` reports it as a failing record with an "error" field
-and goes on with the sweep).
+and goes on with the sweep), 141 (128 + SIGPIPE) the reader of stdout
+closed it early, as `head` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -253,6 +255,10 @@ def main(argv=None) -> int:
     except RuleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader is gone: stdout to devnull, or the flush at exit raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -38,8 +38,8 @@ class Representation:
     has exactly d components.  For bc, d is 2 and label is an ordered
     pair.  For type D (n >= 2), label is stored in canonical order
     (lexicographically larger component first) and marker distinguishes
-    the two representations attached to an equal-component pair; marker is
-    fixed to 1 whenever the components differ.
+    the two representations attached to an equal-component pair.  Every
+    other label takes marker 1 (ValueError otherwise).
     """
 
     group: str
@@ -68,6 +68,8 @@ class Representation:
                 raise ValueError("type D marker must be 1 or 2")
             if lam1 != lam2 and self.marker != 1:
                 raise ValueError("marker 2 needs equal components")
+        elif self.marker != 1:
+            raise ValueError(f"only type D takes a marker, got marker {self.marker}")
 
     @property
     def n(self) -> int:
@@ -86,13 +88,16 @@ def representation(
     group: str, label: Multipartition, d: int = 2, marker: int = 1
 ) -> Representation:
     """The representation of a label as given; a type-D pair is put in
-    canonical order first, and the marker is read for type D only.  Types
-    B/C and D take d = 2 (ValueError otherwise)."""
+    canonical order first.  Types B/C and D take d = 2, and only a type-D
+    pair of equal components takes a marker other than 1 (ValueError
+    otherwise)."""
     if group == "d":
         if d != 2:
             raise ValueError(f"types B/C/D take d = 2, got d = {d}")
+        if marker != 1 and len(set(label)) > 1:
+            raise ValueError(f"marker {marker} needs equal components")
         return d_rep(label, marker)
-    return Representation(group=group, d=d, label=label)
+    return Representation(group=group, d=d, label=label, marker=marker)
 
 
 def d_rep(pair: Multipartition, marker: int = 1) -> Representation:
@@ -334,7 +339,7 @@ def embeds_with_shift(a: QPolynomial, b: QPolynomial) -> bool:
     """Whether some uniform shift s gives a[k] <= b[k+s] for every k: the
     exponent multiset of a, shifted, lies inside that of b (both with
     nonnegative coefficients)."""
-    if a.is_zero():
+    if not a:
         return True
     support = [(k, c) for k, c in enumerate(a.coeffs) if c]
     cb = b.coeffs

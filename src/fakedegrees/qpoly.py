@@ -62,9 +62,6 @@ class QPolynomial:
                 return k
         return -1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -104,9 +101,9 @@ class QPolynomial:
         Every quotient arising in the generating-function formulas is
         exact, so a nonzero remainder always signals an arithmetic bug.
         """
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
+        if not self:
             return QPolynomial()
         rem = list(self.coeffs)
         div = other.coeffs
@@ -131,7 +128,7 @@ class QPolynomial:
 
     def shift(self, s: int) -> "QPolynomial":
         """Multiply by q^s; s may be negative down to the lowest degree."""
-        if self.is_zero():
+        if not self:
             return self
         if s >= 0:
             return QPolynomial((0,) * s + self.coeffs)
@@ -144,7 +141,7 @@ class QPolynomial:
 
     def is_palindromic(self) -> bool:
         """Whether the nonzero coefficient block reads the same reversed."""
-        if self.is_zero():
+        if not self:
             return True
         block = self.coeffs[self.low_degree:]
         return block == block[::-1]
@@ -160,7 +157,7 @@ class QPolynomial:
 
     def pretty(self) -> str:
         """Render like ``q^3 + q^5 + q^7`` with ascending exponents."""
-        if self.is_zero():
+        if not self:
             return "0"
         terms = []
         for k, c in enumerate(self.coeffs):

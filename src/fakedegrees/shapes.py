@@ -5,6 +5,9 @@ empty tuple is the empty partition.  A multipartition is a tuple of
 partitions.  Rows and columns are indexed from 1, row 1 at the top.
 With r >= len(p) rows, p has the r beads p_i + r - i; on the 2-abacus the
 even beads lie on runner 0 and the odd ones on runner 1 (James-Kerber).
+Every walk over domino tableaux reads the memoised `domino_removals`
+(1-based cells), and every walk over tuple tableaux `cell_removals`
+(0-based cells), the only coding of the (component, row) corner order.
 """
 
 from __future__ import annotations
@@ -196,6 +199,23 @@ def domino_removals(p: Partition) -> tuple[tuple[Partition, tuple[Cell, Cell]], 
                 parts[i] -= 1
                 parts[i + 1] -= 1
                 out.append((tuple(x for x in parts if x), ((i + 1, p[i]), (i + 2, p[i]))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def cell_removals(mp: Multipartition) -> tuple[tuple[Multipartition, tuple[int, int, int]], ...]:
+    """Each removable cell of mp, in (component, row) order: the smaller
+    multipartition left by removing it, and its 0-based (component, row,
+    column).  The only coding of the tuple-tableau corner order.  The
+    memo is process-wide; its entries are tuples, so no caller can change
+    them."""
+    out = []
+    for ci, comp in enumerate(mp):
+        for ri, length in enumerate(comp):
+            if ri + 1 == len(comp) or comp[ri + 1] < length:
+                # a one-cell corner is the last row, which then goes
+                smaller = comp[:ri] + (length - 1,) + comp[ri + 1:] if length > 1 else comp[:ri]
+                out.append((mp[:ci] + (smaller,) + mp[ci + 1:], (ci, ri, length - 1)))
     return tuple(out)
 
 

@@ -2,7 +2,9 @@
 
 A tableau is a tuple of row tuples.  A tuple tableau is a tuple of such
 fillings, one per component of a multipartition, using each label 1..n
-exactly once overall.
+exactly once overall.  The corners of a shape, in (component, row) order,
+come from `shapes.cell_removals`, the only coding of that order: the
+enumerator and the running-sum memo both walk it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from .qpoly import QPolynomial, add_raised
-from .shapes import Multipartition, Partition, total_size
+from .shapes import Multipartition, Partition, cell_removals, total_size
 
 Tableau = tuple[tuple[int, ...], ...]
 TupleTableau = tuple[Tableau, ...]
@@ -26,19 +28,6 @@ def enumerate_syt(shape: Partition) -> Iterator[Tableau]:
     """
     for (t,) in enumerate_tuple_tableaux((shape,)):
         yield t
-
-
-def _corners(shape: Partition) -> Iterator[int]:
-    """Row indices (0-based) whose last cell is removable."""
-    for i, row in enumerate(shape):
-        if i + 1 == len(shape) or shape[i + 1] < row:
-            yield i
-
-
-def _remove_cell(shape: Partition, row: int) -> Partition:
-    parts = list(shape)
-    parts[row] -= 1
-    return tuple(x for x in parts if x)
 
 
 def maj_syt(t: Tableau) -> int:
@@ -56,54 +45,33 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
     """All standard tuple tableaux of a multipartition shape.
 
     The order is that of the recursion which places the largest label at
-    each corner in turn (components, then rows, in order), outermost; the
-    CLI numbers tableaux by it, and the tests pin it against a copy of
-    that recursion.  One generator frame runs that recursion over a
-    mutable shape with an explicit stack: chosen[k] is the row whose
-    corner holds label k, and j the next row to try for the label being
-    placed.  Each label is written into a preallocated grid at the cell it
-    frees, reading the rows from a list built once per call, and each
-    tableau is built once, at the leaf, from that grid.
+    each corner in turn, in `cell_removals` order (components, then rows),
+    outermost; the CLI numbers tableaux by it, and the tests pin it
+    against a copy of that recursion.  One generator frame runs that
+    recursion with an explicit stack: levels[k] iterates the removals of
+    the shape under label k+1, whose cell is written into a preallocated
+    grid as it is placed.  Each shape's removals are computed once per
+    process (`cell_removals` is memoised), and each tableau is built once,
+    at the leaf, from that grid.
     """
-    shape = [list(comp) for comp in mp]
     grid = [[[0] * length for length in comp] for comp in mp]
-    # (component, row index, its grid row, whether it is the last row)
-    rows = [
-        (comp, ri, grid[ci][ri], ri + 1 == len(comp))
-        for ci, comp in enumerate(shape)
-        for ri in range(len(comp))
-    ]
-    n, m = total_size(mp), len(rows)
+    n = total_size(mp)
     if n == 0:
         yield tuple([tuple(map(tuple, filling)) for filling in grid])
         return
-    chosen = [0] * (n + 1)
-    k, j = n, 0
-    while True:
-        while j < m:
-            comp, ri, cells, last = rows[j]
-            length = comp[ri]
-            if length and (last or comp[ri + 1] < length):
+    levels: list = [None] * n
+    levels[-1] = iter(cell_removals(mp))
+    k = n - 1
+    while k < n:
+        for smaller, (ci, ri, col) in levels[k]:
+            grid[ci][ri][col] = k + 1
+            if k:
+                k -= 1
+                levels[k] = iter(cell_removals(smaller))
                 break
-            j += 1
-        else:
-            # no corner left for label k: take label k+1 to its next corner
-            k += 1
-            if k > n:
-                return
-            j = chosen[k]
-            comp, ri, _, _ = rows[j]
-            comp[ri] += 1
-            j += 1
-            continue
-        cells[length - 1] = k
-        if k == 1:
             yield tuple([tuple(map(tuple, filling)) for filling in grid])
-            j = m  # label 1's cell was the last one left
-            continue
-        comp[ri] = length - 1
-        chosen[k] = j
-        k, j = k - 1, 0
+        else:
+            k += 1
 
 
 def label_positions(t: TupleTableau) -> dict[int, tuple[int, int, int]]:
@@ -175,16 +143,16 @@ def _maj_gf_by_last_cell(shape: Multipartition) -> tuple:
         return ((None, (1,)),)
     out = []
     acc: list[int] = []
-    for ci, comp in enumerate(shape):
-        for ri in _corners(comp):
-            entries = _maj_gf_by_last_cell(shape[:ci] + (_remove_cell(comp, ri),) + shape[ci + 1:])
-            below: tuple[int, ...] = ()
-            for key, coeffs in entries:
-                if key is None or key >= (ci, ri):
-                    break
-                below = coeffs
-            add_raised(acc, entries[-1][1], below, n - 1)
-            out.append(((ci, ri), tuple(acc)))
+    # each shape is solved once, so its removals skip the table's memo
+    for smaller, (ci, ri, _) in cell_removals.__wrapped__(shape):
+        entries = _maj_gf_by_last_cell(smaller)
+        below: tuple[int, ...] = ()
+        for key, coeffs in entries:
+            if key is None or key >= (ci, ri):
+                break
+            below = coeffs
+        add_raised(acc, entries[-1][1], below, n - 1)
+        out.append(((ci, ri), tuple(acc)))
     return tuple(out)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,41 @@ def test_d_other_than_2_is_refused_outside_wreath(capsys, argv):
     code, out, _ = run(capsys, *argv, "--d", "2")
     assert code == 0 and out
     assert out == run(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--group", "bc", "--pair", "2|1"),
+        ("--group", "wreath", "--d", "3", "--multi", "1|1|"),
+        ("--group", "d", "--pair", "2|1"),
+    ],
+    ids=["bc", "wreath", "d-unequal"],
+)
+def test_marker_is_refused_where_it_names_nothing(capsys, argv):
+    """--marker 2 tells apart the two representations of an
+    equal-component type-D pair only; anywhere else it is a usage error,
+    not the marker-1 answer."""
+    code, out, err = run(capsys, "compute", *argv, "--marker", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "marker" in err
+    assert run(capsys, "compute", *argv, "--marker", "1")[0] == 0
+
+
+def test_enumerate_into_a_closed_pipe_exits_141_quietly():
+    """A reader that stops early, as `head` does, ends the listing with
+    exit 141 (128 + SIGPIPE) and no traceback."""
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fakedegrees.cli", "enumerate", "--kind", "sdt",
+         "--shape", "8,6,4,2", "--with-maj"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"[(1,1),(2,1)]")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_compute_route_all_agreement(capsys):

@@ -41,7 +41,7 @@ def test_census_44():
 
 def test_untileable_shapes():
     assert list(enumerate_sdt((2, 1))) == []
-    assert sdt_maj_gf((2, 1)).is_zero()
+    assert not sdt_maj_gf((2, 1))
 
 
 def test_zero_square_shapes():
@@ -73,7 +73,7 @@ def test_recursion_matches_enumeration():
     for size in range(0, 14):
         for shape in partitions_of(size):
             if not supports_domino(shape):
-                assert sdt_maj_gf(shape).is_zero(), shape
+                assert not sdt_maj_gf(shape), shape
 
 
 def test_memo_is_order_independent_and_immutable():

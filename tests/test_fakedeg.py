@@ -21,6 +21,7 @@ from fakedegrees.fakedeg import (
     poincare_d,
     poincare_wreath,
     regular_representation_sum,
+    representation,
     special_partner_bc,
     symbol_of,
     wreath_rep,
@@ -47,6 +48,26 @@ def test_representation_validation():
     r = d_rep(((1,), (2,)), marker=2)
     assert r.label == ((2,), (1,)) and r.marker == 1
     assert d_rep(((1,), (1,)), marker=2).marker == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Representation(group="bc", d=2, label=((1,), (1,)), marker=7),
+        lambda: Representation(group="wreath", d=3, label=((1,), (1,), ()), marker=2),
+        lambda: representation("bc", ((2,), (1,)), marker=2),
+        lambda: representation("wreath", ((1,), (1,), ()), d=3, marker=2),
+        lambda: representation("d", ((2,), (1,)), marker=2),
+        lambda: representation("d", ((1,), (2,)), marker=2),
+    ],
+)
+def test_a_marker_is_refused_outside_equal_component_type_d(call):
+    """Only the two representations of an equal-component type-D pair are
+    told apart by a marker; any other label given a marker other than 1
+    is refused rather than answered as if it had marker 1."""
+    with pytest.raises(ValueError, match="marker"):
+        call()
+    assert representation("d", ((1,), (1,)), marker=2).marker == 2
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from fakedegrees.shapes import (
     b_multi,
     b_statistic,
     beta_set,
+    cell_removals,
     check_partition,
     conjugate,
     format_multipartition,
@@ -197,3 +198,21 @@ def test_multipartition_counts():
     assert len(list(multipartitions_of(2, 3))) == 9
     with pytest.raises(ValueError):
         list(multipartitions_of(1, 0))
+
+
+def test_cell_removals_lists_each_removable_cell():
+    """The table lists exactly the cells whose removal leaves a
+    multipartition, in (component, row) order, each 0-based with the
+    shape it leaves, for every multipartition with d <= 3 and n <= 6."""
+    for d in (1, 2, 3):
+        for n in range(0, 7):
+            for mp in multipartitions_of(n, d):
+                expected = []
+                for ci, comp in enumerate(mp):
+                    for ri, length in enumerate(comp):
+                        parts = list(comp)
+                        parts[ri] -= 1
+                        if parts == sorted(parts, reverse=True):
+                            smaller = mp[:ci] + (tuple(x for x in parts if x),) + mp[ci + 1:]
+                            expected.append((smaller, (ci, ri, length - 1)))
+                assert cell_removals(mp) == tuple(expected), mp

@@ -5,7 +5,7 @@ import pytest
 
 from fakedegrees.dominoes import enumerate_sdt
 from fakedegrees.qpoly import QPolynomial, q_int
-from fakedegrees.shapes import hooks, multipartitions_of, partitions_of
+from fakedegrees.shapes import cell_removals, hooks, multipartitions_of, partitions_of
 from fakedegrees.tableaux import (
     _maj_gf_by_last_cell,
     enumerate_syt,
@@ -196,10 +196,10 @@ def test_memo_is_order_independent_and_immutable():
 
 
 def test_memo_entries_are_running_sums():
-    """The memo has one entry per corner, keyed in (component, row) order,
-    and entry k sums q^maj over the enumerated tableaux whose largest
-    label sits at key k or an earlier one, for every tuple shape with
-    d <= 3 and n <= 6."""
+    """The memo has one entry per corner, keyed by the (component, row) of
+    the `cell_removals` table in its order, and entry k sums q^maj over
+    the enumerated tableaux whose largest label sits at key k or an
+    earlier one, for every tuple shape with d <= 3 and n <= 6."""
     for d in (1, 2, 3):
         assert _maj_gf_by_last_cell(((),) * d) == ((None, (1,)),)
         for n in range(1, 7):
@@ -209,10 +209,23 @@ def test_memo_entries_are_running_sums():
                     ci, r, _ = label_positions(t)[n]
                     placed.append(((ci - 1, r - 1), maj_tuple(t)))
                 entries = _maj_gf_by_last_cell(mp)
-                assert [key for key, _ in entries] == sorted({key for key, _ in placed}), mp
+                keys = [key for key, _ in entries]
+                assert keys == sorted({key for key, _ in placed}), mp
+                assert keys == [(ci, ri) for _, (ci, ri, _) in cell_removals(mp)], mp
                 for key, coeffs in entries:
                     below = QPolynomial.from_exponents(m for k, m in placed if k <= key)
                     assert QPolynomial(coeffs) == below, (mp, key)
+
+
+def test_route_memo_leaves_the_removals_table_alone():
+    """The route memo solves each shape once, so it reads the table
+    without filling its process-wide memo: solving fresh shapes leaves
+    that memo's size unchanged."""
+    _maj_gf_by_last_cell.cache_clear()
+    before = cell_removals.cache_info().currsize
+    tuple_maj_gf(((3, 2, 1), (2, 1), (1,)))
+    assert _maj_gf_by_last_cell.cache_info().currsize > 1
+    assert cell_removals.cache_info().currsize == before
 
 
 def reference_tuple_tableaux(mp):
