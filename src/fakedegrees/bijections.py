@@ -45,10 +45,13 @@ KeyedCell = tuple[int, int, int, int]
 class RuleError(RuntimeError):
     """An insertion or flip step produced an invalid tableau.
 
-    Raised instead of silently repairing: it signals a transcription bug
-    in the case rules (an insertion step that breaks a shape, or flips
-    that end on another descent set), not a bad input.  ``tableau`` is
-    the domino tableau being mapped, when known.
+    Raised instead of silently repairing, by two checks: an insertion step
+    whose Lusztig preimages of the regions before and after lifting a
+    domino do not differ by one addable cell in one component
+    (`_RegionNode`), and a flip that ends on another descent set than
+    the insertion image's (`_flip`).  Either signals a bug in the Lusztig
+    inverse or the flip, not a bad input.  ``tableau`` is the domino
+    tableau being mapped, when known.
     """
 
     def __init__(self, message: str, tableau: DominoTableau | None = None):
@@ -75,7 +78,8 @@ class _StepGraph(dict):
     """The insertion steps of one (Lusztig inverse, key offset): a dict
     from a covered region to its node (`_RegionNode`), each node made
     once, on its first lookup, for a region that is a partition
-    (ValueError otherwise)."""
+    (ValueError otherwise), with the region's preimage under the inverse
+    computed then, the graph's one call of the inverse per region."""
 
     __slots__ = ("inverse", "offset")
 
@@ -107,19 +111,19 @@ class _RegionNode(dict):
     A missing domino is validated, once per domino: it is one of the
     region's border dominoes (`domino_removals`), so a tableau that is not
     standard is refused (ValueError otherwise); and
-    the preimage of region under the Lusztig inverse exceeds that of the
-    smaller region by exactly one cell, at the end of one row of exactly
+    the region's stored preimage under the Lusztig inverse exceeds the
+    smaller region's by exactly one cell, at the end of one row of exactly
     one component, so the grown component is its old shape plus one
     addable cell (RuleError otherwise).  The domino's cells in the other
     order reuse the entry.  Entries are tuples, so no caller can change
     them.
     """
 
-    __slots__ = ("graph", "region")
+    __slots__ = ("graph", "region", "preimage")
 
     def __init__(self, graph: _StepGraph, region: Partition):
         super().__init__()
-        self.graph, self.region = graph, region
+        self.graph, self.region, self.preimage = graph, region, graph.inverse(region)
 
     def __missing__(self, domino: tuple[Cell, Cell]):
         entry = self.get(domino[::-1]) or self._step(domino)
@@ -133,8 +137,8 @@ class _RegionNode(dict):
                 break
         else:
             raise ValueError(f"cells {domino} are not a border domino of {region}")
-        before = graph.inverse(smaller)
-        after = graph.inverse(region)
+        child = graph[smaller]
+        before, after = child.preimage, self.preimage
         grown = [k for k in (0, 1) if before[k] != after[k]]
         if len(grown) == 1:
             old, new = before[grown[0]], after[grown[0]]
@@ -143,7 +147,7 @@ class _RegionNode(dict):
             col = (old[row] if row < len(old) else 0) + 1
             if (row == 0 or old[row - 1] >= col) and new == old[:row] + (col,) + old[row + 1:]:
                 key = 2 * (row + 1 - col) + graph.offset * grown[0]
-                return graph[smaller], (grown[0] + 1, row + 1, col, key)
+                return child, (grown[0] + 1, row + 1, col, key)
         raise RuleError(
             f"covered regions {smaller} -> {region}: pairs {before} -> {after} "
             "do not differ by one addable cell in one component"

@@ -9,7 +9,6 @@ exactly; the verification module sweeps those agreements exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import zip_longest
 from operator import add
 
@@ -39,7 +38,8 @@ class Representation:
     pair.  For type D (n >= 2), label is stored in canonical order
     (lexicographically larger component first) and marker distinguishes
     the two representations attached to an equal-component pair.  Every
-    other label takes marker 1 (ValueError otherwise).
+    other label takes marker 1.  This is the one place a label is refused
+    (ValueError).
     """
 
     group: str
@@ -48,16 +48,13 @@ class Representation:
     marker: int = 1
 
     def __post_init__(self):
-        if self.group not in ROUTES:
-            raise ValueError(f"unknown group {self.group!r}")
+        _check_group(self.group, self.d)
         for comp in self.label:
             check_partition(comp)
-        if self.group == "wreath" and self.d < 1:
-            raise ValueError(f"wreath products G(d,1,n) need d >= 1, got d = {self.d}")
         if self.group == "wreath" and len(self.label) != self.d:
             raise ValueError(f"label {self.label} does not have {self.d} components")
-        if self.group != "wreath" and (self.d != 2 or len(self.label) != 2):
-            raise ValueError("types B/C/D take d = 2 and an ordered pair of partitions")
+        if self.group != "wreath" and len(self.label) != 2:
+            raise ValueError(f"types B/C/D take an ordered pair of partitions, got {self.label}")
         if self.group == "d":
             if self.n < 2:
                 raise ValueError("type D needs n >= 2")
@@ -76,6 +73,18 @@ class Representation:
         return total_size(self.label)
 
 
+def _check_group(group: str, d: int) -> None:
+    """The one rule for a (group, d): group is a key of ROUTES, a wreath
+    product G(d,1,n) has d >= 1, and types B/C and D have d = 2
+    (ValueError otherwise)."""
+    if group not in ROUTES:
+        raise ValueError(f"unknown group {group!r}")
+    if group == "wreath" and d < 1:
+        raise ValueError(f"wreath products G(d,1,n) need d >= 1, got d = {d}")
+    if group != "wreath" and d != 2:
+        raise ValueError(f"types B/C/D take d = 2, got d = {d}")
+
+
 def wreath_rep(label: Multipartition, d: int) -> Representation:
     return Representation(group="wreath", d=d, label=label)
 
@@ -87,27 +96,20 @@ def bc_rep(pair: Multipartition) -> Representation:
 def representation(
     group: str, label: Multipartition, d: int = 2, marker: int = 1
 ) -> Representation:
-    """The representation of a label as given; a type-D pair is put in
-    canonical order first.  Types B/C and D take d = 2, and only a type-D
-    pair of equal components takes a marker other than 1 (ValueError
-    otherwise)."""
-    if group == "d":
-        if d != 2:
-            raise ValueError(f"types B/C/D take d = 2, got d = {d}")
-        if marker != 1 and len(set(label)) > 1:
-            raise ValueError(f"marker {marker} needs equal components")
-        return d_rep(label, marker)
+    """The representation of a label as given, a type-D pair put in
+    canonical order first; `Representation` refuses what is not a label
+    (ValueError)."""
+    if group == "d" and len(label) == 2 and label[0] < label[1]:
+        label = label[::-1]
     return Representation(group=group, d=d, label=label, marker=marker)
 
 
 def d_rep(pair: Multipartition, marker: int = 1) -> Representation:
-    """Canonicalize an unordered pair for type D."""
-    lam1, lam2 = pair
-    if lam1 < lam2:
-        lam1, lam2 = lam2, lam1
-    if lam1 != lam2:
+    """Canonicalize an unordered pair for type D; an unequal pair takes
+    marker 1, whatever marker is given."""
+    if len(pair) == 2 and pair[0] != pair[1]:
         marker = 1
-    return Representation(group="d", d=2, label=(lam1, lam2), marker=marker)
+    return representation("d", pair, 2, marker)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +174,11 @@ def _ordering_terms(rep: Representation, restricted_gf) -> list[tuple]:
     return [(restricted_gf(ordering).coeffs, b_multi(ordering)) for ordering in _orderings(rep)]
 
 
-@lru_cache(maxsize=None)
 def _restricted_sdt_gf(pair: Multipartition) -> QPolynomial:
     """Sum of q^maj over SDTs of the even associated shape whose image
     pair under the maj-preserving bijection has the largest label in the
     first component: one walk over the shape (`map_shape`), keeping the
-    maj of each tableau whose last keyed cell lies in the first filling.
-    Memoised per pair, so the two markers of an equal-component label map
-    their shape once."""
+    maj of each tableau whose last keyed cell lies in the first filling."""
     majs: list[int] = []
 
     def keep(maj: int, cells) -> None:
@@ -280,34 +279,21 @@ def poincare(group: str, n: int, d: int = 2) -> QPolynomial:
     """Poincaré polynomial of the named group of rank n; d is the cyclic
     order of a wreath product, and must be 2 for types B/C and D
     (ValueError otherwise)."""
-    if group not in ROUTES:
-        raise ValueError(f"unknown group {group!r}")
-    if group != "wreath" and d != 2:
-        raise ValueError(f"types B/C/D take d = 2, got d = {d}")
-    if group == "d":
-        return poincare_d(n)
-    return poincare_wreath(d if group == "wreath" else 2, n)
+    _check_group(group, d)
+    return poincare_d(n) if group == "d" else poincare_wreath(d, n)
 
 
 def all_representations(group: str, n: int, d: int = 2) -> list[Representation]:
     """Every irreducible representation label of the group of rank n."""
-    if group == "wreath":
-        return [wreath_rep(mp, d) for mp in multipartitions_of(n, d)]
-    if group == "bc":
-        return [bc_rep(p) for p in multipartitions_of(n, 2)]
+    _check_group(group, d)
     if group == "d":
-        out = []
-        for pair in multipartitions_of(n, 2):
-            lam1, lam2 = pair
-            if lam1 < lam2:
-                continue
-            if lam1 == lam2:
-                out.append(d_rep(pair, 1))
-                out.append(d_rep(pair, 2))
-            else:
-                out.append(d_rep(pair))
-        return out
-    raise ValueError(f"unknown group {group!r}")
+        return [
+            d_rep(pair, marker)
+            for pair in multipartitions_of(n, 2)
+            if pair[0] >= pair[1]
+            for marker in ((1, 2) if pair[0] == pair[1] else (1,))
+        ]
+    return [Representation(group=group, d=d, label=mp) for mp in multipartitions_of(n, d)]
 
 
 def regular_representation_sum(group: str, n: int, d: int = 2) -> QPolynomial:

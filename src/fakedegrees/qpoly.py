@@ -249,7 +249,6 @@ def q_int(n: int) -> QPolynomial:
     return QPolynomial([1] * n)
 
 
-@lru_cache(maxsize=None)
 def q_factorial(n: int) -> QPolynomial:
     """Product [n]_q [n-1]_q ... [1]_q, with the empty product equal to 1."""
     if n < 0:

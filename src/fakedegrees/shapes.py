@@ -159,7 +159,6 @@ def _lusztig_inverse(p: Partition, parity: int) -> Multipartition:
     return (from_beta_set(first), from_beta_set(second))
 
 
-@lru_cache(maxsize=None)
 def lusztig_rho1_inverse(p: Partition) -> Multipartition:
     """The unique pair mapping to p under lusztig_rho1.
 
@@ -171,7 +170,6 @@ def lusztig_rho1_inverse(p: Partition) -> Multipartition:
     return _lusztig_inverse(p, 0)
 
 
-@lru_cache(maxsize=None)
 def lusztig_rho2_inverse(p: Partition) -> Multipartition:
     """The unique pair mapping to p under lusztig_rho2."""
     return _lusztig_inverse(p, 1)

@@ -104,6 +104,24 @@ def test_insertion_rejects_a_bent_stage(monkeypatch, bend):
     assert [pi_c(t) for t in tableaux] == expected
 
 
+def test_step_graph_calls_the_inverse_once_per_region(monkeypatch):
+    """Each node of the step graph holds its region's preimage, so mapping
+    every even shape with n <= 6 calls the inverse once per node, not
+    twice per step."""
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return lusztig_rho1_inverse(p)
+
+    monkeypatch.setattr(bijections, "lusztig_rho1_inverse", counting)
+    for n in range(7):
+        for pair_shape in multipartitions_of(n, 2):
+            map_shape(lusztig_rho1(pair_shape), lambda maj, cells: None)
+    graph = bijections._step_graph(counting, 1)
+    assert sorted(calls) == sorted(graph) and len(calls) == 139
+
+
 def test_insertion_rejects_dominoes_that_do_not_tile():
     """The shape must be a partition, every domino a border domino of the
     region it is lifted off, and lifting every domino must leave the

@@ -185,6 +185,17 @@ def test_compute_takes_exactly_one_label(capsys, label):
     assert "--pair" in err and "--multi" in err
 
 
+@pytest.mark.parametrize("group", ["bc", "d"])
+@pytest.mark.parametrize("pair", ["1", "1|1|1"])
+def test_compute_refuses_a_label_that_is_not_a_pair(capsys, group, pair):
+    """Types B/C and D take an ordered pair: one or three components are a
+    usage error naming that rule, not an unpacking error or a complaint
+    about d."""
+    code, out, err = run(capsys, "compute", "--group", group, "--pair", pair)
+    assert (code, out) == (2, "")
+    assert "ordered pair" in err and "unpack" not in err and "d = " not in err
+
+
 def test_compute_malformed_pair(capsys):
     code, _, err = run(capsys, "compute", "--group", "bc", "--pair", "2,3")
     assert code == 2

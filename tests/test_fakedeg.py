@@ -17,6 +17,7 @@ from fakedegrees.fakedeg import (
     fake_degree_d,
     fake_degree_wreath,
     is_shifted_submultiset,
+    poincare,
     poincare_bc,
     poincare_d,
     poincare_wreath,
@@ -68,6 +69,32 @@ def test_a_marker_is_refused_outside_equal_component_type_d(call):
     with pytest.raises(ValueError, match="marker"):
         call()
     assert representation("d", ((1,), (1,)), marker=2).marker == 2
+
+
+@pytest.mark.parametrize("group, d", [("x", 2), ("wreath", 0), ("bc", 3), ("d", 5)])
+def test_one_rule_refuses_a_group_and_d(group, d):
+    """A label, a Poincaré polynomial and the list of labels all refuse an
+    unknown group, a wreath product of d < 1 and types B/C/D of d != 2
+    with the same message."""
+    messages = set()
+    for call in (
+        lambda: representation(group, ((1,), (1,)), d),
+        lambda: poincare(group, 2, d),
+        lambda: all_representations(group, 2, d),
+    ):
+        with pytest.raises(ValueError) as raised:
+            call()
+        messages.add(str(raised.value))
+    assert len(messages) == 1, messages
+
+
+@pytest.mark.parametrize("pair", [(), ((1,),), ((1,), (1,), (1,))])
+def test_d_rep_refuses_a_non_pair_as_representation_does(pair):
+    with pytest.raises(ValueError) as raised:
+        Representation(group="d", d=2, label=pair)
+    with pytest.raises(ValueError, match="ordered pair") as by_d_rep:
+        d_rep(pair)
+    assert str(by_d_rep.value) == str(raised.value)
 
 
 @pytest.mark.parametrize(
