@@ -168,7 +168,8 @@ def _by_last_domino(p: Partition) -> tuple:
         return ((None, (1,)),)
     out = []
     acc: list[int] = []
-    for smaller, cells in domino_removals(p):
+    # each shape is solved once, so its removals skip the table's memo
+    for smaller, cells in domino_removals.__wrapped__(p):
         entries = _by_last_domino(smaller)
         below: tuple[int, ...] = ()
         for prev, coeffs in entries:

@@ -9,6 +9,7 @@ exactly; the verification module sweeps those agreements exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import zip_longest
 from operator import add
 
@@ -139,10 +140,19 @@ def _scaled_sum(terms) -> QPolynomial:
 
 def _formula(rep: Representation) -> QPolynomial:
     """The q-multinomial of the component sizes times the hook-length form
-    of each component's SYT generating function."""
-    sizes = [sum(c) for c in rep.label]
-    inner = product([q_multinomial(rep.n, sizes), *map(hook_syt_gf, rep.label)])
-    return _scaled(inner, rep.label, rep.d)
+    of each component's SYT generating function, then the label's own
+    b-shift and q -> q^d."""
+    return _scaled(_formula_product(tuple(sorted(c for c in rep.label if c))), rep.label, rep.d)
+
+
+@lru_cache(maxsize=None)
+def _formula_product(components: Multipartition) -> QPolynomial:
+    """The product of the formula route, memoised per multiset of nonempty
+    components: it is symmetric in the components, an empty one
+    contributes a factor of 1 to both the q-multinomial and the hook
+    forms, and d enters only through `_scaled`."""
+    sizes = [sum(c) for c in components]
+    return product([q_multinomial(sum(sizes), sizes), *map(hook_syt_gf, components)])
 
 
 def _enumeration(rep: Representation) -> QPolynomial:
@@ -259,8 +269,9 @@ def fake_degree_d(rep: Representation, route: str = DEFAULT_ROUTE["d"]) -> QPoly
 
 def poincare_wreath(d: int, n: int) -> QPolynomial:
     """Hilbert series of the coinvariant algebra: prod over i of [d*i]_q."""
-    if d < 1 or n < 0:
-        raise ValueError("poincare_wreath needs d >= 1, n >= 0")
+    _check_group("wreath", d)
+    if n < 0:
+        raise ValueError(f"poincare_wreath needs n >= 0, got n = {n}")
     return product(q_int(d * i) for i in range(1, n + 1))
 
 

@@ -5,9 +5,10 @@ empty tuple is the empty partition.  A multipartition is a tuple of
 partitions.  Rows and columns are indexed from 1, row 1 at the top.
 With r >= len(p) rows, p has the r beads p_i + r - i; on the 2-abacus the
 even beads lie on runner 0 and the odd ones on runner 1 (James-Kerber).
-Every walk over domino tableaux reads the memoised `domino_removals`
-(1-based cells), and every walk over tuple tableaux `cell_removals`
-(0-based cells), the only coding of the (component, row) corner order.
+Every walk over domino tableaux reads `domino_removals` (1-based cells),
+and every walk over tuple tableaux `cell_removals` (0-based cells), the
+only coding of the (component, row) corner order.  Both are memoised;
+the route memos, which solve each shape once, read them unmemoised.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +30,7 @@ from fakedegrees.fakedeg import (
 )
 from fakedegrees.bijections import pi_c_prime
 from fakedegrees.dominoes import enumerate_sdt, maj_domino
-from fakedegrees.fakedeg import _restricted_sdt_gf
+from fakedegrees.fakedeg import _formula_product, _restricted_sdt_gf
 from fakedegrees.qpoly import QPolynomial, hook_syt_gf, q_int, q_multinomial
 from fakedegrees.shapes import b_multi, lusztig_rho1, multipartitions_of
 from fakedegrees.tableaux import enumerate_tuple_tableaux, largest_label_component
@@ -81,6 +82,7 @@ def test_one_rule_refuses_a_group_and_d(group, d):
         lambda: representation(group, ((1,), (1,)), d),
         lambda: poincare(group, 2, d),
         lambda: all_representations(group, 2, d),
+        *([lambda: poincare_wreath(d, 2)] if group == "wreath" else []),
     ):
         with pytest.raises(ValueError) as raised:
             call()
@@ -266,6 +268,55 @@ def test_formula_product_is_the_schoolbook_product():
                 assert fake_degree_wreath(mp, d, "formula") == QPolynomial(expected), mp
                 count += 1
     assert count == 1574
+
+
+def test_formula_product_is_memoised_per_multiset_of_components():
+    """Every ordering of (2,1) and (1), padded with empty components to
+    d = 2, 3 and 4, reads one memo entry, and each is its own label's
+    fake degree."""
+    _formula_product.cache_clear()
+    calls = 0
+    for d in (2, 3, 4):
+        for label in set(permutations(((2, 1), (1,)) + ((),) * (d - 2))):
+            formula = fake_degree_wreath(label, d, "formula")
+            assert formula == fake_degree_wreath(label, d, "enumeration"), label
+            calls += 1
+    info = _formula_product.cache_info()
+    assert (info.misses, info.hits) == (1, calls - 1)
+
+
+def test_formula_keeps_each_label_own_b_shift():
+    """Labels that share a memo entry still take their own b-shift."""
+    _formula_product.cache_clear()
+    labels = [((1,), (), ()), ((), (1,), ()), ((), (), (1,))]
+    formulas = [fake_degree_wreath(label, 3, "formula") for label in labels]
+    assert formulas == [QPolynomial.monomial(k) for k in range(3)]
+    assert formulas == [fake_degree_wreath(label, 3, "enumeration") for label in labels]
+    assert _formula_product.cache_info().currsize == 1
+
+
+@st.composite
+def label_and_rearrangement(draw):
+    """A label with d <= 4 and n <= 7, and its nonempty components
+    reordered and padded with empty ones to some d' <= 4."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(0, 7))
+    label = draw(st.sampled_from(list(multipartitions_of(n, d))))
+    nonempty = [c for c in label if c]
+    other_d = draw(st.integers(max(len(nonempty), 1), 4))
+    other = draw(st.permutations(nonempty + [()] * (other_d - len(nonempty))))
+    return (label, d), (tuple(other), other_d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(label_and_rearrangement(), st.booleans())
+def test_formula_memo_gives_each_label_its_fake_degree(pair, other_first):
+    """Whichever of a label and its rearrangement fills the memo, each
+    formula equals its own enumeration route."""
+    _formula_product.cache_clear()
+    for label, d in pair[::-1] if other_first else pair:
+        assert fake_degree_wreath(label, d, "formula") == fake_degree_wreath(
+            label, d, "enumeration"
+        ), (label, d)
 
 
 def test_fake_degree_reads_the_route_table():
