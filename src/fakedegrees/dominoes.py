@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .qpoly import QPolynomial, add_raised
+from .qpoly import QPolynomial, running_sums
 from .shapes import Cell, Partition, domino_removals
 
 
@@ -144,39 +143,10 @@ def sdt_maj_gf(shape: Partition) -> QPolynomial:
     return QPolynomial(entries[-1][1] if entries else ())
 
 
-@lru_cache(maxsize=None)
-def _by_last_domino(p: Partition) -> tuple:
-    """Running sums of the same sum by the domino holding the largest
-    label n: (cells, coefficients) pairs, one per border domino in
-    `domino_removals` order, whose coefficients sum over the tableaux with
-    n in that domino or an earlier one.  The last entry is the whole sum;
-    the shapes (), (1,) have one tableau, keyed None, and a shape with no
-    border domino has no entry.
-
-    Recursion on that domino: removing it leaves a tableau of the smaller
-    shape, and n-1 is a descent exactly when the domino of n-1 lies
-    strictly above the domino of n, that is when its bottom row lies above
-    the top row of n's.  `domino_removals` lists the bottom rows in
-    nondecreasing order, so the descents are a prefix of the smaller
-    shape's entries; with below the entry of the last of them, the domino
-    adds total - below + q^(n-1) below.  The memo is process-wide, so each
-    shape is solved once; its entries are tuples, so no caller can change
-    them.
-    """
-    n = sum(p) // 2
-    if n == 0:
-        return ((None, (1,)),)
-    out = []
-    acc: list[int] = []
-    # each shape is solved once, so its removals skip the table's memo
-    for smaller, cells in domino_removals.__wrapped__(p):
-        entries = _by_last_domino(smaller)
-        below: tuple[int, ...] = ()
-        for prev, coeffs in entries:
-            # cells[0] lies in a domino's top row, prev[1] in its bottom row
-            if prev is None or prev[1][0] >= cells[0][0]:
-                break
-            below = coeffs
-        add_raised(acc, entries[-1][1] if entries else (), below, n - 1)
-        out.append((cells, tuple(acc)))
-    return tuple(out)
+# Running sums by the domino of the largest label (`qpoly.running_sums`),
+# keyed by its cells.  n-1 is a descent exactly when its domino lies
+# strictly above n's: its bottom row a[1] above n's top row b[0].
+# `domino_removals` lists the bottom rows in nondecreasing order.
+_by_last_domino = running_sums(
+    domino_removals, lambda p: sum(p) // 2, lambda a, b: a[1][0] < b[0][0]
+)

@@ -66,10 +66,10 @@ class QPolynomial:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
+        """Equal coefficients; never equal to a non-polynomial, an int
+        included, so equal values hash equal."""
         if isinstance(other, QPolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self == QPolynomial([other])
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -197,6 +197,48 @@ def add_raised(acc: list[int], total: Sequence[int], below: Sequence[int], s: in
     acc[: len(total)] = map(add, acc, total)
     acc[:m] = map(sub, acc, below)
     acc[s : s + m] = map(add, acc[s : s + m], below)
+
+
+def running_sums(removals, rank, precedes):
+    """The running-sum memo of one diagram kind, over its memoised removals
+    table (shape -> (smaller shape, move) pairs), its rank (the largest
+    label n of a shape's standard tableaux) and its descent rule.
+
+    The memo maps a shape to (move, coefficients) pairs, one per move of
+    the table in its order, whose coefficients sum q^maj over the standard
+    tableaux of the shape with n in that move or an earlier one.  The last
+    entry is the whole sum; a shape of rank 0 has one tableau, keyed None,
+    and any other shape with no move has no entry.
+
+    Recursion on the move of n: removing it leaves a tableau of the
+    smaller shape, and n-1 is a descent exactly when its move a precedes
+    the move b of n, precedes(a, b).  Each kind's table lists its moves so
+    that these are a prefix of the smaller shape's entries; with below the
+    entry of the last of them, the move adds total - below + q^(n-1) below.
+    The memo is process-wide, so each shape is solved once and reads the
+    table through `__wrapped__`, leaving the table's own memo alone; its
+    entries are tuples, so no caller can change them.
+    """
+
+    @lru_cache(maxsize=None)
+    def memo(shape) -> tuple:
+        n = rank(shape)
+        if n == 0:
+            return ((None, (1,)),)
+        out = []
+        acc: list[int] = []
+        for smaller, move in removals.__wrapped__(shape):
+            entries = memo(smaller)
+            below: tuple[int, ...] = ()
+            for prev, coeffs in entries:
+                if prev is None or not precedes(prev, move):
+                    break
+                below = coeffs
+            add_raised(acc, entries[-1][1] if entries else (), below, n - 1)
+            out.append((move, tuple(acc)))
+        return tuple(out)
+
+    return memo
 
 
 ONE = QPolynomial([1])

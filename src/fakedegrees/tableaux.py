@@ -10,9 +10,8 @@ enumerator and the running-sum memo both walk it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
 
-from .qpoly import QPolynomial, add_raised
+from .qpoly import QPolynomial, running_sums
 from .shapes import Multipartition, Partition, cell_removals, total_size
 
 Tableau = tuple[tuple[int, ...], ...]
@@ -121,39 +120,10 @@ def largest_label_component(t: TupleTableau) -> int:
     return max(last)[1]
 
 
-@lru_cache(maxsize=None)
-def _maj_gf_by_last_cell(shape: Multipartition) -> tuple:
-    """Running sums of q^maj over the standard tuple tableaux of the shape,
-    by the cell holding the largest label n: (key, coefficients) pairs,
-    one per corner in (component, row) order, whose key is the 0-based
-    (component, row) of the corner and whose coefficients sum over the
-    tableaux with n at that corner or an earlier one.  The last entry is
-    the whole sum; the empty shape has one tableau, keyed None.
-
-    Recursion on that cell: removing it leaves a tableau of the smaller
-    shape whose largest label n-1 sits at some corner, and n-1 is a descent
-    exactly when that corner precedes the cell of n, a prefix of the
-    smaller shape's entries.  So with below the entry of the last corner
-    before the cell, the cell adds total - below + q^(n-1) below.  The
-    memo is process-wide, so each shape is solved once; its entries are
-    tuples, so no caller can change them.
-    """
-    n = total_size(shape)
-    if n == 0:
-        return ((None, (1,)),)
-    out = []
-    acc: list[int] = []
-    # each shape is solved once, so its removals skip the table's memo
-    for smaller, (ci, ri, _) in cell_removals.__wrapped__(shape):
-        entries = _maj_gf_by_last_cell(smaller)
-        below: tuple[int, ...] = ()
-        for key, coeffs in entries:
-            if key is None or key >= (ci, ri):
-                break
-            below = coeffs
-        add_raised(acc, entries[-1][1], below, n - 1)
-        out.append(((ci, ri), tuple(acc)))
-    return tuple(out)
+# Running sums by the cell of the largest label (`qpoly.running_sums`),
+# keyed by the corner (component, row, col).  n-1 is a descent exactly
+# when its corner comes before n's in (component, row) order.
+_maj_gf_by_last_cell = running_sums(cell_removals, total_size, lambda a, b: a[:2] < b[:2])
 
 
 def tuple_maj_gf(mp: Multipartition) -> QPolynomial:

@@ -76,38 +76,6 @@ def test_recursion_matches_enumeration():
                 assert not sdt_maj_gf(shape), shape
 
 
-def test_memo_is_order_independent_and_immutable():
-    """The process-wide memo gives the same sums whether the small shapes
-    are solved first or reached from the large ones, and every cached
-    entry is a tuple, so no caller can change it."""
-    shapes = [shape for size in range(0, 12) for shape in partitions_of(size)]
-    runs = []
-    for order in (shapes, shapes[::-1]):
-        _by_last_domino.cache_clear()
-        runs.append({shape: sdt_maj_gf(shape) for shape in order})
-        for shape in order:
-            entries = _by_last_domino(shape)
-            assert isinstance(entries, tuple)
-            assert all(isinstance(e, tuple) and isinstance(e[1], tuple) for e in entries)
-    assert runs[0] == runs[1]
-    for shape, gf in runs[0].items():
-        assert gf == QPolynomial.from_exponents(maj_domino(t) for t in enumerate_sdt(shape)), shape
-
-
-def test_memo_leaves_the_removals_table_alone():
-    """The memo solves each shape once, so it reads the table without
-    filling its process-wide memo, and `sdt_at`, which reads both in the
-    same order, still unranks the enumeration."""
-    shape = (6, 4, 2)
-    _by_last_domino.cache_clear()
-    domino_removals.cache_clear()
-    sdt_maj_gf(shape)
-    assert _by_last_domino.cache_info().currsize > 1
-    assert domino_removals.cache_info().currsize == 0
-    tableaux = list(enumerate_sdt(shape))
-    assert [sdt_at(shape, i) for i in range(len(tableaux))] == tableaux
-
-
 def test_memo_entries_are_running_sums():
     """The memo has one entry per border domino, in `domino_removals`
     order, and entry k sums q^maj over the enumerated tableaux whose

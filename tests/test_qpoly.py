@@ -16,7 +16,14 @@ from fakedegrees.qpoly import (
     q_int,
     q_multinomial,
 )
-from fakedegrees.shapes import partitions_of
+from fakedegrees.dominoes import _by_last_domino, enumerate_sdt, maj_domino, sdt_maj_gf
+from fakedegrees.shapes import cell_removals, domino_removals, multipartitions_of, partitions_of
+from fakedegrees.tableaux import (
+    _maj_gf_by_last_cell,
+    enumerate_tuple_tableaux,
+    maj_tuple,
+    tuple_maj_gf,
+)
 
 from oracles import (
     hook_syt_gf_by_long_division,
@@ -32,7 +39,19 @@ def test_canonical_form():
     assert QPolynomial([0, 1, 0, 0]).coeffs == (0, 1)
     assert QPolynomial([]).coeffs == ()
     assert not QPolynomial([0, 0])
-    assert QPolynomial([1]) == 1
+    assert QPolynomial([1]) == ONE
+
+
+@given(st.lists(st.integers(-9, 9), max_size=8), st.integers(-9, 9))
+def test_equal_polynomials_hash_equal_and_no_int_is_equal(coeffs, k):
+    """Equality is that of the canonical coefficients, so equal values
+    hash equal and find each other in a set or dict; an int, a constant
+    polynomial's value included, is never equal to a polynomial."""
+    p, padded = QPolynomial(coeffs), QPolynomial(coeffs + [0, 0])
+    assert p == padded and hash(p) == hash(padded)
+    assert len({p, padded}) == 1 and {p: k}.get(padded) == k
+    assert QPolynomial([k]) != k and k != QPolynomial([k])
+    assert len({QPolynomial([k]), k}) == 2 and {k: p}.get(QPolynomial([k])) is None
 
 
 @given(st.lists(st.integers(0, 12), max_size=20))
@@ -141,6 +160,61 @@ def test_add_raised_is_the_raised_sum(acc, total, below, s):
     out = list(acc.coeffs)
     add_raised(out, total.coeffs, below.coeffs, s)
     assert QPolynomial(out) == acc + total - below + below.shift(s)
+
+
+# Each kind's running-sum memo (`running_sums`): the memo, its removals
+# table, the route's whole sum, the sum by enumeration, the shapes swept,
+# and one shape solved fresh.
+RUNNING_SUM_MEMOS = {
+    "tuple": (
+        _maj_gf_by_last_cell,
+        cell_removals,
+        tuple_maj_gf,
+        lambda mp: map(maj_tuple, enumerate_tuple_tableaux(mp)),
+        [mp for d in (1, 2, 3) for n in range(0, 6) for mp in multipartitions_of(n, d)],
+        ((3, 2, 1), (2, 1), (1,)),
+    ),
+    "domino": (
+        _by_last_domino,
+        domino_removals,
+        sdt_maj_gf,
+        lambda p: map(maj_domino, enumerate_sdt(p)),
+        [shape for size in range(0, 12) for shape in partitions_of(size)],
+        (6, 4, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", RUNNING_SUM_MEMOS)
+def test_running_sum_memo_is_order_independent_and_immutable(kind):
+    """The process-wide memo gives the same sums whether the small shapes
+    are solved first or reached from the large ones, every cached entry
+    is a tuple, so no caller can change it, and each sum is the one over
+    the enumerated tableaux."""
+    memo, _, whole_sum, majs, shapes, _ = RUNNING_SUM_MEMOS[kind]
+    runs = []
+    for order in (shapes, shapes[::-1]):
+        memo.cache_clear()
+        runs.append({shape: (whole_sum(shape), memo(shape)) for shape in order})
+        for shape in order:
+            entries = memo(shape)
+            assert isinstance(entries, tuple)
+            assert all(isinstance(e, tuple) and isinstance(e[1], tuple) for e in entries)
+    assert runs[0] == runs[1]
+    for shape, (total, _) in runs[0].items():
+        assert total == QPolynomial.from_exponents(majs(shape)), shape
+
+
+@pytest.mark.parametrize("kind", RUNNING_SUM_MEMOS)
+def test_running_sum_memo_leaves_the_removals_table_alone(kind):
+    """The memo solves each shape once, so it reads the table without
+    filling its process-wide memo."""
+    memo, removals, whole_sum, _, _, shape = RUNNING_SUM_MEMOS[kind]
+    memo.cache_clear()
+    removals.cache_clear()
+    whole_sum(shape)
+    assert memo.cache_info().currsize > 1
+    assert removals.cache_info().currsize == 0
 
 
 @given(polys, polys)

@@ -176,56 +176,26 @@ def test_recursion_matches_enumeration():
                     assert tuple_maj_gf_restricted(mp) == QPolynomial.from_exponents(first), mp
 
 
-def test_memo_is_order_independent_and_immutable():
-    """The process-wide memo gives the same sums whether the small shapes
-    are solved first or reached from the large ones, and every cached
-    entry is a tuple, so no caller can change it."""
-    shapes = [mp for d in (1, 2, 3) for n in range(0, 6) for mp in multipartitions_of(n, d)]
-    runs = []
-    for order in (shapes, shapes[::-1]):
-        _maj_gf_by_last_cell.cache_clear()
-        runs.append({mp: (tuple_maj_gf(mp), _maj_gf_by_last_cell(mp)) for mp in order})
-        for mp in order:
-            entries = _maj_gf_by_last_cell(mp)
-            assert isinstance(entries, tuple)
-            assert all(isinstance(e, tuple) and isinstance(e[1], tuple) for e in entries)
-    assert runs[0] == runs[1]
-    for mp, (total, _entries) in runs[0].items():
-        majs = [maj_tuple(t) for t in enumerate_tuple_tableaux(mp)]
-        assert total == QPolynomial.from_exponents(majs), mp
-
-
 def test_memo_entries_are_running_sums():
-    """The memo has one entry per corner, keyed by the (component, row) of
-    the `cell_removals` table in its order, and entry k sums q^maj over
-    the enumerated tableaux whose largest label sits at key k or an
-    earlier one, for every tuple shape with d <= 3 and n <= 6."""
+    """The memo has one entry per corner, keyed by the 0-based (component,
+    row, col) move of the `cell_removals` table in its order, and entry k
+    sums q^maj over the enumerated tableaux whose largest label sits at
+    key k or an earlier one, for every tuple shape with d <= 3 and n <= 6."""
     for d in (1, 2, 3):
         assert _maj_gf_by_last_cell(((),) * d) == ((None, (1,)),)
         for n in range(1, 7):
             for mp in multipartitions_of(n, d):
                 placed = []
                 for t in enumerate_tuple_tableaux(mp):
-                    ci, r, _ = label_positions(t)[n]
-                    placed.append(((ci - 1, r - 1), maj_tuple(t)))
+                    ci, r, c = label_positions(t)[n]
+                    placed.append(((ci - 1, r - 1, c - 1), maj_tuple(t)))
                 entries = _maj_gf_by_last_cell(mp)
                 keys = [key for key, _ in entries]
                 assert keys == sorted({key for key, _ in placed}), mp
-                assert keys == [(ci, ri) for _, (ci, ri, _) in cell_removals(mp)], mp
+                assert keys == [move for _, move in cell_removals(mp)], mp
                 for key, coeffs in entries:
                     below = QPolynomial.from_exponents(m for k, m in placed if k <= key)
                     assert QPolynomial(coeffs) == below, (mp, key)
-
-
-def test_route_memo_leaves_the_removals_table_alone():
-    """The route memo solves each shape once, so it reads the table
-    without filling its process-wide memo: solving fresh shapes leaves
-    that memo's size unchanged."""
-    _maj_gf_by_last_cell.cache_clear()
-    before = cell_removals.cache_info().currsize
-    tuple_maj_gf(((3, 2, 1), (2, 1), (1,)))
-    assert _maj_gf_by_last_cell.cache_info().currsize > 1
-    assert cell_removals.cache_info().currsize == before
 
 
 def reference_tuple_tableaux(mp):
