@@ -7,6 +7,8 @@ coefficient list, so equality is plain list equality.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
@@ -156,19 +158,25 @@ class QPolynomial:
         return out
 
     def pretty(self) -> str:
-        """Render like ``q^3 + q^5 + q^7`` with ascending exponents."""
+        """Render like ``q^3 + q^5 + q^7`` or ``1 - 2*q^2 - q^3`` with
+        ascending exponents: a negative term follows " - ", and a
+        coefficient of absolute value 1 is written only on q^0."""
         if not self:
             return "0"
-        terms = []
+        out = ""
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             if k == 0:
-                terms.append(str(c))
+                term = str(abs(c))
             else:
                 var = "q" if k == 1 else f"q^{k}"
-                terms.append(var if c == 1 else f"{c}*{var}")
-        return " + ".join(terms)
+                term = var if abs(c) == 1 else f"{abs(c)}*{var}"
+            if out:
+                out += (" - " if c < 0 else " + ") + term
+            else:
+                out = "-" + term if c < 0 else term
+        return out
 
     def __repr__(self) -> str:
         return f"QPolynomial({list(self.coeffs)})"
@@ -242,44 +250,84 @@ def running_sums(removals, rank, precedes):
 
 
 ONE = QPolynomial([1])
+_WORD_MASK = (1 << 64) - 1
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def product(polys: Iterable[QPolynomial]) -> QPolynomial:
-    """Product of the polynomials by Kronecker substitution: each factor is
-    read at q = 2^(8w) by Horner, the values are multiplied as integers,
-    and the product's coefficients are read back as w-byte digits.
-
-    Every coefficient of the product lies within +-bound, bound being the
-    product of the factors' absolute coefficient sums, and w is the least
-    byte count with bound < 2^(8w - 1) = half.  Adding half to every digit
-    (half times the repunit (2^(8w len) - 1) / (2^(8w) - 1)) leaves each
-    one in [0, 2^(8w)), so no digit borrows from the next and the result
-    is exact with no check afterwards.  Factors equal to 1 are dropped, a
-    zero factor gives zero, and a single factor is returned as it is.
+    """Product of the polynomials.  When no coefficient is negative, the
+    factors go straight to the Kronecker kernel `_natural_product`.
+    Otherwise each factor f with a negative coefficient is split as
+    f+ - f-, both with nonnegative coefficients, and folded into the
+    running product a+ - a- as (a+ f+ + a- f-) - (a+ f- + a- f+), four
+    natural products.  Factors equal to 1 are dropped, a zero factor gives
+    zero, and a single factor is returned as it is.
     """
     factors = [p for p in polys if p.coeffs != (1,)]
     if len(factors) < 2:
         return factors[0] if factors else ONE
-    if not all(p.coeffs for p in factors):
+    coeffs = [p.coeffs for p in factors]
+    if not all(coeffs):
         return QPolynomial()
+    if min(map(min, coeffs)) >= 0:
+        return QPolynomial(_natural_product(coeffs))
+    plus = _natural_product([cs for cs in coeffs if min(cs) >= 0])
+    minus: list[int] = []
+    for cs in coeffs:
+        if min(cs) < 0:
+            fp = [max(c, 0) for c in cs]
+            fm = [max(-c, 0) for c in cs]
+            plus, minus = (
+                _add(_natural_product([plus, fp]), _natural_product([minus, fm])),
+                _add(_natural_product([plus, fm]), _natural_product([minus, fp])),
+            )
+    return QPolynomial(_add(plus, [-c for c in minus]))
+
+
+def _add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _natural_product(factors: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients of the product of coefficient lists with no negative
+    entry, by Kronecker substitution: each factor is read at q = 2^(64m)
+    as one integer, the integers are multiplied, and the product's
+    coefficients are read back as digits of m 64-bit words.
+
+    No coefficient of the product exceeds bound, the product of the
+    factors' coefficient sums, and m is the least word count with
+    bound < 2^(64m), so no digit carries into the next.  Each factor is
+    written into an array of words, word j of every digit by one
+    extended-slice assignment, and the product is read back through a
+    memoryview of its bytes; bytes are swapped on a big-endian host, so
+    the integers are always read and written little-endian.
+    """
     bound = 1
-    for p in factors:
-        bound *= sum(map(abs, p.coeffs))
-    w = bound.bit_length() // 8 + 1
-    bits = 8 * w
+    for cs in factors:
+        bound *= sum(cs)
+    if not bound:
+        return []
+    m = -(-bound.bit_length() // 64)
     value = 1
-    for p in factors:
-        x = 0
-        for c in reversed(p.coeffs):
-            x = (x << bits) + c
-        value *= x
-    length = sum(len(p.coeffs) for p in factors) - len(factors) + 1
-    half = 1 << (bits - 1)
-    value += half * (((1 << (bits * length)) - 1) // ((1 << bits) - 1))
-    digits = value.to_bytes(w * length, "little")
-    return QPolynomial(
-        [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * length, w)]
-    )
+    for cs in factors:
+        if m == 1:
+            words = array("Q", cs)
+        else:
+            words = array("Q", bytes(8 * m * len(cs)))
+            for j in range(m):
+                words[j::m] = array("Q", [c >> (64 * j) & _WORD_MASK for c in cs])
+        if _BIG_ENDIAN:
+            words.byteswap()
+        value *= int.from_bytes(words, "little")
+    length = sum(map(len, factors)) - len(factors) + 1
+    words = memoryview(value.to_bytes(8 * m * length, "little")).cast("Q")
+    if _BIG_ENDIAN:
+        words = array("Q", words)
+        words.byteswap()
+    out = words[::m].tolist()
+    for j in range(1, m):
+        out = [c + (w << (64 * j)) for c, w in zip(out, words[j::m])]
+    return out
 
 
 def q_int(n: int) -> QPolynomial:

@@ -118,9 +118,15 @@ kernel_factors = st.one_of(
     st.just(ONE),
     st.builds(QPolynomial, st.lists(st.integers(-(2**70), 2**70), max_size=30)),
 )
+# Factors with no negative coefficient, which skip the sign split; their
+# products need digits of two and more words.
+natural_factors = st.one_of(
+    st.just(ONE),
+    st.builds(QPolynomial, st.lists(st.integers(0, 2**70), max_size=30)),
+)
 
 
-@given(st.lists(kernel_factors, max_size=5))
+@given(st.one_of(st.lists(kernel_factors, max_size=5), st.lists(natural_factors, max_size=5)))
 def test_product_is_the_folded_schoolbook_product(factors):
     assert product(factors) == product_by_convolution(factors)
     assert product(iter(factors)) == product(factors)
@@ -136,21 +142,30 @@ def test_product_of_no_factor_one_factor_and_a_zero_factor():
     assert product([QPolynomial()]) == QPolynomial()
 
 
-@pytest.mark.parametrize("bound", [127, 128, 255, 256, 2**63 - 1, 2**63, 2**63 + 1])
+@pytest.mark.parametrize(
+    "bound",
+    [127, 128, 255, 256, 2**63 - 1, 2**63, 2**63 + 1,
+     2**64 - 1, 2**64, 2**64 + 1, 2**128 - 1, 2**128],
+)
 @pytest.mark.parametrize("sign", [1, -1])
 def test_product_is_exact_at_a_byte_edge(bound, sign):
     """The product of the absolute coefficient sums is the bound; here some
     coefficient reaches it, or two neighbours of opposite sign share it, on
-    either side of a byte edge of the width."""
+    either side of a byte edge and of a 64-bit word edge of the digit.  In
+    the last case a coefficient reaches the bound between two large
+    neighbours; with sign 1 no coefficient is negative, so it takes the
+    natural kernel with no sign split."""
     a = bound // 2
     cases = [
         [QPolynomial([0, sign * bound]), QPolynomial([0, 0, -1])],
         [QPolynomial([sign * bound]), QPolynomial([0, 1]), QPolynomial([0, -1])],
         [QPolynomial([0, sign * a, -sign * (bound - a)]), QPolynomial([0, 1])],
+        [QPolynomial([sign * a, sign * (bound - a)]), QPolynomial([1, 1])],
     ]
     for factors in cases:
         assert product(factors) == product_by_convolution(factors), factors
     assert max(map(abs, product(cases[0]).coeffs)) == bound
+    assert max(map(abs, product(cases[3]).coeffs)) == bound
 
 
 @given(polys, polys, polys, st.integers(0, 6))
@@ -259,6 +274,12 @@ def test_pretty():
     assert QPolynomial([0, 0, 0, 1, 0, 1, 0, 1]).pretty() == "q^3 + q^5 + q^7"
     assert QPolynomial([1, 2]).pretty() == "1 + 2*q"
     assert QPolynomial().pretty() == "0"
+    assert QPolynomial([1, 0, -1]).pretty() == "1 - q^2"
+    assert QPolynomial([0, -1, 2, -3]).pretty() == "-q + 2*q^2 - 3*q^3"
+    assert QPolynomial([-2, 1, -1]).pretty() == "-2 + q - q^2"
+    assert QPolynomial([0, 0, -5]).pretty() == "-5*q^2"
+    error = InexactDivisionError(QPolynomial([1, -1]), QPolynomial([1, 0, -1]))
+    assert str(error) == "inexact division: (1 - q) / (1 - q^2)"
 
 
 def test_q_analogues():
