@@ -14,9 +14,9 @@ insertion produces it, the flip swaps its entries, and `pair_of` builds
 the tableau pair once, at the end.  `map_shape` maps every tableau of a
 shape in one walk, sharing each insertion step among the tableaux that
 share the dominoes of the larger labels.  The walk and the insertion
-follow the same step graph (`_step_graph`), one node per covered region
-and one dict lookup per label, in the same order, so the walk's first
-RuleError is the first one the maps would raise.
+follow the same cached nodes (`_node`), one per covered region and one
+dict lookup per label, in the same order, so the walk's first RuleError
+is the first one the maps would raise.
 """
 
 from __future__ import annotations
@@ -74,30 +74,15 @@ def _map_of(odd: int) -> tuple[Callable, int, str]:
     return lusztig_rho1_inverse, 1, "pi_c"
 
 
-class _StepGraph(dict):
-    """The insertion steps of one (Lusztig inverse, key offset): a dict
-    from a covered region to its node (`_RegionNode`), each node made
-    once, on its first lookup, for a region that is a partition
-    (ValueError otherwise), with the region's preimage under the inverse
-    computed then, the graph's one call of the inverse per region."""
-
-    __slots__ = ("inverse", "offset")
-
-    def __init__(self, inverse, offset: int):
-        super().__init__()
-        self.inverse, self.offset = inverse, offset
-
-    def __missing__(self, region: Partition) -> _RegionNode:
-        node = self[region] = _RegionNode(self, check_partition(region))
-        return node
-
-
 @lru_cache(maxsize=None)
-def _step_graph(inverse, offset: int) -> _StepGraph:
-    """The process-wide step graph of (inverse, offset).  The memo is keyed
-    on the inverse itself, so a replaced inverse starts a graph of its
-    own, validated afresh."""
-    return _StepGraph(inverse, offset)
+def _node(inverse, offset: int, region: Partition) -> _RegionNode:
+    """The process-wide node (`_RegionNode`) of a covered region under one
+    (Lusztig inverse, key offset), made once, on its first lookup, for a
+    region that is a partition (ValueError otherwise), with the region's
+    preimage under the inverse computed then: one call of the inverse per
+    region.  The memo is keyed on the inverse itself, so a replaced inverse
+    gets nodes of its own, validated afresh."""
+    return _RegionNode(inverse, offset, check_partition(region))
 
 
 class _RegionNode(dict):
@@ -106,7 +91,7 @@ class _RegionNode(dict):
     node of the region left when the domino is lifted off and the keyed
     cell (filling, row, col, key) of the domino's label, the cell the pair
     loses between the two regions, keyed as in `_keyed_cells` at the
-    graph's offset.  A map follows one dict lookup per label.
+    node's offset.  A map follows one dict lookup per label.
 
     A missing domino is validated, once per domino: it is one of the
     region's border dominoes (`domino_removals`), so a tableau that is not
@@ -119,11 +104,12 @@ class _RegionNode(dict):
     them.
     """
 
-    __slots__ = ("graph", "region", "preimage")
+    __slots__ = ("inverse", "offset", "region", "preimage")
 
-    def __init__(self, graph: _StepGraph, region: Partition):
+    def __init__(self, inverse, offset: int, region: Partition):
         super().__init__()
-        self.graph, self.region, self.preimage = graph, region, graph.inverse(region)
+        self.inverse, self.offset, self.region = inverse, offset, region
+        self.preimage = inverse(region)
 
     def __missing__(self, domino: tuple[Cell, Cell]):
         entry = self.get(domino[::-1]) or self._step(domino)
@@ -131,13 +117,13 @@ class _RegionNode(dict):
         return entry
 
     def _step(self, domino: tuple[Cell, Cell]):
-        graph, region = self.graph, self.region
+        region = self.region
         for smaller, cells in domino_removals(region):
             if cells == domino or cells == domino[::-1]:
                 break
         else:
             raise ValueError(f"cells {domino} are not a border domino of {region}")
-        child = graph[smaller]
+        child = _node(self.inverse, self.offset, smaller)
         before, after = child.preimage, self.preimage
         grown = [k for k in (0, 1) if before[k] != after[k]]
         if len(grown) == 1:
@@ -146,7 +132,7 @@ class _RegionNode(dict):
             row = next((i for i, x in enumerate(old) if i >= len(new) or new[i] != x), len(old))
             col = (old[row] if row < len(old) else 0) + 1
             if (row == 0 or old[row - 1] >= col) and new == old[:row] + (col,) + old[row + 1:]:
-                key = 2 * (row + 1 - col) + graph.offset * grown[0]
+                key = 2 * (row + 1 - col) + self.offset * grown[0]
                 return child, (grown[0] + 1, row + 1, col, key)
         raise RuleError(
             f"covered regions {smaller} -> {region}: pairs {before} -> {after} "
@@ -161,13 +147,13 @@ def _insert(t: DominoTableau, odd: int) -> list[KeyedCell]:
     2-core (`()` or `(1,)`).  The shapes of the pair are forced at every
     stage: they are the preimage of the covered region under the Lusztig
     map, so the cell each lift takes from the pair holds the domino's
-    label; the step graph (`_StepGraph`) lifts the domino and keys the
-    cell, one lookup per label.
+    label; the shape's node (`_node`) lifts the domino and keys the cell,
+    one lookup per label.
     """
     inverse, offset, name = _map_of(odd)
     if t.size % 2 != odd:
         raise ValueError(f"{name} needs an {('even', 'odd')[odd]}-size shape")
-    node, cells = _step_graph(inverse, offset)[t.shape], []
+    node, cells = _node(inverse, offset, t.shape), []
     for domino in reversed(t.dominoes):
         node, cell = node[domino]
         cells.append(cell)
@@ -374,4 +360,4 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
                 raise
             walk(child, k - 1, maj + k if bottom < below else maj, top)
 
-    walk(_step_graph(inverse, offset)[shape], n, 0, 0)
+    walk(_node(inverse, offset, shape), n, 0, 0)

@@ -25,7 +25,6 @@ from .shapes import (
     lusztig_rho1,
     lusztig_rho2,
     parse_multipartition,
-    parse_pair,
     parse_partition,
 )
 from .tableaux import (
@@ -101,7 +100,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    pair = parse_pair(args.pair)
+    pair = parse_multipartition(args.pair)
     print("rho1:", format_partition(lusztig_rho1(pair)) or "-")
     print("rho2:", format_partition(lusztig_rho2(pair)))
     return 0

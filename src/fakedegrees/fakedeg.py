@@ -35,7 +35,8 @@ class Representation:
     """An irreducible representation label.
 
     group is a key of ROUTES.  For wreath, d is the cyclic order and label
-    has exactly d components.  For bc, d is 2 and label is an ordered
+    has exactly d components, each a partition given as any sequence and
+    stored as a tuple.  For bc, d is 2 and label is an ordered
     pair.  For type D (n >= 2), label is stored in canonical order
     (lexicographically larger component first) and marker distinguishes
     the two representations attached to an equal-component pair.  Every
@@ -50,8 +51,7 @@ class Representation:
 
     def __post_init__(self):
         _check_group(self.group, self.d)
-        for comp in self.label:
-            check_partition(comp)
+        object.__setattr__(self, "label", tuple(map(check_partition, self.label)))
         if self.group == "wreath" and len(self.label) != self.d:
             raise ValueError(f"label {self.label} does not have {self.d} components")
         if self.group != "wreath" and len(self.label) != 2:
@@ -75,11 +75,13 @@ class Representation:
 
 
 def _check_group(group: str, d: int) -> None:
-    """The one rule for a (group, d): group is a key of ROUTES, a wreath
-    product G(d,1,n) has d >= 1, and types B/C and D have d = 2
-    (ValueError otherwise)."""
+    """The one rule for a (group, d): group is a key of ROUTES, d is an
+    int, a wreath product G(d,1,n) has d >= 1, and types B/C and D have
+    d = 2 (ValueError otherwise)."""
     if group not in ROUTES:
         raise ValueError(f"unknown group {group!r}")
+    if not isinstance(d, int):
+        raise ValueError(f"d must be an int, got d = {d!r}")
     if group == "wreath" and d < 1:
         raise ValueError(f"wreath products G(d,1,n) need d >= 1, got d = {d}")
     if group != "wreath" and d != 2:

@@ -45,14 +45,6 @@ def parse_partition(text: str) -> Partition:
     return check_partition(parts)
 
 
-def parse_pair(text: str) -> Multipartition:
-    """Parse "p1|p2" into an ordered partition pair."""
-    if text.count("|") != 1:
-        raise ValueError(f"pair must contain exactly one '|': {text!r}")
-    a, b = text.split("|")
-    return (parse_partition(a), parse_partition(b))
-
-
 def parse_multipartition(text: str) -> Multipartition:
     return tuple(parse_partition(t) for t in text.split("|"))
 

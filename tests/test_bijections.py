@@ -105,9 +105,9 @@ def test_insertion_rejects_a_bent_stage(monkeypatch, bend):
 
 
 def test_step_graph_calls_the_inverse_once_per_region(monkeypatch):
-    """Each node of the step graph holds its region's preimage, so mapping
-    every even shape with n <= 6 calls the inverse once per node, not
-    twice per step."""
+    """Each cached region node holds its region's preimage, so mapping
+    every even shape with n <= 6 calls the inverse once per region, not
+    twice per step, and every region it was called on keeps its node."""
     calls = []
 
     def counting(p):
@@ -118,8 +118,9 @@ def test_step_graph_calls_the_inverse_once_per_region(monkeypatch):
     for n in range(7):
         for pair_shape in multipartitions_of(n, 2):
             map_shape(lusztig_rho1(pair_shape), lambda maj, cells: None)
-    graph = bijections._step_graph(counting, 1)
-    assert sorted(calls) == sorted(graph) and len(calls) == 139
+    assert len(calls) == len(set(calls)) == 139
+    nodes = [bijections._node(counting, 1, p) for p in calls]
+    assert [node.region for node in nodes] == calls and len(calls) == 139
 
 
 def test_insertion_rejects_dominoes_that_do_not_tile():
@@ -174,12 +175,12 @@ def test_insertion_reads_a_domino_in_either_order():
 
 
 def test_insertion_memo_is_order_independent_and_immutable():
-    """The process-wide step graph gives the same images whether the small
+    """The process-wide region nodes give the same images whether the small
     shapes are mapped first or the large ones, and every entry of a
     region's node is a tuple naming the node of the region left once the
     domino is lifted off and the filling, cell and key of that label in
     the image."""
-    graph_of = bijections._step_graph
+    node_of = bijections._node
     shapes = [ps for n in range(0, 6) for ps in multipartitions_of(n, 2)]
     maps = (
         (lusztig_rho1, lusztig_rho1_inverse, 1, pi_c),
@@ -187,7 +188,7 @@ def test_insertion_memo_is_order_independent_and_immutable():
     )
     runs = []
     for order in (shapes, shapes[::-1]):
-        graph_of.cache_clear()
+        node_of.cache_clear()
         runs.append({
             (ps, pi): [pi(t) for t in enumerate_sdt(rho(ps))]
             for ps in order
@@ -195,14 +196,13 @@ def test_insertion_memo_is_order_independent_and_immutable():
         })
         for ps in order:
             for rho, inverse, offset, pi in maps:
-                graph = graph_of(inverse, offset)
                 for t in enumerate_sdt(rho(ps)):
                     pos = label_positions(pi(t))
                     for k in range(1, t.n + 1):
-                        entry = graph[truncate(t, k).shape][t.cells_of(k)]
+                        entry = node_of(inverse, offset, truncate(t, k).shape)[t.cells_of(k)]
                         assert isinstance(entry, tuple)
                         child, (f, r, c, key) = entry
-                        assert child is graph[truncate(t, k - 1).shape]
+                        assert child is node_of(inverse, offset, truncate(t, k - 1).shape)
                         assert child.region == truncate(t, k - 1).shape
                         assert (f, r, c) == pos[k]
                         assert key == 2 * (r - c) + (offset if f == 2 else 0)

@@ -245,6 +245,15 @@ def test_map_known_values(capsys):
     assert out == "rho1: -\nrho2: 1\n"
 
 
+@pytest.mark.parametrize("pair", ["1", "1|1|1", ""])
+def test_map_refuses_a_label_that_is_not_a_pair(capsys, pair):
+    """`map --pair` parses a multipartition, as `compute` does, and the
+    Lusztig map refuses one that is not an ordered pair: a usage error."""
+    code, out, err = run(capsys, "map", "--pair", pair)
+    assert code == 2 and out == ""
+    assert err == "error: Lusztig map needs an ordered pair of partitions\n"
+
+
 def test_explain_flip_example_exact(capsys):
     """A known worked flip example appears in some trace: locate the
     domino tableau whose intermediate pair is the example input, then check

@@ -72,11 +72,14 @@ def test_a_marker_is_refused_outside_equal_component_type_d(call):
     assert representation("d", ((1,), (1,)), marker=2).marker == 2
 
 
-@pytest.mark.parametrize("group, d", [("x", 2), ("wreath", 0), ("bc", 3), ("d", 5)])
+@pytest.mark.parametrize(
+    "group, d",
+    [("x", 2), ("wreath", 0), ("bc", 3), ("d", 5), ("wreath", 2.0), ("bc", 2.0), ("wreath", "3")],
+)
 def test_one_rule_refuses_a_group_and_d(group, d):
     """A label, a Poincaré polynomial and the list of labels all refuse an
-    unknown group, a wreath product of d < 1 and types B/C/D of d != 2
-    with the same message."""
+    unknown group, a d that is not an int, a wreath product of d < 1 and
+    types B/C/D of d != 2 with the same message."""
     messages = set()
     for call in (
         lambda: representation(group, ((1,), (1,)), d),
@@ -133,6 +136,21 @@ def test_label_components_must_be_partitions(call):
     one returning 1, another 2 + q, and the formula an IndexError."""
     with pytest.raises(ValueError, match="partition parts must be"):
         call()
+
+
+@pytest.mark.parametrize("group, route", [(g, r) for g in ROUTES for r in ROUTES[g]])
+def test_a_label_of_lists_is_its_tuple_form(group, route):
+    """A label's components may be any sequences: `Representation` stores
+    them as tuples, so a label of lists hashes in the route memos and
+    gives the polynomial of its tuple form, by every route, for every
+    label with n = 3 (d = 3 for the wreath product)."""
+    d = 3 if group == "wreath" else 2
+    for rep in all_representations(group, 3, d):
+        as_lists = representation(group, [list(c) for c in rep.label], d, rep.marker)
+        assert as_lists == rep
+        assert fake_degree(as_lists, route) == fake_degree(rep, route)
+    assert fake_degree_bc(([1], [1])) == fake_degree_bc(((1,), (1,)))
+    assert fake_degree(d_rep(([2], [1]))) == fake_degree(d_rep(((2,), (1,))))
 
 
 def test_wreath_examples():

@@ -119,10 +119,11 @@ kernel_factors = st.one_of(
     st.builds(QPolynomial, st.lists(st.integers(-(2**70), 2**70), max_size=30)),
 )
 # Factors with no negative coefficient, which skip the sign split; their
-# products need digits of two and more words.
+# coefficients up to 2^200 fill four words of a digit, so every word of a
+# digit is written as well as read.
 natural_factors = st.one_of(
     st.just(ONE),
-    st.builds(QPolynomial, st.lists(st.integers(0, 2**70), max_size=30)),
+    st.builds(QPolynomial, st.lists(st.integers(0, 2**200), max_size=30)),
 )
 
 

@@ -19,7 +19,6 @@ from fakedegrees.shapes import (
     lusztig_rho2_inverse,
     multipartitions_of,
     parse_multipartition,
-    parse_pair,
     parse_partition,
     partitions_of,
     symbol_of,
@@ -44,11 +43,9 @@ def test_check_partition():
 def test_parsing_and_formatting():
     assert parse_partition("2,2,1") == (2, 2, 1)
     assert parse_partition("") == ()
-    assert parse_pair("1,1|1") == ((1, 1), (1,))
-    assert parse_pair("|") == ((), ())
+    assert parse_multipartition("1,1|1") == ((1, 1), (1,))
+    assert parse_multipartition("|") == ((), ())
     assert parse_multipartition("2|1|") == ((2,), (1,), ())
-    with pytest.raises(ValueError):
-        parse_pair("1")
     with pytest.raises(ValueError):
         parse_partition("1,x")
     assert format_partition((2, 1)) == "2,1"
