@@ -148,5 +148,5 @@ def sdt_maj_gf(shape: Partition) -> QPolynomial:
 # strictly above n's: its bottom row a[1] above n's top row b[0].
 # `domino_removals` lists the bottom rows in nondecreasing order.
 _by_last_domino = running_sums(
-    domino_removals, lambda p: sum(p) // 2, lambda a, b: a[1][0] < b[0][0]
+    domino_removals.__wrapped__, lambda p: sum(p) // 2, lambda a, b: a[1][0] < b[0][0]
 )

@@ -24,6 +24,7 @@ from .shapes import (
     lusztig_rho1,
     lusztig_rho2,
     multipartitions_of,
+    nonempty_components,
     symbol_of,
     total_size,
 )
@@ -100,17 +101,18 @@ def representation(
     group: str, label: Multipartition, d: int = 2, marker: int = 1
 ) -> Representation:
     """The representation of a label as given, a type-D pair put in
-    canonical order first; `Representation` refuses what is not a label
-    (ValueError)."""
-    if group == "d" and len(label) == 2 and label[0] < label[1]:
+    canonical order first, its components compared as tuples;
+    `Representation` refuses what is not a label (ValueError)."""
+    if group == "d" and len(label) == 2 and tuple(label[0]) < tuple(label[1]):
         label = label[::-1]
     return Representation(group=group, d=d, label=label, marker=marker)
 
 
 def d_rep(pair: Multipartition, marker: int = 1) -> Representation:
     """Canonicalize an unordered pair for type D; an unequal pair takes
-    marker 1, whatever marker is given."""
-    if len(pair) == 2 and pair[0] != pair[1]:
+    marker 1, whatever marker is given.  The components are compared as
+    tuples, so a list equals its tuple form."""
+    if len(pair) == 2 and tuple(pair[0]) != tuple(pair[1]):
         marker = 1
     return representation("d", pair, 2, marker)
 
@@ -144,7 +146,8 @@ def _formula(rep: Representation) -> QPolynomial:
     """The q-multinomial of the component sizes times the hook-length form
     of each component's SYT generating function, then the label's own
     b-shift and q -> q^d."""
-    return _scaled(_formula_product(tuple(sorted(c for c in rep.label if c))), rep.label, rep.d)
+    inner = _formula_product(tuple(sorted(nonempty_components(rep.label))))
+    return _scaled(inner, rep.label, rep.d)
 
 
 @lru_cache(maxsize=None)

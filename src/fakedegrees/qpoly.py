@@ -208,9 +208,10 @@ def add_raised(acc: list[int], total: Sequence[int], below: Sequence[int], s: in
 
 
 def running_sums(removals, rank, precedes):
-    """The running-sum memo of one diagram kind, over its memoised removals
-    table (shape -> (smaller shape, move) pairs), its rank (the largest
-    label n of a shape's standard tableaux) and its descent rule.
+    """The running-sum memo of one diagram kind, over its removals table
+    (shape -> (smaller shape, move) pairs, a function read unmemoised),
+    its rank (the largest label n of a shape's standard tableaux) and its
+    descent rule.
 
     The memo maps a shape to (move, coefficients) pairs, one per move of
     the table in its order, whose coefficients sum q^maj over the standard
@@ -223,9 +224,11 @@ def running_sums(removals, rank, precedes):
     the move b of n, precedes(a, b).  Each kind's table lists its moves so
     that these are a prefix of the smaller shape's entries; with below the
     entry of the last of them, the move adds total - below + q^(n-1) below.
-    The memo is process-wide, so each shape is solved once and reads the
-    table through `__wrapped__`, leaving the table's own memo alone; its
-    entries are tuples, so no caller can change them.
+    The memo is process-wide, so each shape is solved once, and every
+    shape of rank >= 1 it solves goes through the table: a kind whose
+    table keeps a memo of its own passes its `__wrapped__` function,
+    leaving that memo alone.  Its entries are tuples, so no caller can
+    change them.
     """
 
     @lru_cache(maxsize=None)
@@ -235,7 +238,7 @@ def running_sums(removals, rank, precedes):
             return ((None, (1,)),)
         out = []
         acc: list[int] = []
-        for smaller, move in removals.__wrapped__(shape):
+        for smaller, move in removals(shape):
             entries = memo(smaller)
             below: tuple[int, ...] = ()
             for prev, coeffs in entries:

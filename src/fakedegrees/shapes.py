@@ -87,6 +87,12 @@ def total_size(mp: Multipartition) -> int:
     return sum(sum(comp) for comp in mp)
 
 
+def nonempty_components(mp: Multipartition) -> Multipartition:
+    """The nonempty components of mp, in order; mp itself when none is
+    empty."""
+    return mp if all(mp) else tuple(filter(None, mp))
+
+
 def beta_set(p: Partition, r: int) -> tuple[int, ...]:
     """The r beads of p on the abacus, largest first: p_i + r - i."""
     if r < len(p):

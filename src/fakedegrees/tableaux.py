@@ -4,7 +4,10 @@ A tableau is a tuple of row tuples.  A tuple tableau is a tuple of such
 fillings, one per component of a multipartition, using each label 1..n
 exactly once overall.  The corners of a shape, in (component, row) order,
 come from `shapes.cell_removals`, the only coding of that order: the
-enumerator and the running-sum memo both walk it.
+enumerator and the running-sum memo both walk it.  An empty filling holds
+no label and no row, so a shape has the tableaux and major indices of its
+nonempty components, in order; the running-sum memo is keyed on those, and
+solves each such shape once whatever empty components its callers give.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .qpoly import QPolynomial, running_sums
-from .shapes import Multipartition, Partition, cell_removals, total_size
+from .shapes import Multipartition, Partition, cell_removals, nonempty_components, total_size
 
 Tableau = tuple[tuple[int, ...], ...]
 TupleTableau = tuple[Tableau, ...]
@@ -120,26 +123,53 @@ def largest_label_component(t: TupleTableau) -> int:
     return max(last)[1]
 
 
+def _nonempty_cell_removals(mp: Multipartition) -> tuple:
+    """The table of the running-sum memo: the moves of `cell_removals`,
+    read unmemoised, in its order, each with its smaller shape less the
+    component the move empties.  A shape with an empty component is
+    refused (ValueError), so every shape the memo solves past rank 0 has
+    none and its keys index its nonempty components.
+
+    The descent rule still holds across a dropped component.  A move that
+    empties component c removes its only cell, (c, 0, 0), and the later
+    components of the smaller shape shift down by one; each of their keys
+    (c', r), with c' >= c after the shift, compares with (c, 0) under
+    a[:2] < b[:2] as it did before it (never smaller), and the keys of
+    the earlier components do not move."""
+    if not all(mp):
+        raise ValueError(f"the tuple running-sum memo needs nonempty components, got {mp}")
+    return tuple(
+        (nonempty_components(smaller), move) for smaller, move in cell_removals.__wrapped__(mp)
+    )
+
+
 # Running sums by the cell of the largest label (`qpoly.running_sums`),
-# keyed by the corner (component, row, col).  n-1 is a descent exactly
-# when its corner comes before n's in (component, row) order.
-_maj_gf_by_last_cell = running_sums(cell_removals, total_size, lambda a, b: a[:2] < b[:2])
+# keyed by the corner (component, row, col) among the nonempty components.
+# n-1 is a descent exactly when its corner comes before n's in
+# (component, row) order.
+_maj_gf_by_last_cell = running_sums(
+    _nonempty_cell_removals, total_size, lambda a, b: a[:2] < b[:2]
+)
 
 
 def tuple_maj_gf(mp: Multipartition) -> QPolynomial:
     """Sum of q^maj over all standard tuple tableaux of the shape."""
-    return QPolynomial(_maj_gf_by_last_cell(mp)[-1][1])
+    return QPolynomial(_maj_gf_by_last_cell(nonempty_components(mp))[-1][1])
 
 
 def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
     """Same sum, restricted to tableaux whose largest label is in the
-    first filling.  Defined for ordered pairs (d = 2)."""
+    first filling: zero when that filling is empty, else the entries of
+    component 0 of the nonempty shape.  Defined for ordered pairs
+    (d = 2)."""
     if len(mp) != 2:
         raise ValueError("restricted generating function needs a pair shape")
     if total_size(mp) == 0:
         raise ValueError("restricted generating function needs n >= 1")
+    if not mp[0]:
+        return QPolynomial()
     first: tuple[int, ...] = ()
-    for key, coeffs in _maj_gf_by_last_cell(mp):
+    for key, coeffs in _maj_gf_by_last_cell(nonempty_components(mp)):
         if key[0]:
             break
         first = coeffs

@@ -52,6 +52,17 @@ def test_representation_validation():
     assert d_rep(((1,), (1,)), marker=2).marker == 2
 
 
+def test_a_type_d_pair_may_mix_a_list_and_a_tuple():
+    """A type-D pair's components are ordered and compared as tuples, so
+    a pair mixing a list and a tuple is its tuple form: equal components
+    keep marker 2, unequal ones are put in canonical order."""
+    assert d_rep(([1], (1,)), marker=2) == d_rep(((1,), (1,)), marker=2)
+    assert d_rep(([1, 1], (1, 1)), marker=2).marker == 2
+    assert d_rep([(2,), [1]], marker=2) == d_rep(((2,), (1,)))
+    assert representation("d", ([1], (2,))) == representation("d", ((2,), (1,)))
+    assert representation("d", ((1,), [1]), marker=2).marker == 2
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -17,7 +17,13 @@ from fakedegrees.qpoly import (
     q_multinomial,
 )
 from fakedegrees.dominoes import _by_last_domino, enumerate_sdt, maj_domino, sdt_maj_gf
-from fakedegrees.shapes import cell_removals, domino_removals, multipartitions_of, partitions_of
+from fakedegrees.shapes import (
+    cell_removals,
+    domino_removals,
+    multipartitions_of,
+    nonempty_components,
+    partitions_of,
+)
 from fakedegrees.tableaux import (
     _maj_gf_by_last_cell,
     enumerate_tuple_tableaux,
@@ -180,14 +186,22 @@ def test_add_raised_is_the_raised_sum(acc, total, below, s):
 
 # Each kind's running-sum memo (`running_sums`): the memo, its removals
 # table, the route's whole sum, the sum by enumeration, the shapes swept,
-# and one shape solved fresh.
+# and one shape solved fresh.  The tuple memo is keyed on the nonempty
+# components, so its shapes have no empty component.
 RUNNING_SUM_MEMOS = {
     "tuple": (
         _maj_gf_by_last_cell,
         cell_removals,
         tuple_maj_gf,
         lambda mp: map(maj_tuple, enumerate_tuple_tableaux(mp)),
-        [mp for d in (1, 2, 3) for n in range(0, 6) for mp in multipartitions_of(n, d)],
+        list(
+            dict.fromkeys(
+                nonempty_components(mp)
+                for d in (1, 2, 3)
+                for n in range(0, 6)
+                for mp in multipartitions_of(n, d)
+            )
+        ),
         ((3, 2, 1), (2, 1), (1,)),
     ),
     "domino": (

@@ -5,9 +5,16 @@ import pytest
 
 from fakedegrees.dominoes import enumerate_sdt
 from fakedegrees.qpoly import QPolynomial, q_int
-from fakedegrees.shapes import cell_removals, hooks, multipartitions_of, partitions_of
+from fakedegrees.shapes import (
+    cell_removals,
+    hooks,
+    multipartitions_of,
+    nonempty_components,
+    partitions_of,
+)
 from fakedegrees.tableaux import (
     _maj_gf_by_last_cell,
+    _nonempty_cell_removals,
     enumerate_syt,
     enumerate_tuple_tableaux,
     format_tableau,
@@ -177,25 +184,66 @@ def test_recursion_matches_enumeration():
 
 
 def test_memo_entries_are_running_sums():
-    """The memo has one entry per corner, keyed by the 0-based (component,
-    row, col) move of the `cell_removals` table in its order, and entry k
-    sums q^maj over the enumerated tableaux whose largest label sits at
-    key k or an earlier one, for every tuple shape with d <= 3 and n <= 6."""
+    """The memo is keyed on the nonempty components, in order: read at
+    that form, a shape has one entry per corner, keyed by the 0-based
+    (component, row, col) move of the form's `cell_removals` table in its
+    order, and entry k sums q^maj over the enumerated tableaux whose
+    largest label sits at key k or an earlier one, for every tuple shape
+    with d <= 3 and n <= 6.  An enumerated cell's component is counted
+    among the nonempty ones: less the empty components before it."""
     for d in (1, 2, 3):
-        assert _maj_gf_by_last_cell(((),) * d) == ((None, (1,)),)
+        assert _maj_gf_by_last_cell(nonempty_components(((),) * d)) == ((None, (1,)),)
         for n in range(1, 7):
             for mp in multipartitions_of(n, d):
+                form = nonempty_components(mp)
+                empties_before = [sum(not c for c in mp[:ci]) for ci in range(d)]
                 placed = []
                 for t in enumerate_tuple_tableaux(mp):
                     ci, r, c = label_positions(t)[n]
-                    placed.append(((ci - 1, r - 1, c - 1), maj_tuple(t)))
-                entries = _maj_gf_by_last_cell(mp)
+                    key = (ci - 1 - empties_before[ci - 1], r - 1, c - 1)
+                    placed.append((key, maj_tuple(t)))
+                entries = _maj_gf_by_last_cell(form)
                 keys = [key for key, _ in entries]
                 assert keys == sorted({key for key, _ in placed}), mp
-                assert keys == [move for _, move in cell_removals(mp)], mp
+                assert keys == [move for _, move in cell_removals(form)], mp
                 for key, coeffs in entries:
                     below = QPolynomial.from_exponents(m for k, m in placed if k <= key)
                     assert QPolynomial(coeffs) == below, (mp, key)
+
+
+def test_empty_components_anywhere_give_the_enumerated_sum():
+    """An empty filling holds no label and no row, so empty components
+    placed anywhere leave the sum over the enumerated tableaux unchanged,
+    for every tuple shape with d <= 4 and n <= 5; the memo, read at the
+    nonempty components, solves each of their shapes once."""
+    _maj_gf_by_last_cell.cache_clear()
+    forms = set()
+    for d in (1, 2, 3, 4):
+        for n in range(0, 6):
+            for mp in multipartitions_of(n, d):
+                majs = map(maj_tuple, enumerate_tuple_tableaux(mp))
+                assert tuple_maj_gf(mp) == QPolynomial.from_exponents(majs), mp
+                forms.add(nonempty_components(mp))
+    assert _maj_gf_by_last_cell.cache_info().currsize == len(forms)
+
+
+def test_restricted_sum_is_zero_when_the_first_filling_is_empty():
+    """No tableau of ((), mu) has its largest label in the first filling."""
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            assert tuple_maj_gf_restricted(((), mu)) == QPolynomial(), mu
+            assert tuple_maj_gf_restricted((mu, ())) == tuple_maj_gf((mu,)), mu
+
+
+@pytest.mark.parametrize("mp", [((),), ((1,), ()), ((), (2, 1)), ((1,), (), (1,))])
+def test_the_memo_table_refuses_an_empty_component(mp):
+    """The memo's table, and so the memo past rank 0, refuses a shape with
+    an empty component, so no entry is stored keyed in its indexing."""
+    with pytest.raises(ValueError, match="nonempty components"):
+        _nonempty_cell_removals(mp)
+    if sum(map(sum, mp)):
+        with pytest.raises(ValueError, match="nonempty components"):
+            _maj_gf_by_last_cell(mp)
 
 
 def reference_tuple_tableaux(mp):
