@@ -25,7 +25,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .dominoes import DominoTableau, sdt_at
+from .dominoes import DominoTableau, enumerate_sdt
 from .shapes import (
     Cell,
     Partition,
@@ -355,7 +355,8 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
             try:
                 child, cells[k - 1] = node[domino]
             except RuleError as exc:
-                first = sdt_at(smaller, 0).dominoes  # labels 1..k-1 of the first tableau below
+                # labels 1..k-1 of the first tableau below
+                first = next(enumerate_sdt(smaller)).dominoes
                 exc.tableau = DominoTableau(shape=shape, dominoes=first + tuple(stack[k - 1:]))
                 raise
             walk(child, k - 1, maj + k if bottom < below else maj, top)

@@ -10,7 +10,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .qpoly import QPolynomial, running_sums
-from .shapes import Cell, Partition, domino_removals
+from .shapes import Cell, Partition, check_partition, domino_removals
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,8 +68,10 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
     label k+1, and stack[k] holds that label's domino.  Each shape's
     removals are computed once per process (`domino_removals` is
     memoised), and each tableau's domino tuple is built once, at the
-    leaf, from the stack filled in place.
+    leaf, from the stack filled in place.  A shape that is not a partition
+    is refused (`check_partition`'s ValueError).
     """
+    shape = check_partition(shape)
     n = sum(shape) // 2
     if n == 0:
         yield DominoTableau(shape=shape, dominoes=())
@@ -97,8 +99,10 @@ def sdt_at(shape: Partition, index: int) -> DominoTableau:
     tableaux are grouped by the domino of the largest label, in
     `domino_removals` order, and the coefficient sum of a running-sum
     entry counts the tableaux in its group and the groups before it.
-    IndexError outside 0..count-1.
+    IndexError outside 0..count-1; ValueError when the shape is not a
+    partition.
     """
+    shape = check_partition(shape)
     stack: list = []
     p, rest = shape, index
     while sum(p) > 1 and rest >= 0:
@@ -146,7 +150,11 @@ def sdt_maj_gf(shape: Partition) -> QPolynomial:
 # Running sums by the domino of the largest label (`qpoly.running_sums`),
 # keyed by its cells.  n-1 is a descent exactly when its domino lies
 # strictly above n's: its bottom row a[1] above n's top row b[0].
-# `domino_removals` lists the bottom rows in nondecreasing order.
+# `domino_removals` lists the bottom rows in nondecreasing order.  The rank
+# reads the shape through `check_partition` (ValueError), so a shape is
+# checked on its miss and a stored key was checked when it was stored.
 _by_last_domino = running_sums(
-    domino_removals.__wrapped__, lambda p: sum(p) // 2, lambda a, b: a[1][0] < b[0][0]
+    domino_removals.__wrapped__,
+    lambda p: sum(check_partition(p)) // 2,
+    lambda a, b: a[1][0] < b[0][0],
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
 from operator import add
 
 from .bijections import map_shape
@@ -119,26 +118,24 @@ def d_rep(pair: Multipartition, marker: int = 1) -> Representation:
 
 # ---------------------------------------------------------------------------
 # Routes.  Each takes a Representation of its group.  They share only
-# plumbing (the maj histogram, the substitution q -> q^d and the b-shift),
+# plumbing (the maj histogram; `_scaled`, the one writer of q^b p(q^d)),
 # never a computation another route exists to check.
 
 
-def _scaled(inner: QPolynomial, mp: Multipartition, d: int = 2) -> QPolynomial:
-    """q^b(mp) inner(q^d), written with one slice assignment."""
-    cs, b = inner.coeffs, b_multi(mp)
-    out = [0] * (b + d * len(cs))
-    out[b::d] = cs
-    return QPolynomial(out)
-
-
-def _scaled_sum(terms) -> QPolynomial:
-    """Sum of q^b p(q^2) over the (coefficients of p, b) terms, in one
+def _scaled(terms, d: int = 2) -> QPolynomial:
+    """Sum of q^b p(q^d) over the (QPolynomial p, int b) terms, in one
     coefficient list: the first term is written into zeros, each later one
-    added, one slice assignment each."""
-    out = [0] * max(b + 2 * len(cs) for cs, b in terms)
-    for i, (cs, b) in enumerate(terms):
-        stop = b + 2 * len(cs)
-        out[b:stop:2] = map(add, out[b:stop:2], cs) if i else cs
+    added, the list grown as needed; one slice assignment each."""
+    out: list[int] = []
+    for p, b in terms:
+        cs = p.coeffs
+        stop = b + d * len(cs)
+        if out:
+            out.extend([0] * (stop - len(out)))
+            out[b:stop:d] = map(add, out[b:stop:d], cs)
+        else:
+            out = [0] * stop
+            out[b::d] = cs
     return QPolynomial(out)
 
 
@@ -147,7 +144,7 @@ def _formula(rep: Representation) -> QPolynomial:
     of each component's SYT generating function, then the label's own
     b-shift and q -> q^d."""
     inner = _formula_product(tuple(sorted(nonempty_components(rep.label))))
-    return _scaled(inner, rep.label, rep.d)
+    return _scaled([(inner, b_multi(rep.label))], rep.d)
 
 
 @lru_cache(maxsize=None)
@@ -162,31 +159,26 @@ def _formula_product(components: Multipartition) -> QPolynomial:
 
 def _enumeration(rep: Representation) -> QPolynomial:
     """Sum of q^maj over standard tuple tableaux."""
-    return _scaled(tuple_maj_gf(rep.label), rep.label, rep.d)
+    return _scaled([(tuple_maj_gf(rep.label), b_multi(rep.label))], rep.d)
 
 
 def _domino_even(rep: Representation) -> QPolynomial:
     """Sum of q^maj over standard domino tableaux of the size-2n shape."""
-    return _scaled(sdt_maj_gf(lusztig_rho1(rep.label)), rep.label)
+    return _scaled([(sdt_maj_gf(lusztig_rho1(rep.label)), b_multi(rep.label))])
 
 
 def _domino_odd(rep: Representation) -> QPolynomial:
     """Sum of q^maj over standard domino tableaux of the size-2n+1 shape."""
-    return _scaled(sdt_maj_gf(lusztig_rho2(rep.label)), rep.label)
+    return _scaled([(sdt_maj_gf(lusztig_rho2(rep.label)), b_multi(rep.label))])
 
 
-def _orderings(rep: Representation) -> list[Multipartition]:
-    lam1, lam2 = rep.label
-    if lam1 == lam2:
-        return [rep.label]
-    return [rep.label, (lam2, lam1)]
-
-
-def _ordering_terms(rep: Representation, restricted_gf) -> list[tuple]:
-    """One (coefficients, b) term per ordering of a type-D pair (one when
-    the components are equal): its restricted generating function and its
+def _ordering_terms(rep: Representation, restricted_gf) -> list[tuple[QPolynomial, int]]:
+    """One (p, b) term per ordering of a type-D pair (one when the
+    components are equal): its restricted generating function and its
     b-shift."""
-    return [(restricted_gf(ordering).coeffs, b_multi(ordering)) for ordering in _orderings(rep)]
+    lam1, lam2 = rep.label
+    orderings = [rep.label] if lam1 == lam2 else [rep.label, (lam2, lam1)]
+    return [(restricted_gf(ordering), b_multi(ordering)) for ordering in orderings]
 
 
 def _restricted_sdt_gf(pair: Multipartition) -> QPolynomial:
@@ -206,13 +198,13 @@ def _restricted_sdt_gf(pair: Multipartition) -> QPolynomial:
 
 def _d_tuple(rep: Representation) -> QPolynomial:
     """Restricted tuple generating functions of both orderings."""
-    return _scaled_sum(_ordering_terms(rep, tuple_maj_gf_restricted))
+    return _scaled(_ordering_terms(rep, tuple_maj_gf_restricted))
 
 
 def _d_domino(rep: Representation) -> QPolynomial:
     """The same restriction, transported through the maj-preserving
     bijection."""
-    return _scaled_sum(_ordering_terms(rep, _restricted_sdt_gf))
+    return _scaled(_ordering_terms(rep, _restricted_sdt_gf))
 
 
 def _d_shifted(rep: Representation) -> QPolynomial:
@@ -222,9 +214,8 @@ def _d_shifted(rep: Representation) -> QPolynomial:
     the second filling is the total less the first; both are written
     raised by q^n, which is then taken off."""
     n, b = rep.n, b_multi(rep.label)
-    first = tuple_maj_gf_restricted(rep.label).coeffs
-    second = tuple(t - f for t, f in zip_longest(tuple_maj_gf(rep.label).coeffs, first, fillvalue=0))
-    total = _scaled_sum([(first, b + n), (second, b)]).shift(-n)
+    first = tuple_maj_gf_restricted(rep.label)
+    total = _scaled([(first, b + n), (tuple_maj_gf(rep.label) - first, b)]).shift(-n)
     lam1, lam2 = rep.label
     return total.exact_div(QPolynomial([2])) if lam1 == lam2 else total
 
@@ -392,7 +383,7 @@ def check_corollary1_d(n: int) -> list[dict]:
             continue  # same polynomial as marker 1
         mu = d_rep(special_partner_bc(rep.label))
         f_mu = fake_degree_d(mu)
-        parts = [_scaled(tuple_maj_gf_restricted(o), o) for o in _orderings(rep)]
+        parts = [_scaled([term]) for term in _ordering_terms(rep, tuple_maj_gf_restricted)]
         out.append(
             {
                 "label": rep.label,

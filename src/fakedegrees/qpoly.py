@@ -210,7 +210,8 @@ def add_raised(acc: list[int], total: Sequence[int], below: Sequence[int], s: in
 def running_sums(removals, rank, precedes):
     """The running-sum memo of one diagram kind, over its removals table
     (shape -> (smaller shape, move) pairs, a function read unmemoised),
-    its rank (the largest label n of a shape's standard tableaux) and its
+    its rank (the largest label n of a shape's standard tableaux, read
+    first on every miss, so a kind checks its shapes there) and its
     descent rule.
 
     The memo maps a shape to (move, coefficients) pairs, one per move of

@@ -23,13 +23,18 @@ Cell = tuple[int, int]
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
-    """Validate weak decrease and positivity; return a canonical tuple."""
+    """Validate int parts, weak decrease and positivity; return a
+    canonical tuple."""
     p = tuple(parts)
-    for i, x in enumerate(p):
+    last = p[0] if p else 0
+    for x in p:
+        if not isinstance(x, int):
+            raise ValueError(f"partition parts must be ints: {p}")
         if x < 1:
             raise ValueError(f"partition parts must be positive: {p}")
-        if i and p[i - 1] < x:
+        if last < x:
             raise ValueError(f"partition parts must be weakly decreasing: {p}")
+        last = x
     return p
 
 

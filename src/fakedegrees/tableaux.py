@@ -15,7 +15,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .qpoly import QPolynomial, running_sums
-from .shapes import Multipartition, Partition, cell_removals, nonempty_components, total_size
+from .shapes import (
+    Multipartition,
+    Partition,
+    cell_removals,
+    check_partition,
+    nonempty_components,
+    total_size,
+)
 
 Tableau = tuple[tuple[int, ...], ...]
 TupleTableau = tuple[Tableau, ...]
@@ -54,8 +61,10 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
     the shape under label k+1, whose cell is written into a preallocated
     grid as it is placed.  Each shape's removals are computed once per
     process (`cell_removals` is memoised), and each tableau is built once,
-    at the leaf, from that grid.
+    at the leaf, from that grid.  A component that is not a partition is
+    refused (`check_partition`'s ValueError).
     """
+    mp = tuple(map(check_partition, mp))
     grid = [[[0] * length for length in comp] for comp in mp]
     n = total_size(mp)
     if n == 0:
@@ -146,9 +155,13 @@ def _nonempty_cell_removals(mp: Multipartition) -> tuple:
 # Running sums by the cell of the largest label (`qpoly.running_sums`),
 # keyed by the corner (component, row, col) among the nonempty components.
 # n-1 is a descent exactly when its corner comes before n's in
-# (component, row) order.
+# (component, row) order.  The rank reads each component through
+# `check_partition` (ValueError), so a shape is checked on its miss and a
+# stored key was checked when it was stored.
 _maj_gf_by_last_cell = running_sums(
-    _nonempty_cell_removals, total_size, lambda a, b: a[:2] < b[:2]
+    _nonempty_cell_removals,
+    lambda mp: total_size(map(check_partition, mp)),
+    lambda a, b: a[:2] < b[:2],
 )
 
 
@@ -161,12 +174,14 @@ def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
     """Same sum, restricted to tableaux whose largest label is in the
     first filling: zero when that filling is empty, else the entries of
     component 0 of the nonempty shape.  Defined for ordered pairs
-    (d = 2)."""
+    (d = 2).  A zero answer reads no memo entry, so it checks the second
+    component itself."""
     if len(mp) != 2:
         raise ValueError("restricted generating function needs a pair shape")
     if total_size(mp) == 0:
         raise ValueError("restricted generating function needs n >= 1")
     if not mp[0]:
+        check_partition(mp[1])
         return QPolynomial()
     first: tuple[int, ...] = ()
     for key, coeffs in _maj_gf_by_last_cell(nonempty_components(mp)):

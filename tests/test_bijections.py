@@ -4,7 +4,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fakedegrees import bijections
+from fakedegrees import bijections, dominoes
 from fakedegrees.bijections import (
     RuleError,
     TableauPair,
@@ -38,7 +38,7 @@ from fakedegrees.shapes import (
     partitions_of,
 )
 from fakedegrees.tableaux import enumerate_tuple_tableaux, label_positions, maj_tuple
-from oracles import pair_shapes, truncate
+from oracles import is_standard, pair_shapes, truncate
 
 
 def test_pi_parity_checks():
@@ -495,6 +495,21 @@ def test_map_shape_raises_the_first_error_of_the_maps(monkeypatch, shape, fault)
     message, tableau = first_failure(shape)
     assert walk_failure(shape) == (message, tableau)
     assert message.startswith(("flip procedure", "covered regions"))
+
+
+@pytest.mark.parametrize("shape", WALK_SHAPES)
+def test_a_failing_step_leaves_the_domino_route_memo_alone(monkeypatch, shape):
+    """The walk names the first tableau below a failing step by
+    enumerating it, so the running-sum memo of the domino routes gains no
+    entry from a walk."""
+    monkeypatch.setattr(
+        bijections, *bent_inverse(shape, both_components, lambda p: sum(p) == 4 + sum(shape) % 2)
+    )
+    dominoes._by_last_domino.cache_clear()
+    message, tableau = walk_failure(shape)
+    assert message.startswith("covered regions")
+    assert tableau.shape == shape and is_standard(tableau)
+    assert dominoes._by_last_domino.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("shape", WALK_SHAPES)

@@ -185,3 +185,24 @@ def test_sdt_at_is_the_enumeration_order():
             for index in (-1, len(tableaux)):
                 with pytest.raises(IndexError, match=f"no standard domino tableau #{index}"):
                     sdt_at(shape, index)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sdt_maj_gf((2, 4)),
+        lambda: sdt_maj_gf((0,)),
+        lambda: list(enumerate_sdt((2, 4))),
+        lambda: list(enumerate_sdt((1, 1, -1))),
+        lambda: sdt_at((2, 4), 0),
+        lambda: sdt_at((0,), 0),
+    ],
+)
+def test_a_shape_that_is_not_a_partition_is_refused(call):
+    """The enumerator, the generating-function reader and `sdt_at` refuse
+    a shape that is not a partition, and the memo stores no entry for
+    it."""
+    stored = _by_last_domino.cache_info().currsize
+    with pytest.raises(ValueError, match="partition parts must be"):
+        call()
+    assert _by_last_domino.cache_info().currsize == stored

@@ -104,6 +104,23 @@ def test_one_rule_refuses_a_group_and_d(group, d):
     assert len(messages) == 1, messages
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fake_degree_bc(((2.0,), ())),
+        lambda: fake_degree_bc("1|1"),
+        lambda: fake_degree_wreath(((1,), ("1",), ()), 3),
+        lambda: fake_degree_d(representation("d", ((1.0,), (1,)))),
+        lambda: bc_rep([[1], [1.5]]),
+    ],
+)
+def test_a_label_whose_parts_are_not_ints_is_refused(call):
+    """`Representation` refuses a part that is not an int with a
+    ValueError, before any route reads it."""
+    with pytest.raises(ValueError, match="partition parts must be ints"):
+        call()
+
+
 @pytest.mark.parametrize("pair", [(), ((1,),), ((1,), (1,), (1,))])
 def test_d_rep_refuses_a_non_pair_as_representation_does(pair):
     with pytest.raises(ValueError) as raised:

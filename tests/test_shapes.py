@@ -38,6 +38,9 @@ def test_check_partition():
         check_partition((2, 3))
     with pytest.raises(ValueError):
         check_partition((1, 0))
+    for parts in ([2, 1.0], (2.0,), "21", ((1,),), (None,)):
+        with pytest.raises(ValueError, match="partition parts must be ints"):
+            check_partition(parts)
 
 
 def test_parsing_and_formatting():

@@ -246,6 +246,29 @@ def test_the_memo_table_refuses_an_empty_component(mp):
             _maj_gf_by_last_cell(mp)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tuple_maj_gf(((2, 0),)),
+        lambda: tuple_maj_gf(((0,),)),
+        lambda: tuple_maj_gf(((1,), (1, 3))),
+        lambda: tuple_maj_gf_restricted(((1, 2), (1,))),
+        lambda: tuple_maj_gf_restricted(((), (2, 0))),
+        lambda: syt_maj_gf((1, 2)),
+        lambda: list(enumerate_syt((1, 2))),
+        lambda: list(enumerate_tuple_tableaux(((2,), (1, 1, 0)))),
+    ],
+)
+def test_a_shape_that_is_not_a_partition_is_refused(call):
+    """The enumerators and the generating-function readers refuse a
+    component that is not a partition, and the memo stores no entry for
+    it."""
+    stored = _maj_gf_by_last_cell.cache_info().currsize
+    with pytest.raises(ValueError, match="partition parts must be"):
+        call()
+    assert _maj_gf_by_last_cell.cache_info().currsize == stored
+
+
 def reference_tuple_tableaux(mp):
     """The earlier enumerator, kept as the reference for its order: the
     largest label at each corner in turn (components, then rows), each
