@@ -22,7 +22,6 @@ is the first one the maps would raise.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .dominoes import DominoTableau, enumerate_sdt
@@ -59,9 +58,17 @@ class RuleError(RuntimeError):
         self.tableau = tableau
 
 
-@dataclass
 class Trace:
-    swaps: list[int] = field(default_factory=list)  # label i of each i/i+1 swap
+    """The swaps a flip makes: swaps lists the label i of each i/i+1 swap,
+    in order.  Each trace starts with an empty list of its own."""
+
+    __slots__ = ("swaps",)
+
+    def __init__(self):
+        self.swaps: list[int] = []
+
+    def __repr__(self) -> str:
+        return f"Trace(swaps={self.swaps!r})"
 
 
 def _map_of(odd: int) -> tuple[Callable, int, str]:

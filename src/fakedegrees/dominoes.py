@@ -7,17 +7,41 @@ carries a zero square fixed at (1, 1); dominoes are labelled 1..n.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .qpoly import QPolynomial, running_sums
 from .shapes import Cell, Partition, check_partition, domino_removals
 
 
-@dataclass(frozen=True, slots=True)
 class DominoTableau:
-    shape: Partition
-    # dominoes[i] is the cell pair of the domino labelled i+1
-    dominoes: tuple[tuple[Cell, Cell], ...]
+    """A domino tableau: its shape and dominoes[i], the cell pair of the
+    domino labelled i+1.  Instances are immutable, and equal and hashable
+    by (shape, dominoes)."""
+
+    __slots__ = ("shape", "dominoes")
+
+    def __init__(self, shape: Partition, dominoes: tuple[tuple[Cell, Cell], ...]):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "dominoes", dominoes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DominoTableau is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("DominoTableau is immutable")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, DominoTableau):
+            return self.shape == other.shape and self.dominoes == other.dominoes
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.dominoes))
+
+    def __repr__(self) -> str:
+        return f"DominoTableau(shape={self.shape!r}, dominoes={self.dominoes!r})"
+
+    def __reduce__(self):
+        return (DominoTableau, (self.shape, self.dominoes))
 
     @property
     def size(self) -> int:
@@ -142,8 +166,12 @@ def maj_domino(t: DominoTableau) -> int:
 
 def sdt_maj_gf(shape: Partition) -> QPolynomial:
     """Sum of q^maj over all standard domino tableaux of the shape; zero
-    when the shape supports none."""
-    entries = _by_last_domino(shape)
+    when the shape supports none.  A shape given as a list reads its tuple
+    form."""
+    try:
+        entries = _by_last_domino(shape)
+    except TypeError:  # a list is unhashable; a memo hit pays nothing for this
+        entries = _by_last_domino(check_partition(shape))
     return QPolynomial(entries[-1][1] if entries else ())
 
 

@@ -8,7 +8,6 @@ exactly; the verification module sweeps those agreements exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
@@ -30,7 +29,6 @@ from .shapes import (
 from .tableaux import tuple_maj_gf, tuple_maj_gf_restricted
 
 
-@dataclass(frozen=True)
 class Representation:
     """An irreducible representation label.
 
@@ -41,33 +39,60 @@ class Representation:
     (lexicographically larger component first) and marker distinguishes
     the two representations attached to an equal-component pair.  Every
     other label takes marker 1.  This is the one place a label is refused
-    (ValueError).
+    (ValueError).  Instances are immutable, and equal and hashable by
+    their fields (group, d, label, marker).
     """
 
-    group: str
-    d: int
-    label: Multipartition
-    marker: int = 1
+    __slots__ = ("group", "d", "label", "marker")
 
-    def __post_init__(self):
-        _check_group(self.group, self.d)
-        object.__setattr__(self, "label", tuple(map(check_partition, self.label)))
-        if self.group == "wreath" and len(self.label) != self.d:
-            raise ValueError(f"label {self.label} does not have {self.d} components")
-        if self.group != "wreath" and len(self.label) != 2:
-            raise ValueError(f"types B/C/D take an ordered pair of partitions, got {self.label}")
-        if self.group == "d":
-            if self.n < 2:
+    def __init__(self, group: str, d: int, label: Multipartition, marker: int = 1):
+        _check_group(group, d)
+        label = tuple(map(check_partition, label))
+        if group == "wreath" and len(label) != d:
+            raise ValueError(f"label {label} does not have {d} components")
+        if group != "wreath" and len(label) != 2:
+            raise ValueError(f"types B/C/D take an ordered pair of partitions, got {label}")
+        if group == "d":
+            if total_size(label) < 2:
                 raise ValueError("type D needs n >= 2")
-            lam1, lam2 = self.label
+            lam1, lam2 = label
             if lam1 < lam2:
                 raise ValueError("type D label must be in canonical order")
-            if self.marker not in (1, 2):
+            if marker not in (1, 2):
                 raise ValueError("type D marker must be 1 or 2")
-            if lam1 != lam2 and self.marker != 1:
+            if lam1 != lam2 and marker != 1:
                 raise ValueError("marker 2 needs equal components")
-        elif self.marker != 1:
-            raise ValueError(f"only type D takes a marker, got marker {self.marker}")
+        elif marker != 1:
+            raise ValueError(f"only type D takes a marker, got marker {marker}")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "marker", marker)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Representation is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Representation is immutable")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Representation):
+            return (self.group, self.d, self.label, self.marker) == (
+                other.group, other.d, other.label, other.marker
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.d, self.label, self.marker))
+
+    def __repr__(self) -> str:
+        return (
+            f"Representation(group={self.group!r}, d={self.d!r}, "
+            f"label={self.label!r}, marker={self.marker!r})"
+        )
+
+    def __reduce__(self):
+        return (Representation, (self.group, self.d, self.label, self.marker))
 
     @property
     def n(self) -> int:

@@ -165,26 +165,38 @@ _maj_gf_by_last_cell = running_sums(
 )
 
 
+def _entries(mp: Multipartition) -> tuple:
+    """The memo's entries for the nonempty components of mp; a shape
+    given with lists reads its tuple form."""
+    try:
+        return _maj_gf_by_last_cell(nonempty_components(mp))
+    except TypeError:  # a list is unhashable; a memo hit pays nothing for this
+        return _maj_gf_by_last_cell(nonempty_components(tuple(map(check_partition, mp))))
+
+
 def tuple_maj_gf(mp: Multipartition) -> QPolynomial:
-    """Sum of q^maj over all standard tuple tableaux of the shape."""
-    return QPolynomial(_maj_gf_by_last_cell(nonempty_components(mp))[-1][1])
+    """Sum of q^maj over all standard tuple tableaux of the shape.  A shape
+    given with lists reads its tuple form."""
+    return QPolynomial(_entries(mp)[-1][1])
 
 
 def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
     """Same sum, restricted to tableaux whose largest label is in the
     first filling: zero when that filling is empty, else the entries of
     component 0 of the nonempty shape.  Defined for ordered pairs
-    (d = 2).  A zero answer reads no memo entry, so it checks the second
-    component itself."""
+    (d = 2).  A shape given with lists reads its tuple form.  A shape of
+    size 0 or with an empty first component reads no memo entry, so both
+    its components are read through `check_partition` (ValueError) before
+    the size test; the memo checks any other shape on its miss."""
     if len(mp) != 2:
         raise ValueError("restricted generating function needs a pair shape")
-    if total_size(mp) == 0:
-        raise ValueError("restricted generating function needs n >= 1")
-    if not mp[0]:
-        check_partition(mp[1])
+    if not mp[0] or total_size(mp) == 0:
+        mp = tuple(map(check_partition, mp))
+        if total_size(mp) == 0:
+            raise ValueError("restricted generating function needs n >= 1")
         return QPolynomial()
     first: tuple[int, ...] = ()
-    for key, coeffs in _maj_gf_by_last_cell(nonempty_components(mp)):
+    for key, coeffs in _entries(mp):
         if key[0]:
             break
         first = coeffs

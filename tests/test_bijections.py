@@ -536,6 +536,12 @@ def test_pair_maj_equals_domino_maj():
                 assert pair_maj_b(pi_b(t)) == maj_domino(t)
 
 
+def test_each_trace_has_its_own_swaps():
+    first, second = Trace(), Trace()
+    flip_c((((4,), (6,)), ((1, 3), (2, 5))), first)
+    assert (first.swaps, second.swaps) == ([3, 5, 4], [])
+
+
 def test_flip_worked_example_even():
     y = (((4,), (6,)), ((1, 3), (2, 5)))
     trace = Trace()

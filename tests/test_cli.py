@@ -86,6 +86,22 @@ def test_enumerate_into_a_closed_pipe_exits_141_quietly():
     assert (proc.returncode, err) == (141, b"")
 
 
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter that imports the package, its CLI and its
+    verifier, as every CLI run and benchmark worker does, pays for
+    neither `dataclasses` nor the `inspect` it pulls in."""
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "import sys, fakedegrees, fakedegrees.cli, fakedegrees.verify; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_compute_route_all_agreement(capsys):
     code, out, _ = run(
         capsys, "compute", "--group", "bc", "--pair", "1,1|1", "--route", "all"

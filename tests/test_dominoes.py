@@ -1,4 +1,6 @@
+import pickle
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -135,6 +137,54 @@ def test_render_and_json():
     data = t.to_json()
     assert data[0]["label"] == 1
     assert len(data) == 2
+
+
+def test_sdt_maj_gf_of_a_list_shape_is_that_of_its_tuple_form():
+    for n in range(0, 9):
+        for shape in partitions_of(n):
+            assert sdt_maj_gf(list(shape)) == sdt_maj_gf(shape), shape
+    with pytest.raises(ValueError, match="partition parts must be"):
+        sdt_maj_gf([1, 2])
+
+
+def test_domino_tableau_is_a_value():
+    """A `DominoTableau` is built by position or keyword, is equal and
+    hashes by (shape, dominoes), equals no tuple of them and no object of
+    another class, has the repr of its fields, refuses any assignment or
+    deletion, and survives a pickle round trip."""
+    dominoes = (((1, 1), (2, 1)), ((1, 2), (2, 2)))
+    t = DominoTableau((2, 2), dominoes)
+    for same in (
+        DominoTableau(shape=(2, 2), dominoes=dominoes),
+        DominoTableau((2, 2), dominoes=dominoes),
+        sdt_at((2, 2), 0),
+        pickle.loads(pickle.dumps(t)),
+    ):
+        assert t == same and not t != same
+        assert hash(t) == hash(same)
+    assert hash(t) == hash(((2, 2), dominoes))
+    assert len(set(enumerate_sdt((2, 2))) | {t}) == 2
+    for other in (
+        sdt_at((2, 2), 1),
+        DominoTableau((2, 2, 0), dominoes),
+        ((2, 2), dominoes),
+        SimpleNamespace(shape=(2, 2), dominoes=dominoes),
+    ):
+        assert t != other and not t == other
+    assert repr(t) == "DominoTableau(shape=(2, 2), dominoes=(((1, 1), (2, 1)), ((1, 2), (2, 2))))"
+    assert repr(DominoTableau((1,), ())) == "DominoTableau(shape=(1,), dominoes=())"
+    for name in ("shape", "dominoes", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, ())
+    for name in ("shape", "dominoes"):
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    assert (t.size, t.n, t.has_zero_square, t.cells_of(2)) == (4, 2, False, ((1, 2), (2, 2)))
+    assert t.render() == "1 2\n1 2"
+    assert t.to_json() == [
+        {"label": 1, "cells": [[1, 1], [2, 1]]},
+        {"label": 2, "cells": [[1, 2], [2, 2]]},
+    ]
 
 
 def test_render_zero_square():

@@ -1,5 +1,7 @@
+import pickle
 from collections import Counter
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -61,6 +63,46 @@ def test_a_type_d_pair_may_mix_a_list_and_a_tuple():
     assert d_rep([(2,), [1]], marker=2) == d_rep(((2,), (1,)))
     assert representation("d", ([1], (2,))) == representation("d", ((2,), (1,)))
     assert representation("d", ((1,), [1]), marker=2).marker == 2
+
+
+def test_representation_is_a_value():
+    """A `Representation` is equal and hashes by its fields (group, d,
+    label, marker), however it was built; it equals no tuple of them and
+    no object of another class; its repr names each field; no field can
+    be assigned or deleted; and it survives a pickle round trip."""
+    r = bc_rep(((2,), (1,)))
+    for same in (
+        Representation("bc", 2, [[2], [1]]),
+        Representation(group="bc", d=2, label=((2,), (1,)), marker=1),
+        Representation("bc", 2, label=([2], (1,)), marker=1),
+        representation("bc", ((2,), (1,))),
+        pickle.loads(pickle.dumps(r)),
+    ):
+        assert r == same and not r != same
+        assert hash(r) == hash(same)
+    assert hash(r) == hash(("bc", 2, ((2,), (1,)), 1))
+    assert len({r, bc_rep([[2], [1]]), bc_rep(((1,), (2,)))}) == 2
+    for other in (
+        bc_rep(((1,), (2,))),
+        representation("d", ((2,), (1,))),
+        wreath_rep(((2,), (1,)), 2),
+        ("bc", 2, ((2,), (1,)), 1),
+        SimpleNamespace(group="bc", d=2, label=((2,), (1,)), marker=1),
+    ):
+        assert r != other and not r == other
+    assert d_rep(((1,), (1,))) != d_rep(((1,), (1,)), marker=2)
+    assert repr(r) == "Representation(group='bc', d=2, label=((2,), (1,)), marker=1)"
+    assert repr(d_rep([[1], [1]], 2)) == "Representation(group='d', d=2, label=((1,), (1,)), marker=2)"
+    assert repr(wreath_rep(([1], [], [2]), 3)) == (
+        "Representation(group='wreath', d=3, label=((1,), (), (2,)), marker=1)"
+    )
+    for name in ("group", "d", "label", "marker", "n", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 1)
+    for name in ("group", "d", "label", "marker"):
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    assert r == bc_rep(((2,), (1,))) and r.n == 3
 
 
 @pytest.mark.parametrize(

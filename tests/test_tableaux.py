@@ -235,6 +235,19 @@ def test_restricted_sum_is_zero_when_the_first_filling_is_empty():
             assert tuple_maj_gf_restricted((mu, ())) == tuple_maj_gf((mu,)), mu
 
 
+def test_a_shape_given_with_lists_reads_its_tuple_form():
+    """The generating-function readers take a shape given with lists, as
+    the enumerators do, and answer as for its tuple form."""
+    for n in range(0, 6):
+        for shape in partitions_of(n):
+            assert syt_maj_gf(list(shape)) == syt_maj_gf(shape), shape
+        for mp in multipartitions_of(n, 2):
+            for given in ([list(c) for c in mp], (list(mp[0]), mp[1]), list(mp)):
+                assert tuple_maj_gf(given) == tuple_maj_gf(mp), given
+                if n:
+                    assert tuple_maj_gf_restricted(given) == tuple_maj_gf_restricted(mp), given
+
+
 @pytest.mark.parametrize("mp", [((),), ((1,), ()), ((), (2, 1)), ((1,), (), (1,))])
 def test_the_memo_table_refuses_an_empty_component(mp):
     """The memo's table, and so the memo past rank 0, refuses a shape with
@@ -254,6 +267,10 @@ def test_the_memo_table_refuses_an_empty_component(mp):
         lambda: tuple_maj_gf(((1,), (1, 3))),
         lambda: tuple_maj_gf_restricted(((1, 2), (1,))),
         lambda: tuple_maj_gf_restricted(((), (2, 0))),
+        lambda: tuple_maj_gf_restricted(((0,), ())),
+        lambda: tuple_maj_gf_restricted(((1, -1), ())),
+        lambda: tuple_maj_gf([[2, 0]]),
+        lambda: syt_maj_gf([1, 2]),
         lambda: syt_maj_gf((1, 2)),
         lambda: list(enumerate_syt((1, 2))),
         lambda: list(enumerate_tuple_tableaux(((2,), (1, 1, 0)))),
