@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .qpoly import QPolynomial, running_sums
+from .qpoly import QPolynomial, Value, running_sums
 from .shapes import Cell, Partition, check_partition, domino_removals
 
 
-class DominoTableau:
+class DominoTableau(Value):
     """A domino tableau: its shape and dominoes[i], the cell pair of the
     domino labelled i+1.  Instances are immutable, and equal and hashable
     by (shape, dominoes)."""
@@ -22,26 +22,6 @@ class DominoTableau:
     def __init__(self, shape: Partition, dominoes: tuple[tuple[Cell, Cell], ...]):
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "dominoes", dominoes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DominoTableau is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("DominoTableau is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, DominoTableau):
-            return self.shape == other.shape and self.dominoes == other.dominoes
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.dominoes))
-
-    def __repr__(self) -> str:
-        return f"DominoTableau(shape={self.shape!r}, dominoes={self.dominoes!r})"
-
-    def __reduce__(self):
-        return (DominoTableau, (self.shape, self.dominoes))
 
     @property
     def size(self) -> int:

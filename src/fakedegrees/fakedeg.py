@@ -13,7 +13,7 @@ from operator import add
 
 from .bijections import map_shape
 from .dominoes import sdt_maj_gf
-from .qpoly import QPolynomial, hook_syt_gf, product, q_int, q_multinomial
+from .qpoly import QPolynomial, Value, hook_syt_gf, product, q_int, q_multinomial
 from .shapes import (
     Multipartition,
     b_multi,
@@ -29,7 +29,7 @@ from .shapes import (
 from .tableaux import tuple_maj_gf, tuple_maj_gf_restricted
 
 
-class Representation:
+class Representation(Value):
     """An irreducible representation label.
 
     group is a key of ROUTES.  For wreath, d is the cyclic order and label
@@ -68,31 +68,6 @@ class Representation:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "marker", marker)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Representation is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Representation is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Representation):
-            return (self.group, self.d, self.label, self.marker) == (
-                other.group, other.d, other.label, other.marker
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.d, self.label, self.marker))
-
-    def __repr__(self) -> str:
-        return (
-            f"Representation(group={self.group!r}, d={self.d!r}, "
-            f"label={self.label!r}, marker={self.marker!r})"
-        )
-
-    def __reduce__(self):
-        return (Representation, (self.group, self.d, self.label, self.marker))
 
     @property
     def n(self) -> int:

@@ -13,16 +13,52 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import accumulate, zip_longest
-from operator import add, sub
+from operator import add, attrgetter, sub
 
 from .shapes import b_statistic, check_partition, hooks
 
 
-class QPolynomial:
+class Value:
+    """Base of the immutable value classes.  A subclass names its fields
+    in ``__slots__`` and sets each once in its ``__init__``, through
+    ``object.__setattr__``.  A value then refuses assignment and deletion,
+    equals only an instance of its own class with equal fields, hashes as
+    its fields (the bare field when there is one), has the repr
+    ``Name(field=value, ...)``, and pickles and copies through
+    ``__init__``, so an unpickled value is checked again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class QPolynomial(Value):
     """Univariate polynomial in q with integer coefficients.
 
     ``coeffs[k]`` is the coefficient of ``q**k``.  Instances are immutable
-    and hashable; all operations return new polynomials in canonical form
+    values; all operations return new polynomials in canonical form
     (no trailing zero coefficients, zero polynomial == empty tuple).
     """
 
@@ -33,9 +69,6 @@ class QPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPolynomial is immutable")
 
     @classmethod
     def monomial(cls, k: int) -> "QPolynomial":
@@ -66,16 +99,6 @@ class QPolynomial:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        """Equal coefficients; never equal to a non-polynomial, an int
-        included, so equal values hash equal."""
-        if isinstance(other, QPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def _coefficientwise(self, other, op) -> "QPolynomial":
         """op of each pair of coefficients, the shorter list padded with
@@ -137,9 +160,6 @@ class QPolynomial:
         if -s > self.low_degree:
             raise ValueError(f"shift by {s} drops below degree 0")
         return QPolynomial(self.coeffs[-s:])
-
-    def evaluate_at_one(self) -> int:
-        return sum(self.coeffs)
 
     def is_palindromic(self) -> bool:
         """Whether the nonzero coefficient block reads the same reversed."""

@@ -153,6 +153,7 @@ def _lusztig_inverse(p: Partition, parity: int) -> Multipartition:
     odd number of beads) give the first component, the other runner the
     second."""
     kind = ("even", "odd")[parity]
+    p = check_partition(p)
     if sum(p) % 2 != parity:
         raise ValueError(f"lusztig_rho{parity + 1}_inverse needs an {kind}-size shape")
     beads = beta_set(p, len(p) | 1)
@@ -224,6 +225,7 @@ def cell_removals(mp: Multipartition) -> tuple[tuple[Multipartition, tuple[int, 
 def two_core(p: Partition) -> Partition:
     """The shape left once no domino can be removed: each runner's beads
     pushed down on the 2-abacus."""
+    p = check_partition(p)
     beads = beta_set(p, len(p))
     odd = sum(b % 2 for b in beads)
     return from_beta_set([*range(0, 2 * (len(beads) - odd), 2), *range(1, 2 * odd, 2)])
@@ -245,6 +247,8 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 def multipartitions_of(n: int, d: int) -> Iterator[Multipartition]:
     """All ordered d-tuples of partitions with total size n."""
+    if n < 0:
+        raise ValueError("multipartitions_of requires n >= 0")
     if d < 1:
         raise ValueError("multipartitions_of requires d >= 1")
     if d == 1:

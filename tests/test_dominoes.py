@@ -1,3 +1,4 @@
+import copy
 import pickle
 from itertools import islice
 from types import SimpleNamespace
@@ -151,7 +152,7 @@ def test_domino_tableau_is_a_value():
     """A `DominoTableau` is built by position or keyword, is equal and
     hashes by (shape, dominoes), equals no tuple of them and no object of
     another class, has the repr of its fields, refuses any assignment or
-    deletion, and survives a pickle round trip."""
+    deletion, and survives pickle, `copy.copy` and `copy.deepcopy`."""
     dominoes = (((1, 1), (2, 1)), ((1, 2), (2, 2)))
     t = DominoTableau((2, 2), dominoes)
     for same in (
@@ -159,6 +160,8 @@ def test_domino_tableau_is_a_value():
         DominoTableau((2, 2), dominoes=dominoes),
         sdt_at((2, 2), 0),
         pickle.loads(pickle.dumps(t)),
+        copy.copy(t),
+        copy.deepcopy(t),
     ):
         assert t == same and not t != same
         assert hash(t) == hash(same)

@@ -1,3 +1,4 @@
+import copy
 import pickle
 from collections import Counter
 from itertools import permutations
@@ -69,7 +70,8 @@ def test_representation_is_a_value():
     """A `Representation` is equal and hashes by its fields (group, d,
     label, marker), however it was built; it equals no tuple of them and
     no object of another class; its repr names each field; no field can
-    be assigned or deleted; and it survives a pickle round trip."""
+    be assigned or deleted; and it survives pickle, `copy.copy` and
+    `copy.deepcopy`."""
     r = bc_rep(((2,), (1,)))
     for same in (
         Representation("bc", 2, [[2], [1]]),
@@ -77,6 +79,8 @@ def test_representation_is_a_value():
         Representation("bc", 2, label=([2], (1,)), marker=1),
         representation("bc", ((2,), (1,))),
         pickle.loads(pickle.dumps(r)),
+        copy.copy(r),
+        copy.deepcopy(r),
     ):
         assert r == same and not r != same
         assert hash(r) == hash(same)
@@ -179,7 +183,7 @@ def test_d_rep_refuses_a_non_pair_as_representation_does(pair):
         lambda: Representation(group="wreath", d=-1, label=()),
         lambda: fake_degree_wreath((), 0, "formula"),
         lambda: fake_degree_wreath((), 0, "enumeration"),
-        lambda: fake_degree(wreath_rep((), 0)).evaluate_at_one(),
+        lambda: sum(fake_degree(wreath_rep((), 0)).coeffs),
     ],
 )
 def test_wreath_needs_a_positive_cyclic_order(call):
@@ -428,14 +432,33 @@ def test_regular_representation_identity():
         assert regular_representation_sum("d", n) == poincare_d(n)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: all_representations("bc", -1),
+        lambda: all_representations("wreath", -1, 3),
+        lambda: check_corollary1_bc(-1),
+        lambda: regular_representation_sum("bc", -1),
+        lambda: regular_representation_sum("wreath", -2, 3),
+        lambda: poincare("bc", -1),
+    ],
+)
+def test_a_negative_rank_is_refused(call):
+    """A negative rank is no group: the list of labels, the regular sum
+    and the corollary check refuse it as the Poincare polynomial does,
+    rather than answer with an empty list or the zero polynomial."""
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_dimension_is_tableau_count():
     for n in range(0, 5):
         for pair in multipartitions_of(n, 2):
-            assert fake_degree(bc_rep(pair)).evaluate_at_one() == len(
+            assert sum(fake_degree(bc_rep(pair)).coeffs) == len(
                 list(enumerate_tuple_tableaux(pair))
             )
         for mp in multipartitions_of(n, 3):
-            assert fake_degree(wreath_rep(mp, 3)).evaluate_at_one() == len(
+            assert sum(fake_degree(wreath_rep(mp, 3)).coeffs) == len(
                 list(enumerate_tuple_tableaux(mp))
             )
 
@@ -444,7 +467,7 @@ def test_d_dimension_halving():
     """The two representations of an equal-component pair split the
     tableau count in half."""
     rep = d_rep(((2,), (2,)))
-    assert fake_degree(rep).evaluate_at_one() * 2 == len(
+    assert sum(fake_degree(rep).coeffs) * 2 == len(
         list(enumerate_tuple_tableaux(rep.label))
     )
 

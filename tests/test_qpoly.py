@@ -1,5 +1,8 @@
+import copy
 import operator
+import pickle
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -78,6 +81,27 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
     assert hash(p) == hash(QPolynomial([1, 2, 0]))
+
+
+def test_qpolynomial_is_a_value():
+    """A `QPolynomial` survives pickle, `copy.copy` and `copy.deepcopy`,
+    refuses any assignment or deletion of its coefficients, hashes as its
+    coefficient tuple, equals no tuple, int or other object holding the
+    same coefficients, and has the repr of its coefficient list."""
+    p = QPolynomial([1, 0, 2])
+    for same in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert p == same and not p != same and type(same) is QPolynomial
+        assert hash(p) == hash(same)
+    for name in ("coeffs", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (3,))
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    assert p.coeffs == (1, 0, 2) and hash(p) == hash(p.coeffs)
+    for other in ((1, 0, 2), 1, SimpleNamespace(coeffs=(1, 0, 2))):
+        assert p != other and not p == other
+    assert ONE != 1 and not ONE == 1
+    assert repr(p) == "QPolynomial([1, 0, 2])" and repr(QPolynomial()) == "QPolynomial([])"
 
 
 def test_monomial_degree_low_degree():
@@ -269,10 +293,6 @@ def test_shift():
         p.shift(-2)
 
 
-def test_evaluate_at_one():
-    assert QPolynomial([1, 2, 3]).evaluate_at_one() == 6
-
-
 def test_palindromic():
     assert QPolynomial([0, 1, 2, 1]).is_palindromic()
     assert not QPolynomial([1, 2]).is_palindromic()
@@ -303,7 +323,7 @@ def test_q_analogues():
     for n in range(13):
         assert q_factorial(n) == q_factorial_by_convolution(n)
     assert q_multinomial(4, (2, 2)) == QPolynomial([1, 1, 2, 1, 1])
-    assert q_multinomial(3, (1, 1, 1)).evaluate_at_one() == 6
+    assert sum(q_multinomial(3, (1, 1, 1)).coeffs) == 6
     with pytest.raises(ValueError):
         q_multinomial(3, (1, 1))
 

@@ -121,6 +121,24 @@ def test_pair_components_must_be_partitions(call, pair):
         call(pair)
 
 
+@pytest.mark.parametrize(
+    "call, shape",
+    [
+        (lusztig_rho1_inverse, (2, 0)),
+        (lusztig_rho1_inverse, (1, 3)),
+        (lusztig_rho2_inverse, (3, 0)),
+        (lusztig_rho2_inverse, (1, 2)),
+        (two_core, (1, 3)),
+        (two_core, (2, 0)),
+    ],
+)
+def test_shape_maps_refuse_a_non_partition(call, shape):
+    """The Lusztig inverses and the 2-core read their shape as a
+    partition, so a zero part or an increase is refused, not answered."""
+    with pytest.raises(ValueError, match="partition parts must be"):
+        call(shape)
+
+
 def test_inverse_parity_checks():
     with pytest.raises(ValueError):
         lusztig_rho1_inverse((1,))
@@ -198,6 +216,9 @@ def test_multipartition_counts():
     assert len(list(multipartitions_of(2, 3))) == 9
     with pytest.raises(ValueError):
         list(multipartitions_of(1, 0))
+    for d in (1, 2, 3):
+        with pytest.raises(ValueError, match="requires n >= 0"):
+            list(multipartitions_of(-1, d))
 
 
 def test_cell_removals_lists_each_removable_cell():

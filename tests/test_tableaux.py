@@ -158,7 +158,7 @@ def test_restricted_complement_identity():
                     second = second + QPolynomial.monomial(maj_tuple(t))
             assert first + second == total
             # every tableau has the largest label in exactly one component
-            assert first.evaluate_at_one() + second.evaluate_at_one() == len(
+            assert sum(first.coeffs) + sum(second.coeffs) == len(
                 list(enumerate_tuple_tableaux(mp))
             )
             assert len(list(enumerate_tuple_tableaux(swapped))) == len(
