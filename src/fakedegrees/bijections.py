@@ -203,8 +203,24 @@ def pi_b(t: DominoTableau) -> TableauPair:
 def _keyed_cells(pair: TableauPair, offset: int) -> list[KeyedCell]:
     """(filling, row, col, key) of labels 1..n in order, all 1-based, read
     from `label_positions`; the pair-level key of a cell (r, c) is its
-    diagonal 2(r - c), plus offset in the second filling."""
+    diagonal 2(r - c), plus offset in the second filling.  A pair that
+    is not standard is refused (ValueError): it must have two fillings,
+    each of a partition's shape with rows and columns increasing, that
+    hold the labels 1..n once each."""
     pos = label_positions(pair)
+    rows = [row for filling in pair for row in filling]
+    if not (
+        len(pair) == 2
+        and sum(map(len, rows)) == len(pos)
+        and sorted(pos) == list(range(1, len(pos) + 1))
+        and all(row and all(a < b for a, b in zip(row, row[1:])) for row in rows)
+        and all(
+            len(below) <= len(above) and all(a < b for a, b in zip(above, below))
+            for filling in pair
+            for above, below in zip(filling, filling[1:])
+        )
+    ):
+        raise ValueError(f"not a standard tableau pair: {pair}")
     return [
         (f, r, c, 2 * (r - c) + (offset if f == 2 else 0))
         for f, r, c in map(pos.__getitem__, range(1, len(pos) + 1))
@@ -340,7 +356,10 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
     The walk takes each tableau's steps and flip in the order the maps
     take them, so its first RuleError is theirs: it names the leaf's
     tableau, or for a failing step the first tableau below that node.
+    A shape given as a list reads its tuple form; a shape that is not a
+    partition is refused (ValueError).
     """
+    shape = check_partition(shape)
     n, odd = divmod(sum(shape), 2)
     if two_core(shape) != (1,) * odd:
         return

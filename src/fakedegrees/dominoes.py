@@ -99,30 +99,25 @@ def sdt_at(shape: Partition, index: int) -> DominoTableau:
     """The standard domino tableau at position index of `enumerate_sdt`
     (shape), without walking the ones before it.
 
-    Descends the `_by_last_domino` memo from the largest label down: the
-    tableaux are grouped by the domino of the largest label, in
-    `domino_removals` order, and the coefficient sum of a running-sum
-    entry counts the tableaux in its group and the groups before it.
-    IndexError outside 0..count-1; ValueError when the shape is not a
-    partition.
+    Descends from the largest label down: the tableaux are grouped by the
+    domino of the largest label, in `domino_removals` order, and each
+    group is skipped whole, counted as the coefficient sum of its smaller
+    shape's `sdt_maj_gf`.  IndexError outside 0..count-1 or for an index
+    that is not integral; ValueError when the shape is not a partition.
     """
     shape = check_partition(shape)
+    if not 0 <= index < sum(sdt_maj_gf(shape).coeffs) or index % 1:
+        raise IndexError(f"no standard domino tableau #{index} of shape {shape}")
     stack: list = []
     p, rest = shape, index
-    while sum(p) > 1 and rest >= 0:
-        before = 0
-        for (smaller, cells), (_, coeffs) in zip(domino_removals(p), _by_last_domino(p)):
-            upto = sum(coeffs)
-            if rest < upto:
+    while sum(p) > 1:
+        for smaller, cells in domino_removals(p):
+            count = sum(sdt_maj_gf(smaller).coeffs)
+            if rest < count:
                 break
-            before = upto
-        else:
-            break
-        rest -= before
+            rest -= count
         stack.append(cells)
         p = smaller
-    if sum(p) > 1 or rest != 0:
-        raise IndexError(f"no standard domino tableau #{index} of shape {shape}")
     return DominoTableau(shape=shape, dominoes=tuple(reversed(stack)))
 
 

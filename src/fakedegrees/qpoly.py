@@ -387,14 +387,22 @@ def _q_multinomial(parts: tuple[int, ...]) -> QPolynomial:
     return _binomial_product(factors)
 
 
-@lru_cache(maxsize=None)
 def hook_syt_gf(shape) -> QPolynomial:
     """Major-index generating function over SYT of a shape, hook form.
 
     Computes q^b(shape) [r]_q! / prod over cells [hook]_q, which equals the
     enumeration-side sum of q^maj over standard Young tableaux.  The r
-    factors 1 - q cancel, leaving binomials.  Memoised per shape.
+    factors 1 - q cancel, leaving binomials.  Memoised per shape; a shape
+    given as a list reads its tuple form.
     """
+    try:
+        return _hook_syt_gf(shape)
+    except TypeError:  # a list is unhashable; a memo hit pays nothing for this
+        return _hook_syt_gf(check_partition(shape))
+
+
+@lru_cache(maxsize=None)
+def _hook_syt_gf(shape) -> QPolynomial:
     factors = Counter(range(1, sum(check_partition(shape)) + 1))
     factors.subtract(hooks(shape))
     return _binomial_product(factors).shift(b_statistic(shape))

@@ -184,15 +184,14 @@ def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
     """Same sum, restricted to tableaux whose largest label is in the
     first filling: zero when that filling is empty, else the entries of
     component 0 of the nonempty shape.  Defined for ordered pairs
-    (d = 2).  A shape given with lists reads its tuple form.  A shape of
-    size 0 or with an empty first component reads no memo entry, so both
-    its components are read through `check_partition` (ValueError) before
-    the size test; the memo checks any other shape on its miss."""
+    (d = 2).  A shape given with lists reads its tuple form.  A shape
+    with an empty first component reads no memo entry, so both its
+    components are read through `check_partition` (ValueError) before
+    n >= 1 is tested; the memo checks any other shape on its miss."""
     if len(mp) != 2:
         raise ValueError("restricted generating function needs a pair shape")
-    if not mp[0] or total_size(mp) == 0:
-        mp = tuple(map(check_partition, mp))
-        if total_size(mp) == 0:
+    if not mp[0]:
+        if not any(map(check_partition, mp)):
             raise ValueError("restricted generating function needs n >= 1")
         return QPolynomial()
     first: tuple[int, ...] = ()

@@ -527,6 +527,36 @@ def test_map_shape_and_the_maps_fail_first_at_the_larger_label(monkeypatch, shap
     assert [sum(literal_eval(region)) for region in regions] == [4 + odd, 6 + odd]
 
 
+def test_map_shape_reads_a_list_shape():
+    """A shape given as a list is walked as its tuple form; a list that is
+    not a partition is refused."""
+    for shape in ([2, 2], [3, 2], [4, 2, 2]):
+        assert walked(shape) == walked(tuple(shape)) == mapped(tuple(shape)), shape
+    with pytest.raises(ValueError, match="partition parts must be"):
+        map_shape([2, 4], lambda maj, cells: None)
+
+
+@pytest.mark.parametrize("call", [flip_c, flip_b, pair_maj_c, pair_maj_b])
+@pytest.mark.parametrize(
+    "pair",
+    [(((2,), (1,)), ((3,),)), (((2, 1),), ()), (((1, 3),), ())],
+    ids=["column", "row", "labels"],
+)
+def test_pair_level_functions_refuse_a_pair_that_is_not_standard(call, pair):
+    """A decreasing column, a decreasing row and a missing label are each
+    refused, naming the pair."""
+    with pytest.raises(ValueError, match="not a standard tableau pair"):
+        call(pair)
+
+
+def test_pair_level_functions_take_every_standard_pair():
+    for n in range(0, 6):
+        for pair_shape in multipartitions_of(n, 2):
+            for pair in enumerate_tuple_tableaux(pair_shape):
+                for call in (flip_c, flip_b, pair_maj_c, pair_maj_b):
+                    call(pair)
+
+
 def test_pair_maj_equals_domino_maj():
     for n in range(0, 6):
         for pair_shape in multipartitions_of(n, 2):

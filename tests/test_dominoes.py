@@ -240,6 +240,19 @@ def test_sdt_at_is_the_enumeration_order():
                     sdt_at(shape, index)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (8, 6, 4, 2)])
+def test_sdt_at_takes_only_an_integral_index_in_range(shape):
+    """An index equal to an int (1.0, True) is that int; a fractional,
+    negative or too large one is an IndexError."""
+    count = sum(sdt_maj_gf(shape).coeffs)
+    assert count == 2 or count > 1000
+    assert sdt_at(shape, 1.0) == sdt_at(shape, True) == sdt_at(shape, 1)
+    assert sdt_at(shape, float(count - 1)) == sdt_at(shape, count - 1)
+    for index in (0.5, 1.5, count - 0.5, -1, count):
+        with pytest.raises(IndexError, match="no standard domino tableau #"):
+            sdt_at(shape, index)
+
+
 @pytest.mark.parametrize(
     "call",
     [

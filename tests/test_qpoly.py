@@ -374,6 +374,13 @@ def test_hook_syt_gf_needs_a_partition():
             hook_syt_gf(shape)
 
 
+def test_hook_syt_gf_reads_a_list_shape():
+    for shape in ([2, 1], [3, 1, 1], []):
+        assert hook_syt_gf(shape) == hook_syt_gf(tuple(shape)), shape
+    with pytest.raises(ValueError, match="partition parts must be"):
+        hook_syt_gf([1, 2])
+
+
 @st.composite
 def exact_factor_multisets(draw):
     """Numerator exponents b, and denominators a each matched to a distinct

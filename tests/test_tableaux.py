@@ -274,6 +274,7 @@ def test_the_memo_table_refuses_an_empty_component(mp):
         lambda: syt_maj_gf((1, 2)),
         lambda: list(enumerate_syt((1, 2))),
         lambda: list(enumerate_tuple_tableaux(((2,), (1, 1, 0)))),
+        lambda: tuple_maj_gf_restricted((("a",), ())),
     ],
 )
 def test_a_shape_that_is_not_a_partition_is_refused(call):
