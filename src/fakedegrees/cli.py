@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from itertools import chain
 
 from .bijections import RuleError, Trace, flip_b, flip_c, pair_maj_b, pair_maj_c, pi_b, pi_c
 from .dominoes import enumerate_sdt, maj_domino, sdt_at, sdt_maj_gf
@@ -36,7 +37,7 @@ from .tableaux import (
     maj_syt,
     maj_tuple,
 )
-from .verify import SUITES, errors, failures, run_suite, to_json_lines
+from .verify import SUITES, run_suite
 
 
 class UsageError(Exception):
@@ -159,21 +160,31 @@ def _cmd_explain(args) -> int:
 def _cmd_verify(args) -> int:
     if args.suite != "all" and args.suite not in SUITES:
         raise UsageError(f"invalid suite {args.suite!r}")
+    created = args.out and not os.path.exists(args.out)  # by the probe below
     if args.out:
         try:
             open(args.out, "a").close()  # writable, checked before the sweep without emptying it
         except OSError as exc:
             raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     records = run_suite(args.suite, args.max_n)
-    if not records:
+    first = next(records, None)
+    if first is None:
+        if created:
+            os.remove(args.out)
         raise UsageError(f"suite {args.suite} has no checks up to --max-n {args.max_n}")
+    lines, bad, broken = [], 0, 0
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-        print(to_json_lines(records), file=out)
-    bad = failures(records)
-    broken = errors(records)
-    summary = f"suite {args.suite}: {len(records)} checks, {len(bad)} failures"
+        for checks, record in enumerate(chain((first,), records), start=1):
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+            bad += not record["agree"]
+            broken += "error" in record
+            if len(lines) == 256:  # one write a batch, as stdout may be unbuffered
+                out.write("".join(lines))
+                lines.clear()
+        out.write("".join(lines))
+    summary = f"suite {args.suite}: {checks} checks, {bad} failures"
     if broken:
-        summary += f" ({len(broken)} internal rule errors)"
+        summary += f" ({broken} internal rule errors)"
     print(summary, file=sys.stderr)
     if broken:
         return 3

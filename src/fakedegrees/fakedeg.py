@@ -58,11 +58,11 @@ class Representation(Value):
             lam1, lam2 = label
             if lam1 < lam2:
                 raise ValueError("type D label must be in canonical order")
-            if marker not in (1, 2):
+            if type(marker) is not int or marker not in (1, 2):
                 raise ValueError("type D marker must be 1 or 2")
             if lam1 != lam2 and marker != 1:
                 raise ValueError("marker 2 needs equal components")
-        elif marker != 1:
+        elif type(marker) is not int or marker != 1:
             raise ValueError(f"only type D takes a marker, got marker {marker}")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "d", d)
@@ -80,7 +80,7 @@ def _check_group(group: str, d: int) -> None:
     d = 2 (ValueError otherwise)."""
     if group not in ROUTES:
         raise ValueError(f"unknown group {group!r}")
-    if not isinstance(d, int):
+    if type(d) is not int:  # a bool is not an order
         raise ValueError(f"d must be an int, got d = {d!r}")
     if group == "wreath" and d < 1:
         raise ValueError(f"wreath products G(d,1,n) need d >= 1, got d = {d}")

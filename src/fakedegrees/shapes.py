@@ -28,7 +28,7 @@ def check_partition(parts: Sequence[int]) -> Partition:
     p = tuple(parts)
     last = p[0] if p else 0
     for x in p:
-        if not isinstance(x, int):
+        if type(x) is not int:  # a bool is not a part
             raise ValueError(f"partition parts must be ints: {p}")
         if x < 1:
             raise ValueError(f"partition parts must be positive: {p}")

@@ -1,16 +1,17 @@
 """Exhaustive verification suites over all representations at desk scale.
 
-Each suite returns a list of JSON-serializable records; a record with
-"agree" false is a failure, and one that also carries "error" is an input
-on which an internal rule (an insertion or flip step) broke; its "tableau"
-names the domino tableau being mapped.
+Each suite returns an iterator of JSON-serializable records, each computed
+as it is read; a record with "agree" false is a failure, and one that also
+carries "error" is an input on which an internal rule (an insertion or flip
+step) broke; its "tableau" names the domino tableau being mapped.
 Suites are deterministic: records are emitted in a fixed enumeration
 order.
 """
 
 from __future__ import annotations
 
-import json
+from collections.abc import Iterator
+from itertools import chain
 
 from .bijections import RuleError, map_shape, pair_of
 from .fakedeg import (
@@ -85,44 +86,44 @@ def route_record(group: str, label: str, rep: Representation, names=None) -> dic
     return _agreement(group, label, routes)
 
 
-def suite_thm1(max_n: int) -> list[dict]:
+def suite_thm1(max_n: int) -> Iterator[dict]:
     """Every wreath-product route agrees, d <= 3."""
-    return [
+    return (
         route_record(f"wreath({d},{n})", format_multipartition(mp), wreath_rep(mp, d))
         for d in (1, 2, 3)
         for n in range(0, max_n + 1)
         for mp in multipartitions_of(n, d)
-    ]
+    )
 
 
-def suite_thm2(max_n: int) -> list[dict]:
+def suite_thm2(max_n: int) -> Iterator[dict]:
     """Every B/C route agrees."""
-    return [
+    return (
         route_record(f"typeBC({n})", format_multipartition(pair), bc_rep(pair))
         for n in range(0, max_n + 1)
         for pair in multipartitions_of(n, 2)
-    ]
+    )
 
 
-def _d_suite(max_n: int, names: tuple[str, str]) -> list[dict]:
-    return [
+def _d_suite(max_n: int, names: tuple[str, str]) -> Iterator[dict]:
+    return (
         route_record(f"typeD({n})", f"{format_multipartition(r.label)};c={r.marker}", r, names)
         for n in range(2, max_n + 1)
         for r in all_representations("d", n)
-    ]
+    )
 
 
-def suite_thm4(max_n: int) -> list[dict]:
+def suite_thm4(max_n: int) -> Iterator[dict]:
     """Type D: tuple route vs domino-restricted route."""
     return _d_suite(max_n, ("tuple", "domino"))
 
 
-def suite_thm5(max_n: int) -> list[dict]:
+def suite_thm5(max_n: int) -> Iterator[dict]:
     """Type D: tuple route vs the shifted single-sum formula."""
     return _d_suite(max_n, ("tuple", "shifted"))
 
 
-def suite_bijections(max_n: int) -> list[dict]:
+def suite_bijections(max_n: int) -> Iterator[dict]:
     """Certify both maj-preserving bijections shape by shape.
 
     For each pair shape: every domino tableau maps to a valid tuple
@@ -131,7 +132,6 @@ def suite_bijections(max_n: int) -> list[dict]:
     tableaux (hence surjectivity).  Each shape is mapped in one walk
     (`map_shape`), and each pair shape's tableaux are listed once for
     both maps."""
-    out = []
     for n in range(0, max_n + 1):
         for pair_shape in multipartitions_of(n, 2):
             label = format_multipartition(pair_shape)
@@ -147,7 +147,7 @@ def suite_bijections(max_n: int) -> list[dict]:
                 try:
                     map_shape(rho(pair_shape), keep)
                 except RuleError as exc:
-                    out.append(_error_record(group, label, str(exc), exc))
+                    yield _error_record(group, label, str(exc), exc)
                     continue
                 distinct = set(images)
                 ok = (
@@ -156,17 +156,16 @@ def suite_bijections(max_n: int) -> list[dict]:
                     and distinct == universe
                 )
                 counts = {"tableaux": str(len(images)), "targets": str(len(universe))}
-                out.append(_record(group, label, counts, ok, exponents=sorted(majs)))
-    return out
+                yield _record(group, label, counts, ok, exponents=sorted(majs))
 
 
-def suite_poincare(max_n: int) -> list[dict]:
+def suite_poincare(max_n: int) -> Iterator[dict]:
     """Regular-representation identity: sum of dim * fake degree equals the
     Poincaré polynomial, for wreath(2,n), wreath(3,n), types B/C and D."""
     cases = [(f"wreath({d},{n})", "wreath", n, d) for d in (2, 3) for n in range(max_n + 1)]
     cases += [(f"typeBC({n})", "bc", n, 2) for n in range(max_n + 1)]
     cases += [(f"typeD({n})", "d", n, 2) for n in range(2, max_n + 1)]
-    return [
+    return (
         _agreement(
             name,
             "regular",
@@ -176,15 +175,15 @@ def suite_poincare(max_n: int) -> list[dict]:
             },
         )
         for name, group, n, d in cases
-    ]
+    )
 
 
-def suite_cor1(max_n: int) -> list[dict]:
+def suite_cor1(max_n: int) -> Iterator[dict]:
     """Exponent containment against the special partner (B/C), and the
     two-part relaxation (type D)."""
     cases = [(f"typeBC({n})", check_corollary1_bc, n) for n in range(max_n + 1)]
     cases += [(f"typeD({n})", check_corollary1_d, n) for n in range(2, max_n + 1)]
-    return [
+    return (
         _record(
             name,
             format_multipartition(r["label"]),
@@ -193,7 +192,7 @@ def suite_cor1(max_n: int) -> list[dict]:
         )
         for name, check, n in cases
         for r in check(n)
-    ]
+    )
 
 
 SUITES = {
@@ -207,22 +206,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_n: int) -> list[dict]:
+def run_suite(name: str, max_n: int) -> Iterator[dict]:
+    """The named suite's records, or every suite's for "all", as an iterator."""
     if name == "all":
-        return [r for suite in SUITES.values() for r in suite(max_n)]
+        return chain.from_iterable(suite(max_n) for suite in SUITES.values())
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return SUITES[name](max_n)
-
-
-def failures(records: list[dict]) -> list[dict]:
-    return [r for r in records if not r["agree"]]
-
-
-def errors(records: list[dict]) -> list[dict]:
-    """Failing records on which an internal rule broke, not a disagreement."""
-    return [r for r in records if "error" in r]
-
-
-def to_json_lines(records: list[dict]) -> str:
-    return "\n".join(json.dumps(r, sort_keys=True) for r in records)

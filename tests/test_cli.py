@@ -450,6 +450,18 @@ def test_verify_vacuous_sweep_leaves_out_untouched(tmp_path, capsys):
     assert out_file.read_text() == "keep\n"
 
 
+def test_verify_vacuous_sweep_creates_no_out(tmp_path, capsys):
+    """A sweep with no checks exits 2 without leaving a new, empty --out."""
+    out_file = tmp_path / "new.jsonl"
+    code, out, err = run(
+        capsys, "verify", "--suite", "thm4", "--max-n", "1", "--out", str(out_file)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: suite thm4 has no checks")
+    assert not out_file.exists()
+
+
 def test_verify_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
     """An --out path that cannot be opened fails before the sweep, as a
     usage error, not as a traceback after it."""

@@ -1,7 +1,11 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -165,6 +169,36 @@ def test_a_label_whose_parts_are_not_ints_is_refused(call):
     ValueError, before any route reads it."""
     with pytest.raises(ValueError, match="partition parts must be ints"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("fake_degree_bc(((True,), (True,)))", "partition parts must be ints"),
+        ("bc_rep(((True,), ()))", "partition parts must be ints"),
+        ("tuple_maj_gf(((True, True),))", "partition parts must be ints"),
+        ("fake_degree_wreath(((1,),), True)", "d must be an int"),
+        ("poincare('wreath', 2, True)", "d must be an int"),
+        ("d_rep(((1,), (1,)), True)", "type D marker must be 1 or 2"),
+        ("representation('bc', ((1,), ()), 2, True)", "only type D takes a marker"),
+    ],
+)
+def test_a_bool_is_not_an_int(call, message):
+    """A bool part, d or marker is refused as a float one is, even though
+    it equals an int.  Each call runs in a fresh interpreter, where no
+    memo holds the int twin of its shape."""
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "from fakedegrees.fakedeg import *\n"
+        "from fakedegrees.tableaux import tuple_maj_gf\n"
+        f"try:\n    print({call})\nexcept ValueError as exc:\n    print('ValueError:', exc)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(f"ValueError: {message}")
 
 
 @pytest.mark.parametrize("pair", [(), ((1,),), ((1,), (1,), (1,))])
