@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from itertools import chain
 
 from .bijections import RuleError, Trace, flip_b, flip_c, pair_maj_b, pair_maj_c, pi_b, pi_c
@@ -91,12 +91,39 @@ _KINDS = {
 }
 
 
+@contextmanager
+def _batched(out):
+    """A function that writes a line to out, 256 lines to a write, as
+    stdout may be unbuffered (PYTHONUNBUFFERED): a `print` a line costs
+    two system calls there.  The lines still pending are written on the
+    way out, an exception's too, so a sweep that dies keeps every record
+    it finished."""
+    lines = []
+
+    def write_batch():
+        text = "".join(lines)
+        lines.clear()  # before the write, so a failed batch is not retried
+        if text:
+            out.write(text)
+
+    def write(line: str) -> None:
+        lines.append(line)
+        if len(lines) == 256:
+            write_batch()
+
+    try:
+        yield write
+    finally:
+        write_batch()
+
+
 def _cmd_enumerate(args) -> int:
     parse, tableaux, fmt, maj = _KINDS[args.kind]
     count = 0
-    for count, t in enumerate(tableaux(parse(args.shape)), start=1):
-        print(fmt(t) + (f"  maj={maj(t)}" if args.with_maj else ""))
-    print(f"count: {count}")
+    with _batched(sys.stdout) as write:
+        for count, t in enumerate(tableaux(parse(args.shape)), start=1):
+            write(fmt(t) + (f"  maj={maj(t)}" if args.with_maj else "") + "\n")
+        write(f"count: {count}\n")
     return 0
 
 
@@ -172,16 +199,15 @@ def _cmd_verify(args) -> int:
         if created:
             os.remove(args.out)
         raise UsageError(f"suite {args.suite} has no checks up to --max-n {args.max_n}")
-    lines, bad, broken = [], 0, 0
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+    bad, broken = 0, 0
+    with (
+        open(args.out, "w") if args.out else nullcontext(sys.stdout) as out,
+        _batched(out) as write,
+    ):
         for checks, record in enumerate(chain((first,), records), start=1):
-            lines.append(json.dumps(record, sort_keys=True) + "\n")
+            write(json.dumps(record, sort_keys=True) + "\n")
             bad += not record["agree"]
             broken += "error" in record
-            if len(lines) == 256:  # one write a batch, as stdout may be unbuffered
-                out.write("".join(lines))
-                lines.clear()
-        out.write("".join(lines))
     summary = f"suite {args.suite}: {checks} checks, {bad} failures"
     if broken:
         summary += f" ({broken} internal rule errors)"

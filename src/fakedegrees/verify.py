@@ -11,6 +11,7 @@ order.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import partial
 from itertools import chain
 
 from .bijections import RuleError, map_shape, pair_of
@@ -18,13 +19,11 @@ from .fakedeg import (
     ROUTES,
     Representation,
     all_representations,
-    bc_rep,
     check_corollary1_bc,
     check_corollary1_d,
     fake_degree,
     poincare,
     regular_representation_sum,
-    wreath_rep,
 )
 from .qpoly import QPolynomial
 from .shapes import (
@@ -74,6 +73,26 @@ def _error_record(group: str, label: str, message: str, exc: RuleError) -> dict:
     )
 
 
+_GROUP_NAMES = {"wreath": "wreath({d},{n})", "bc": "typeBC({n})", "d": "typeD({n})"}
+
+
+def _group_name(group: str, n: int, d: int = 2) -> str:
+    """A record's group, the one spelling of each group's name in a report."""
+    return _GROUP_NAMES[group].format(d=d, n=n)
+
+
+def _ranks(group: str, max_n: int) -> range:
+    """The ranks a suite sweeps for a group: type D starts at n = 2, the
+    least rank `Representation` takes for it."""
+    return range(2 if group == "d" else 0, max_n + 1)
+
+
+def _label(rep: Representation) -> str:
+    """A route record's label; a type-D one names its marker."""
+    label = format_multipartition(rep.label)
+    return f"{label};c={rep.marker}" if rep.group == "d" else label
+
+
 def route_record(group: str, label: str, rep: Representation, names=None) -> dict:
     """Compute the named routes of rep (every route of its group by
     default) and record whether they agree."""
@@ -86,41 +105,15 @@ def route_record(group: str, label: str, rep: Representation, names=None) -> dic
     return _agreement(group, label, routes)
 
 
-def suite_thm1(max_n: int) -> Iterator[dict]:
-    """Every wreath-product route agrees, d <= 3."""
+def _route_suite(groups, names, max_n: int) -> Iterator[dict]:
+    """The named routes (every route of the group when names is None)
+    agree on every representation of each (group, d), rank by rank."""
     return (
-        route_record(f"wreath({d},{n})", format_multipartition(mp), wreath_rep(mp, d))
-        for d in (1, 2, 3)
-        for n in range(0, max_n + 1)
-        for mp in multipartitions_of(n, d)
+        route_record(_group_name(group, n, d), _label(rep), rep, names)
+        for group, d in groups
+        for n in _ranks(group, max_n)
+        for rep in all_representations(group, n, d)
     )
-
-
-def suite_thm2(max_n: int) -> Iterator[dict]:
-    """Every B/C route agrees."""
-    return (
-        route_record(f"typeBC({n})", format_multipartition(pair), bc_rep(pair))
-        for n in range(0, max_n + 1)
-        for pair in multipartitions_of(n, 2)
-    )
-
-
-def _d_suite(max_n: int, names: tuple[str, str]) -> Iterator[dict]:
-    return (
-        route_record(f"typeD({n})", f"{format_multipartition(r.label)};c={r.marker}", r, names)
-        for n in range(2, max_n + 1)
-        for r in all_representations("d", n)
-    )
-
-
-def suite_thm4(max_n: int) -> Iterator[dict]:
-    """Type D: tuple route vs domino-restricted route."""
-    return _d_suite(max_n, ("tuple", "domino"))
-
-
-def suite_thm5(max_n: int) -> Iterator[dict]:
-    """Type D: tuple route vs the shifted single-sum formula."""
-    return _d_suite(max_n, ("tuple", "shifted"))
 
 
 def suite_bijections(max_n: int) -> Iterator[dict]:
@@ -161,45 +154,47 @@ def suite_bijections(max_n: int) -> Iterator[dict]:
 
 def suite_poincare(max_n: int) -> Iterator[dict]:
     """Regular-representation identity: sum of dim * fake degree equals the
-    Poincaré polynomial, for wreath(2,n), wreath(3,n), types B/C and D."""
-    cases = [(f"wreath({d},{n})", "wreath", n, d) for d in (2, 3) for n in range(max_n + 1)]
-    cases += [(f"typeBC({n})", "bc", n, 2) for n in range(max_n + 1)]
-    cases += [(f"typeD({n})", "d", n, 2) for n in range(2, max_n + 1)]
+    Poincaré polynomial, for the wreath products with d = 2 and 3, types
+    B/C and D."""
     return (
         _agreement(
-            name,
+            _group_name(group, n, d),
             "regular",
             {
                 "sum": regular_representation_sum(group, n, d),
                 "poincare": poincare(group, n, d),
             },
         )
-        for name, group, n, d in cases
+        for group, d in (("wreath", 2), ("wreath", 3), ("bc", 2), ("d", 2))
+        for n in _ranks(group, max_n)
     )
 
 
 def suite_cor1(max_n: int) -> Iterator[dict]:
     """Exponent containment against the special partner (B/C), and the
     two-part relaxation (type D)."""
-    cases = [(f"typeBC({n})", check_corollary1_bc, n) for n in range(max_n + 1)]
-    cases += [(f"typeD({n})", check_corollary1_d, n) for n in range(2, max_n + 1)]
     return (
         _record(
-            name,
+            _group_name(group, n),
             format_multipartition(r["label"]),
             {"special": format_multipartition(r["special"])},
             r["ok"],
         )
-        for name, check, n in cases
+        for group, check in (("bc", check_corollary1_bc), ("d", check_corollary1_d))
+        for n in _ranks(group, max_n)
         for r in check(n)
     )
 
 
+# name -> function of max_n.  A route suite is its (group, d) list and the
+# routes it compares (None: every route of the group): thm1 and thm2 every
+# wreath (d <= 3) and B/C route, thm4 the type-D tuple route against the
+# domino-restricted one, thm5 against the shifted single sum.
 SUITES = {
-    "thm1": suite_thm1,
-    "thm2": suite_thm2,
-    "thm4": suite_thm4,
-    "thm5": suite_thm5,
+    "thm1": partial(_route_suite, (("wreath", 1), ("wreath", 2), ("wreath", 3)), None),
+    "thm2": partial(_route_suite, (("bc", 2),), None),
+    "thm4": partial(_route_suite, (("d", 2),), ("tuple", "domino")),
+    "thm5": partial(_route_suite, (("d", 2),), ("tuple", "shifted")),
     "bijections": suite_bijections,
     "poincare": suite_poincare,
     "cor1": suite_cor1,

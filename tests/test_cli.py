@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fakedegrees import bijections, cli
+from fakedegrees import bijections, cli, fakedeg
 from fakedegrees.bijections import RuleError
 from fakedegrees.cli import main
 from fakedegrees.fakedeg import d_rep
@@ -475,6 +475,64 @@ def test_verify_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: cannot write --out")
     assert not out_file.exists()
+
+
+class CountingStdout:
+    """A stdout that keeps each text it is asked to write, one per call."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "--kind", "syt", "--shape", "4,3,2,1", "--with-maj"),
+     ("verify", "--suite", "thm1", "--max-n", "5")],
+    ids=["enumerate", "verify"],
+)
+def test_stdout_takes_256_lines_to_a_write(monkeypatch, argv):
+    """Where stdout is unbuffered (PYTHONUNBUFFERED), every write is a
+    system call, so lines go out 256 to a write, not one or two a line."""
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(list(argv)) == 0
+    lines = "".join(stdout.writes).count("\n")
+    assert lines > 256
+    assert len(stdout.writes) <= -(-lines // 256)
+
+
+class Crash(Exception):
+    """Raised by a route that breaks mid-sweep."""
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_a_sweep_that_dies_keeps_its_finished_records(tmp_path, capsys, monkeypatch, to_file):
+    """A wreath route that breaks from rank 2 on ends the sweep with its
+    exception, after the records of ranks 0 and 1 are written."""
+    formula = fakedeg.ROUTES["wreath"]["formula"]
+
+    def formula_to_rank_1(rep):
+        if rep.n >= 2:
+            raise Crash(rep)
+        return formula(rep)
+
+    monkeypatch.setitem(fakedeg.ROUTES["wreath"], "formula", formula_to_rank_1)
+    out_file = tmp_path / "report.jsonl"
+    argv = ["verify", "--suite", "thm1", "--max-n", "6"]
+    with pytest.raises(Crash):
+        main(argv + ["--out", str(out_file)] if to_file else argv)
+    report = out_file.read_text() if to_file else capsys.readouterr().out
+    records = [json.loads(line) for line in report.splitlines()]
+    assert [(r["group"], r["label"], r["agree"]) for r in records] == [
+        ("wreath(1,0)", "", True), ("wreath(1,1)", "1", True),
+    ]
 
 def test_poincare_cli(capsys):
     code, out, _ = run(capsys, "poincare", "--group", "d", "--n", "2")
