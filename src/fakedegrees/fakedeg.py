@@ -9,15 +9,24 @@ exactly; the verification module sweeps those agreements exhaustively.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from operator import add, le
 
 from .bijections import map_shape
 from .dominoes import sdt_maj_gf
-from .qpoly import QPolynomial, Value, hook_syt_gf, product, q_int, q_multinomial
+from .qpoly import (
+    QPolynomial,
+    Value,
+    hook_syt_gf,
+    product,
+    q_int,
+    q_multinomial,
+    weighted_sum,
+)
 from .shapes import (
     Multipartition,
     b_multi,
     check_partition,
+    check_size,
     from_beta_set,
     lusztig_rho1,
     lusztig_rho2,
@@ -266,8 +275,7 @@ def fake_degree_d(rep: Representation, route: str = DEFAULT_ROUTE["d"]) -> QPoly
 def poincare_wreath(d: int, n: int) -> QPolynomial:
     """Hilbert series of the coinvariant algebra: prod over i of [d*i]_q."""
     _check_group("wreath", d)
-    if n < 0:
-        raise ValueError(f"poincare_wreath needs n >= 0, got n = {n}")
+    check_size(n, "poincare_wreath")
     return product(q_int(d * i) for i in range(1, n + 1))
 
 
@@ -277,8 +285,7 @@ def poincare_bc(n: int) -> QPolynomial:
 
 def poincare_d(n: int) -> QPolynomial:
     """[n]_q times prod over i < n of [2i]_q (degrees 2, 4, ..., 2n-2, n)."""
-    if n < 2:
-        raise ValueError("type D needs n >= 2")
+    check_size(n, "poincare_d", 2)
     return product([q_int(n), *(q_int(2 * i) for i in range(1, n))])
 
 
@@ -295,7 +302,7 @@ def all_representations(group: str, n: int, d: int = 2) -> list[Representation]:
     _check_group(group, d)
     if group == "d":
         return [
-            d_rep(pair, marker)
+            Representation(group, d, pair, marker)
             for pair in multipartitions_of(n, 2)
             if pair[0] >= pair[1]
             for marker in ((1, 2) if pair[0] == pair[1] else (1,))
@@ -305,14 +312,11 @@ def all_representations(group: str, n: int, d: int = 2) -> list[Representation]:
 
 def regular_representation_sum(group: str, n: int, d: int = 2) -> QPolynomial:
     """Sum of dim(V) * f_V over all irreducibles; equals the Poincaré
-    polynomial."""
-    acc: list[int] = []
-    for rep in all_representations(group, n, d):
-        cs = fake_degree(rep).coeffs
-        dim = sum(cs)
-        acc.extend([0] * (len(cs) - len(acc)))
-        acc[: len(cs)] = [a + dim * c for a, c in zip(acc, cs)]
-    return QPolynomial(acc)
+    polynomial.  Each fake degree is packed as one integer and the sum is
+    unpacked once (`qpoly.weighted_sum`); the sum is exact even when a
+    route gives a negative coefficient."""
+    fakes = [fake_degree(rep).coeffs for rep in all_representations(group, n, d)]
+    return weighted_sum([(sum(cs), cs) for cs in fakes])
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +335,18 @@ def special_partner_bc(pair: Multipartition) -> Multipartition:
 def embeds_with_shift(a: QPolynomial, b: QPolynomial) -> bool:
     """Whether some uniform shift s gives a[k] <= b[k+s] for every k: the
     exponent multiset of a, shifted, lies inside that of b (both with
-    nonnegative coefficients)."""
+    nonnegative coefficients).  Only the shifts that carry the lowest and
+    highest exponents of a into the range of b can work: s from
+    low(b) - low(a) to deg(b) - deg(a)."""
     if not a:
         return True
-    support = [(k, c) for k, c in enumerate(a.coeffs) if c]
-    cb = b.coeffs
+    if not b:
+        return False
+    ca, cb, low = a.coeffs, b.coeffs, a.low_degree
+    block = ca[low:]
     return any(
-        all(c <= cb[k + s] for k, c in support)
-        for s in range(-a.low_degree, len(cb) - a.degree)
+        all(map(le, block, cb[low + s :]))
+        for s in range(b.low_degree - low, len(cb) - len(ca) + 1)
     )
 
 
@@ -352,18 +360,19 @@ def check_corollary1_bc(n: int) -> list[dict]:
     """Exponent containment against the special partner, types B/C.
 
     Returns one record per ordered pair of total size n; "ok" is the
-    shifted-submultiset verdict.
+    shifted-submultiset verdict.  Every partner is a pair of size n, so
+    each fake degree is computed once, in a local dict.
     """
+    fakes = {pair: fake_degree_bc(pair) for pair in multipartitions_of(n, 2)}
     out = []
-    for pair in multipartitions_of(n, 2):
+    for pair, f in fakes.items():
         mu = special_partner_bc(pair)
-        f = fake_degree_bc(pair)
         out.append(
             {
                 "label": pair,
                 "special": mu,
                 "exponents": f.exponent_multiset(),
-                "ok": embeds_with_shift(f, fake_degree_bc(mu)),
+                "ok": embeds_with_shift(f, fakes[mu]),
             }
         )
     return out
@@ -375,14 +384,18 @@ def check_corollary1_d(n: int) -> list[dict]:
     The exponents of a type-D fake degree split naturally into the two
     ordering contributions of the tuple route (a single part for an
     equal-component pair); each part must embed, with its own shift, into
-    the exponents of the special partner's type-D fake degree.
+    the exponents of the special partner's type-D fake degree, computed
+    once per partner, in a local dict.
     """
+    partners: dict[Multipartition, QPolynomial] = {}
     out = []
     for rep in all_representations("d", n):
         if rep.marker == 2:
             continue  # same polynomial as marker 1
         mu = d_rep(special_partner_bc(rep.label))
-        f_mu = fake_degree_d(mu)
+        f_mu = partners.get(mu.label)
+        if f_mu is None:
+            f_mu = partners[mu.label] = fake_degree_d(mu)
         parts = [_scaled([term]) for term in _ordering_terms(rep, tuple_maj_gf_restricted)]
         out.append(
             {

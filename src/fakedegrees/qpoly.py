@@ -314,36 +314,97 @@ def _add(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _natural_product(factors: Sequence[Sequence[int]]) -> list[int]:
     """Coefficients of the product of coefficient lists with no negative
-    entry, by Kronecker substitution: each factor is read at q = 2^(64m)
-    as one integer, the integers are multiplied, and the product's
-    coefficients are read back as digits of m 64-bit words.
+    entry, by Kronecker substitution: each factor is packed at
+    q = 2^(64m) as one integer (`_pack`), the integers are multiplied, and
+    the product's coefficients are read back (`_unpack`).
 
     No coefficient of the product exceeds bound, the product of the
     factors' coefficient sums, and m is the least word count with
-    bound < 2^(64m), so no digit carries into the next.  Each factor is
-    written into an array of words, word j of every digit by one
-    extended-slice assignment, and the product is read back through a
-    memoryview of its bytes; bytes are swapped on a big-endian host, so
-    the integers are always read and written little-endian.
+    bound < 2^(64m) (`_digit_words`), so no digit carries into the next.
     """
     bound = 1
     for cs in factors:
         bound *= sum(cs)
     if not bound:
         return []
-    m = -(-bound.bit_length() // 64)
+    m = _digit_words(bound)
     value = 1
     for cs in factors:
-        if m == 1:
-            words = array("Q", cs)
-        else:
-            words = array("Q", bytes(8 * m * len(cs)))
-            for j in range(m):
-                words[j::m] = array("Q", [c >> (64 * j) & _WORD_MASK for c in cs])
-        if _BIG_ENDIAN:
-            words.byteswap()
-        value *= int.from_bytes(words, "little")
-    length = sum(map(len, factors)) - len(factors) + 1
+        value *= _pack(cs, m)
+    return _unpack(value, m, sum(map(len, factors)) - len(factors) + 1)
+
+
+def weighted_sum(terms: Iterable[tuple[int, Sequence[int]]]) -> QPolynomial:
+    """Sum of w * cs over the (int w, coefficient list cs) terms, read off
+    one integer (`_natural_sum`) when no weight or coefficient is
+    negative.  Otherwise, which the packing of a negative coefficient
+    reports, each term is split by sign into a natural part to add and
+    one to subtract, two natural sums, so the result is exact whatever
+    the signs."""
+    terms = list(terms)
+    if min((w for w, _ in terms), default=0) >= 0:
+        try:
+            return QPolynomial(_natural_sum(terms))
+        except OverflowError:
+            pass
+    plus, minus = [], []
+    for w, cs in terms:
+        fp = [max(c, 0) for c in cs]
+        fm = [max(-c, 0) for c in cs]
+        if w < 0:
+            w, fp, fm = -w, fm, fp
+        plus.append((w, fp))
+        minus.append((w, fm))
+    return QPolynomial(_add(_natural_sum(plus), [-c for c in _natural_sum(minus)]))
+
+
+def _natural_sum(terms: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
+    """Coefficients of the sum of w * cs over terms with no negative
+    weight: each cs packed as one integer, scaled by w and added, and the
+    total unpacked once.  Terms with w = 0 are skipped.  When no
+    coefficient is negative, none of the sum, nor of any term with
+    w >= 1, exceeds bound, the sum of w * sum(cs); the packing of a
+    negative coefficient raises OverflowError."""
+    terms = [(w, cs) for w, cs in terms if w]
+    bound = sum(w * sum(cs) for w, cs in terms)
+    m = _digit_words(max(bound, 1))
+    value = 0
+    for w, cs in terms:
+        value += w * _pack(cs, m)
+    return _unpack(value, m, max((len(cs) for _, cs in terms), default=0))
+
+
+# The word coder of `_natural_product` and `_natural_sum`: a list of
+# natural numbers below 2^(64m) read as the digits of one integer in base
+# 2^(64m), least significant first.
+
+
+def _digit_words(bound: int) -> int:
+    """The least word count m with bound < 2^(64m)."""
+    return -(-bound.bit_length() // 64)
+
+
+def _pack(cs: Sequence[int], m: int) -> int:
+    """The integer whose m-word digits are cs: cs is written into an array
+    of words, word j of every digit by one extended-slice assignment, and
+    read as one integer; bytes are swapped on a big-endian host, so the
+    integer is always read little-endian.  The top word is written
+    unmasked, so a coefficient outside [0, 2^(64m)) raises OverflowError."""
+    if m == 1:
+        words = array("Q", cs)
+    else:
+        words = array("Q", bytes(8 * m * len(cs)))
+        for j in range(m - 1):
+            words[j::m] = array("Q", [c >> (64 * j) & _WORD_MASK for c in cs])
+        words[m - 1 :: m] = array("Q", [c >> (64 * (m - 1)) for c in cs])
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _unpack(value: int, m: int, length: int) -> list[int]:
+    """The first length m-word digits of value, read through a memoryview
+    of its little-endian bytes, adding word j shifted by 64j when m > 1."""
     words = memoryview(value.to_bytes(8 * m * length, "little")).cast("Q")
     if _BIG_ENDIAN:
         words = array("Q", words)

@@ -231,12 +231,23 @@ def two_core(p: Partition) -> Partition:
     return from_beta_set([*range(0, 2 * (len(beads) - odd), 2), *range(1, 2 * odd, 2)])
 
 
+def check_size(n: int, caller: str, least: int = 0) -> None:
+    """The one rule for a size or rank n: an int (a bool is not one) no
+    smaller than least; ValueError naming the caller otherwise."""
+    if type(n) is not int:
+        raise ValueError(f"{caller} requires an int n, got n = {n!r}")
+    if n < least:
+        raise ValueError(f"{caller} requires n >= {least}, got n = {n}")
+
+
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n in reverse lexicographic order."""
-    if n < 0:
-        raise ValueError("partitions_of requires n >= 0")
+    """All partitions of n (with no part above max_part, when given) in
+    reverse lexicographic order."""
+    check_size(n, "partitions_of")
     if max_part is None:
         max_part = n
+    elif type(max_part) is not int:
+        raise ValueError(f"partitions_of requires an int max_part, got {max_part!r}")
     if n == 0:
         yield ()
         return
@@ -246,16 +257,29 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 
 def multipartitions_of(n: int, d: int) -> Iterator[Multipartition]:
-    """All ordered d-tuples of partitions with total size n."""
-    if n < 0:
-        raise ValueError("multipartitions_of requires n >= 0")
-    if d < 1:
-        raise ValueError("multipartitions_of requires d >= 1")
-    if d == 1:
-        for p in partitions_of(n):
-            yield (p,)
-        return
+    """All ordered d-tuples of partitions with total size n: the first
+    component's size from n down to 0, each size's partitions in the
+    order of `partitions_of`, then the later components likewise.
+
+    The partitions of each k <= n are listed once per call, and the tuples
+    of the last d - 1 components once per total size, component by
+    component from the last; the d-tuples are then yielded one by one."""
+    check_size(n, "multipartitions_of")
+    if type(d) is not int or d < 1:
+        raise ValueError(f"multipartitions_of requires an int d >= 1, got d = {d!r}")
+    table = [list(partitions_of(k)) for k in range(n + 1)]
+    tails: list[list[Multipartition]] = [[()]] + [[] for _ in range(n)]
+    for _ in range(d - 1):
+        tails = [
+            [
+                (head,) + tail
+                for k in range(r, -1, -1)
+                for head in table[k]
+                for tail in tails[r - k]
+            ]
+            for r in range(n + 1)
+        ]
     for k in range(n, -1, -1):
-        for head in partitions_of(k):
-            for tail in multipartitions_of(n - k, d - 1):
+        for head in table[k]:
+            for tail in tails[n - k]:
                 yield (head,) + tail

@@ -1,13 +1,16 @@
 """Ground-truth checks that only the tests use: schoolbook polynomial
-multiplication, a search for domino support, a cell-by-cell standardness
-check, prefixes of a domino tableau, the shapes of tableaux and the hook
-formula by long division."""
+multiplication, the regular sum by schoolbook accumulation, partitions
+and multipartitions by brute force, a search for domino support, a
+cell-by-cell standardness check, prefixes of a domino tableau, the shapes
+of tableaux and the hook formula by long division."""
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import combinations, product
 
 from fakedegrees.dominoes import DominoTableau
+from fakedegrees.fakedeg import all_representations, fake_degree
 from fakedegrees.qpoly import ONE, QPolynomial, q_int
 from fakedegrees.shapes import (
     Cell,
@@ -35,6 +38,53 @@ def product_by_convolution(polys) -> QPolynomial:
     """The product of the polynomials, folded pairwise by
     mul_by_convolution; the empty product is 1."""
     return reduce(mul_by_convolution, polys, ONE)
+
+
+def weighted_sum_by_accumulation(terms) -> QPolynomial:
+    """Sum of w * cs over the (weight, coefficient list) terms, one
+    coefficient at a time."""
+    acc: list[int] = []
+    for w, cs in terms:
+        acc.extend([0] * (len(cs) - len(acc)))
+        for k, c in enumerate(cs):
+            acc[k] += w * c
+    return QPolynomial(acc)
+
+
+def regular_sum_by_accumulation(group: str, n: int, d: int = 2) -> QPolynomial:
+    """Sum of dim(V) * f_V over the irreducibles, one coefficient at a
+    time, dim(V) the sum of the coefficients of f_V."""
+    fakes = [fake_degree(rep).coeffs for rep in all_representations(group, n, d)]
+    return weighted_sum_by_accumulation((sum(cs), cs) for cs in fakes)
+
+
+def partitions_by_cuts(n: int, max_part: int | None = None) -> list[Partition]:
+    """Every partition of n with no part above max_part (when given), in
+    decreasing tuple order: each composition of n, one per set of cut
+    points among 1..n-1, kept when its parts weakly decrease."""
+    out = []
+    for k in range(n):
+        for cuts in combinations(range(1, n), k):
+            bounds = (0, *cuts, n)
+            parts = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+            if list(parts) == sorted(parts, reverse=True):
+                out.append(parts)
+    if n == 0:
+        out.append(())
+    fits = [p for p in out if max_part is None or max(p, default=0) <= max_part]
+    return sorted(fits, reverse=True)
+
+
+def multipartitions_by_sizes(n: int, d: int) -> list[tuple[Partition, ...]]:
+    """Every d-tuple of partitions of total size n, one product of
+    partition lists per d-tuple of component sizes, sorted so that the
+    first component's size, then the first component, then the second
+    component's size, and so on, decrease."""
+    out = []
+    for sizes in product(range(n + 1), repeat=d):
+        if sum(sizes) == n:
+            out.extend(product(*map(partitions_by_cuts, sizes)))
+    return sorted(out, key=lambda mp: [(sum(c), c) for c in mp], reverse=True)
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,7 @@ from fakedegrees.fakedeg import (
     check_corollary1_bc,
     check_corollary1_d,
     d_rep,
+    embeds_with_shift,
     fake_degree,
     fake_degree_bc,
     fake_degree_d,
@@ -42,7 +43,7 @@ from fakedegrees.qpoly import QPolynomial, hook_syt_gf, q_int, q_multinomial
 from fakedegrees.shapes import b_multi, lusztig_rho1, multipartitions_of
 from fakedegrees.tableaux import enumerate_tuple_tableaux, largest_label_component
 
-from oracles import product_by_convolution
+from oracles import product_by_convolution, regular_sum_by_accumulation
 
 
 def test_representation_validation():
@@ -466,6 +467,57 @@ def test_regular_representation_identity():
         assert regular_representation_sum("d", n) == poincare_d(n)
 
 
+@pytest.mark.parametrize("group, d", [("wreath", 2), ("wreath", 3), ("bc", 2), ("d", 2)])
+def test_regular_sum_is_the_schoolbook_accumulation(group, d):
+    """Each group of the poincare suite at every rank n <= 8: the packed
+    sum against one coefficient at a time."""
+    for n in range(2 if group == "d" else 0, 9):
+        assert regular_representation_sum(group, n, d) == regular_sum_by_accumulation(
+            group, n, d
+        ), (group, d, n)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [QPolynomial([2**64, 0, 1]), QPolynomial([2**130 + 7]), QPolynomial([1, -2, 0, 5]),
+     QPolynomial([1, -1]), QPolynomial([-3, 1])],
+    ids=["2^64", "three-words", "negative", "zero-sum", "negative-sum"],
+)
+def test_regular_sum_stays_exact_on_a_broken_route(bad, monkeypatch):
+    """A B/C route that gives one label a coefficient of 2^64 or more, a
+    negative one, or a coefficient sum of 0 or less: the sum is still the
+    schoolbook accumulation, and so differs from the Poincaré polynomial."""
+    tuple_route = ROUTES["bc"]["tuple"]
+    monkeypatch.setitem(
+        ROUTES["bc"], "tuple", lambda rep: bad if rep.label == ((1,), (1,)) else tuple_route(rep)
+    )
+    expected = regular_sum_by_accumulation("bc", 2)
+    assert regular_representation_sum("bc", 2) == expected != poincare_bc(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: poincare("bc", True),
+        lambda: poincare("d", 3.0),
+        lambda: poincare("wreath", 2.0, 3),
+        lambda: poincare_wreath(2, True),
+        lambda: poincare_bc(1.0),
+        lambda: poincare_d(True),
+        lambda: regular_representation_sum("bc", 2.0),
+        lambda: check_corollary1_bc(True),
+    ],
+    ids=["bc-bool", "d-float", "wreath-float", "poincare_wreath-bool", "poincare_bc-float",
+         "poincare_d-bool", "regular-sum-float", "cor1-bool"],
+)
+def test_a_rank_that_is_not_an_int_is_refused(call):
+    """A bool or float rank is refused with a ValueError, not read as the
+    int it equals (poincare("bc", True) was 1 + q) nor failed on deep
+    inside."""
+    with pytest.raises(ValueError, match="requires an int n"):
+        call()
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -556,6 +608,34 @@ small_multisets = st.lists(st.integers(0, 6), max_size=8)
 @example([2], [])
 def test_is_shifted_submultiset_matches_counting(a, b):
     assert is_shifted_submultiset(a, b) == _shifted_submultiset_by_counting(a, b)
+
+
+def _embeds_at_some_shift(a: list[int], b: list[int]) -> bool:
+    """Try every shift that leaves a coefficient of a on a coefficient of b,
+    reading b as 0 outside its list."""
+    def at(k):
+        return b[k] if 0 <= k < len(b) else 0
+
+    shifts = range(-len(a), len(b) + 1)
+    return any(all(c <= at(k + s) for k, c in enumerate(a)) for s in shifts)
+
+
+coefficient_lists = st.lists(st.integers(0, 3), max_size=8)
+
+
+@given(coefficient_lists, coefficient_lists)
+@example([], [])  # a = 0 = b
+@example([], [0, 2])  # a = 0
+@example([1], [])  # b = 0 with a a monomial: no cb[-1] of an empty tuple
+@example([0, 0, 0, 1], [])
+@example([1, 1, 1], [2, 2])  # a longer than b
+@example([0, 0, 1, 2], [1, 2])  # leading zeros, shift below zero
+@example([0, 1, 0, 1], [0, 0, 0, 1, 1, 1])
+def test_embeds_with_shift_tries_the_shifts_that_fit(a, b):
+    """The window of shifts from low(b) - low(a) to deg(b) - deg(a) gives
+    the verdict of trying every shift, on nonnegative coefficients with
+    zeros anywhere."""
+    assert embeds_with_shift(QPolynomial(a), QPolynomial(b)) == _embeds_at_some_shift(a, b)
 
 
 def test_corollary1_bc():

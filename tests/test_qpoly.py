@@ -12,12 +12,15 @@ from fakedegrees.qpoly import (
     InexactDivisionError,
     QPolynomial,
     _binomial_product,
+    _pack,
+    _unpack,
     add_raised,
     hook_syt_gf,
     product,
     q_factorial,
     q_int,
     q_multinomial,
+    weighted_sum,
 )
 from fakedegrees.dominoes import _by_last_domino, enumerate_sdt, maj_domino, sdt_maj_gf
 from fakedegrees.shapes import (
@@ -39,6 +42,7 @@ from oracles import (
     mul_by_convolution,
     product_by_convolution,
     q_factorial_by_convolution,
+    weighted_sum_by_accumulation,
 )
 
 polys = st.builds(QPolynomial, st.lists(st.integers(-9, 9), max_size=8))
@@ -171,6 +175,39 @@ def test_product_of_no_factor_one_factor_and_a_zero_factor():
     assert product([ONE, ONE]) == ONE
     assert product([p, QPolynomial(), p]) == QPolynomial()
     assert product([QPolynomial()]) == QPolynomial()
+
+
+# Weights and coefficients of either sign up to 2^200, so a digit may
+# take four words, and zero weights, zero lists and trailing zeros.
+signed_terms = st.lists(
+    st.tuples(
+        st.integers(-(2**70), 2**70) | st.integers(0, 3),
+        st.lists(st.integers(-(2**200), 2**200) | st.integers(0, 3), max_size=12),
+    ),
+    max_size=6,
+)
+natural_terms = st.lists(
+    st.tuples(st.integers(0, 2**70), st.lists(st.integers(0, 2**200), max_size=12)),
+    max_size=6,
+)
+
+
+@given(st.one_of(signed_terms, natural_terms))
+def test_weighted_sum_is_the_schoolbook_accumulation(terms):
+    assert weighted_sum(terms) == weighted_sum_by_accumulation(terms)
+    assert weighted_sum(iter(terms)) == weighted_sum(terms)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_word_coder_round_trip_and_range(m):
+    """The coder reads back what it writes, up to the top of an m-word
+    digit, and refuses a coefficient below 0 or past that top."""
+    top = 2 ** (64 * m) - 1
+    cs = [top, 0, 1, top - 1, 2**63, 0]
+    assert _unpack(_pack(cs, m), m, len(cs)) == cs
+    for bad in (-1, top + 1):
+        with pytest.raises(OverflowError):
+            _pack([1, bad], m)
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,12 @@ from fakedegrees.shapes import (
     total_size,
     two_core,
 )
-from oracles import supports_domino, supports_domino_by_core
+from oracles import (
+    multipartitions_by_sizes,
+    partitions_by_cuts,
+    supports_domino,
+    supports_domino_by_core,
+)
 
 partition_lists = st.lists(st.integers(1, 6), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -219,6 +224,44 @@ def test_multipartition_counts():
     for d in (1, 2, 3):
         with pytest.raises(ValueError, match="requires n >= 0"):
             list(multipartitions_of(-1, d))
+
+
+def test_partitions_are_the_brute_force_partitions():
+    """Every n <= 12, with no bound and each bound on the parts up to
+    n + 1: the same tuples in the same order."""
+    for n in range(13):
+        assert list(partitions_of(n)) == partitions_by_cuts(n), n
+        for max_part in range(n + 2):
+            expected = partitions_by_cuts(n, max_part)
+            assert list(partitions_of(n, max_part)) == expected, (n, max_part)
+
+
+def test_multipartitions_are_the_brute_force_multipartitions():
+    """Every n <= 12 and d <= 3: the same tuples in the same order."""
+    for d in (1, 2, 3):
+        for n in range(13):
+            assert list(multipartitions_of(n, d)) == multipartitions_by_sizes(n, d), (n, d)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: partitions_of(True),
+        lambda: partitions_of(2.0),
+        lambda: partitions_of(3, 2.0),
+        lambda: multipartitions_of(2, 2.0),
+        lambda: multipartitions_of(2, True),
+        lambda: multipartitions_of(2.0, 2),
+        lambda: multipartitions_of(True, 1),
+    ],
+    ids=["partitions-bool-n", "partitions-float-n", "partitions-float-max-part",
+         "multi-float-d", "multi-bool-d", "multi-float-n", "multi-bool-n"],
+)
+def test_a_size_or_d_that_is_not_an_int_is_refused(call):
+    """A bool or float size, bound or d is refused with a ValueError, not
+    read as the int it equals nor failed on deep inside."""
+    with pytest.raises(ValueError, match="requires an int"):
+        list(call())
 
 
 def test_cell_removals_lists_each_removable_cell():

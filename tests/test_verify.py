@@ -8,10 +8,11 @@ from fakedegrees import cli, fakedeg, verify
 from fakedegrees.bijections import pi_c_prime
 from fakedegrees.dominoes import DominoTableau, maj_domino
 from fakedegrees.fakedeg import d_rep, fake_degree_d
+from fakedegrees.qpoly import QPolynomial
 from fakedegrees.shapes import lusztig_rho1
 from fakedegrees.tableaux import enumerate_tuple_tableaux, maj_tuple
 from fakedegrees.verify import route_record, run_suite
-from oracles import is_standard, pair_shapes
+from oracles import is_standard, pair_shapes, regular_sum_by_accumulation
 
 # The two type-D labels of rank 7 on which an earlier, breadth-first flip
 # search was ambiguous, each with the domino tableau (the cells of
@@ -100,6 +101,27 @@ def test_report_matches_the_digest_ladder(suite, max_n, capsys):
     report = capsys.readouterr().out
     assert report.endswith("\n")
     assert hashlib.sha256(report[:-1].encode()).hexdigest() == DIGESTS[suite][str(max_n)]
+
+
+@pytest.mark.parametrize(
+    "bad", [QPolynomial([2**64, 0, 1]), QPolynomial([1, -2, 0, 5])], ids=["2^64", "negative"]
+)
+def test_a_broken_route_fails_the_poincare_sweep(bad, monkeypatch, capsys):
+    """A B/C route that gives the label (1|1) a coefficient of 2^64 or a
+    negative one: `verify --suite poincare` writes a failing typeBC(2)
+    record, whose sum is the schoolbook accumulation, and every other
+    record agrees; nothing raises."""
+    tuple_route = fakedeg.ROUTES["bc"]["tuple"]
+    monkeypatch.setitem(
+        fakedeg.ROUTES["bc"],
+        "tuple",
+        lambda rep: bad if rep.label == ((1,), (1,)) else tuple_route(rep),
+    )
+    assert cli.main(["verify", "--suite", "poincare", "--max-n", "3"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    failing = [r for r in records if not r["agree"]]
+    assert [r["group"] for r in failing] == ["typeBC(2)"]
+    assert failing[0]["routes"]["sum"] == regular_sum_by_accumulation("bc", 2).pretty()
 
 
 @pytest.mark.parametrize("suite", [*verify.SUITES, "all"])
