@@ -72,8 +72,11 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
     label k+1, and stack[k] holds that label's domino.  Each shape's
     removals are computed once per process (`domino_removals` is
     memoised), and each tableau's domino tuple is built once, at the
-    leaf, from the stack filled in place.  A shape that is not a partition
-    is refused (`check_partition`'s ValueError).
+    leaf, from the stack filled in place.  The walk stops at its first
+    region of rank >= 1 with no border domino: that region is the 2-core,
+    which every region of the shape shares, so the shape has no tableau.
+    A shape that is not a partition is refused (`check_partition`'s
+    ValueError).
     """
     shape = check_partition(shape)
     n = sum(shape) // 2
@@ -87,8 +90,11 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
     while k < n:
         for smaller, stack[k] in levels[k]:
             if k:
+                removals = domino_removals(smaller)
+                if not removals:  # a 2-core of rank k >= 1
+                    return
                 k -= 1
-                levels[k] = iter(domino_removals(smaller))
+                levels[k] = iter(removals)
                 break
             yield DominoTableau(shape, tuple(stack))
         else:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import accumulate, zip_longest
 from operator import add, attrgetter, sub
 
-from .shapes import b_statistic, check_partition, hooks
+from .shapes import b_statistic, check_partition, check_size, hooks
 
 
 class Value:
@@ -279,13 +279,17 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def product(polys: Iterable[QPolynomial]) -> QPolynomial:
-    """Product of the polynomials.  When no coefficient is negative, the
-    factors go straight to the Kronecker kernel `_natural_product`.
-    Otherwise each factor f with a negative coefficient is split as
-    f+ - f-, both with nonnegative coefficients, and folded into the
-    running product a+ - a- as (a+ f+ + a- f-) - (a+ f- + a- f+), four
-    natural products.  Factors equal to 1 are dropped, a zero factor gives
-    zero, and a single factor is returned as it is.
+    """Product of the polynomials by Kronecker substitution: each factor
+    is packed at q = 2^(64m) as one integer (`_pack`), the integers are
+    multiplied, and the product's coefficients are read back (`_unpack`).
+
+    No coefficient of the product exceeds bound, the product of the
+    factors' coefficient sums, or of their absolute coefficient sums when
+    some coefficient is negative; m is the least word count whose digits
+    hold bound (`_digit_words`), natural digits unsigned and signed ones
+    balanced, so no digit carries into the next.  Factors equal to 1 are
+    dropped, a zero factor gives zero, and a single factor is returned as
+    it is.
     """
     factors = [p for p in polys if p.coeffs != (1,)]
     if len(factors) < 2:
@@ -293,103 +297,79 @@ def product(polys: Iterable[QPolynomial]) -> QPolynomial:
     coeffs = [p.coeffs for p in factors]
     if not all(coeffs):
         return QPolynomial()
-    if min(map(min, coeffs)) >= 0:
-        return QPolynomial(_natural_product(coeffs))
-    plus = _natural_product([cs for cs in coeffs if min(cs) >= 0])
-    minus: list[int] = []
-    for cs in coeffs:
-        if min(cs) < 0:
-            fp = [max(c, 0) for c in cs]
-            fm = [max(-c, 0) for c in cs]
-            plus, minus = (
-                _add(_natural_product([plus, fp]), _natural_product([minus, fm])),
-                _add(_natural_product([plus, fm]), _natural_product([minus, fp])),
-            )
-    return QPolynomial(_add(plus, [-c for c in minus]))
-
-
-def _add(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
-def _natural_product(factors: Sequence[Sequence[int]]) -> list[int]:
-    """Coefficients of the product of coefficient lists with no negative
-    entry, by Kronecker substitution: each factor is packed at
-    q = 2^(64m) as one integer (`_pack`), the integers are multiplied, and
-    the product's coefficients are read back (`_unpack`).
-
-    No coefficient of the product exceeds bound, the product of the
-    factors' coefficient sums, and m is the least word count with
-    bound < 2^(64m) (`_digit_words`), so no digit carries into the next.
-    """
+    signed = min(map(min, coeffs)) < 0
     bound = 1
-    for cs in factors:
-        bound *= sum(cs)
-    if not bound:
-        return []
-    m = _digit_words(bound)
+    for cs in coeffs:
+        bound *= sum(map(abs, cs)) if signed else sum(cs)
+    m = _digit_words(bound, signed)
     value = 1
-    for cs in factors:
-        value *= _pack(cs, m)
-    return _unpack(value, m, sum(map(len, factors)) - len(factors) + 1)
+    for cs in coeffs:
+        value *= _pack(cs, m, signed)
+    return QPolynomial(_unpack(value, m, sum(map(len, coeffs)) - len(coeffs) + 1, signed))
 
 
 def weighted_sum(terms: Iterable[tuple[int, Sequence[int]]]) -> QPolynomial:
-    """Sum of w * cs over the (int w, coefficient list cs) terms, read off
-    one integer (`_natural_sum`) when no weight or coefficient is
-    negative.  Otherwise, which the packing of a negative coefficient
-    reports, each term is split by sign into a natural part to add and
-    one to subtract, two natural sums, so the result is exact whatever
-    the signs."""
-    terms = list(terms)
-    if min((w for w, _ in terms), default=0) >= 0:
-        try:
-            return QPolynomial(_natural_sum(terms))
-        except OverflowError:
-            pass
-    plus, minus = [], []
-    for w, cs in terms:
-        fp = [max(c, 0) for c in cs]
-        fm = [max(-c, 0) for c in cs]
-        if w < 0:
-            w, fp, fm = -w, fm, fp
-        plus.append((w, fp))
-        minus.append((w, fm))
-    return QPolynomial(_add(_natural_sum(plus), [-c for c in _natural_sum(minus)]))
-
-
-def _natural_sum(terms: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
-    """Coefficients of the sum of w * cs over terms with no negative
-    weight: each cs packed as one integer, scaled by w and added, and the
-    total unpacked once.  Terms with w = 0 are skipped.  When no
-    coefficient is negative, none of the sum, nor of any term with
-    w >= 1, exceeds bound, the sum of w * sum(cs); the packing of a
-    negative coefficient raises OverflowError."""
+    """Sum of w * cs over the (int w, coefficient list cs) terms: each cs
+    packed as one integer, scaled by w and added, and the total unpacked
+    once.  Terms with w = 0 are skipped.  The digits are read unsigned
+    first, sized by bound, the sum of w * sum(cs), which holds every
+    coefficient of the sum and of each term when none is negative.  A
+    negative weight, or a negative coefficient, which the unsigned packing
+    reports by OverflowError, makes the sum read balanced digits instead,
+    sized by the sum of |w| times the absolute coefficient sums, so the
+    result is exact whatever the signs."""
     terms = [(w, cs) for w, cs in terms if w]
-    bound = sum(w * sum(cs) for w, cs in terms)
-    m = _digit_words(max(bound, 1))
-    value = 0
-    for w, cs in terms:
-        value += w * _pack(cs, m)
-    return _unpack(value, m, max((len(cs) for _, cs in terms), default=0))
+    signed = min((w for w, _ in terms), default=0) < 0
+    while True:
+        if signed:
+            bound = sum(abs(w) * sum(map(abs, cs)) for w, cs in terms)
+        else:
+            bound = sum(w * sum(cs) for w, cs in terms)
+        m = _digit_words(max(bound, 1), signed)
+        value = 0
+        try:
+            for w, cs in terms:
+                value += w * _pack(cs, m, signed)
+        except OverflowError:  # a negative coefficient, packed unsigned
+            if signed:
+                raise
+            signed = True
+            continue
+        length = max((len(cs) for _, cs in terms), default=0)
+        return QPolynomial(_unpack(value, m, length, signed))
 
 
-# The word coder of `_natural_product` and `_natural_sum`: a list of
-# natural numbers below 2^(64m) read as the digits of one integer in base
-# 2^(64m), least significant first.
+# The word coder of `product` and `weighted_sum`: a list of integers read
+# as the digits of one integer in base 2^(64m), least significant first,
+# each digit natural and below 2^(64m) (unsigned), or in
+# [-2^(64m-1), 2^(64m-1)) (signed, balanced).  A balanced digit is
+# written and read as the natural digit it is plus 2^(64m-1): the packed
+# integer is the natural one less `_offset`.
 
 
-def _digit_words(bound: int) -> int:
-    """The least word count m with bound < 2^(64m)."""
-    return -(-bound.bit_length() // 64)
+def _digit_words(bound: int, signed: bool) -> int:
+    """The least word count m whose digits hold every integer of absolute
+    value at most bound: bound < 2^(64m), or bound < 2^(64m-1) when
+    signed."""
+    return -(-(bound.bit_length() + signed) // 64)
 
 
-def _pack(cs: Sequence[int], m: int) -> int:
-    """The integer whose m-word digits are cs: cs is written into an array
-    of words, word j of every digit by one extended-slice assignment, and
-    read as one integer; bytes are swapped on a big-endian host, so the
+def _offset(m: int, length: int) -> int:
+    """The integer whose length m-word digits are each 2^(64m-1)."""
+    return int.from_bytes((bytes(8 * m - 1) + b"\x80") * length, "little")
+
+
+def _pack(cs: Sequence[int], m: int, signed: bool) -> int:
+    """The integer whose m-word digits are cs: cs, raised by 2^(64m-1)
+    when signed, is written into an array of words, word j of every digit
+    by one extended-slice assignment, and read as one integer, less
+    `_offset` when signed; bytes are swapped on a big-endian host, so the
     integer is always read little-endian.  The top word is written
-    unmasked, so a coefficient outside [0, 2^(64m)) raises OverflowError."""
+    unmasked, so a coefficient outside its digit's range raises
+    OverflowError."""
+    if signed:
+        half = 1 << (64 * m - 1)
+        cs = [c + half for c in cs]
     if m == 1:
         words = array("Q", cs)
     else:
@@ -399,12 +379,17 @@ def _pack(cs: Sequence[int], m: int) -> int:
         words[m - 1 :: m] = array("Q", [c >> (64 * (m - 1)) for c in cs])
     if _BIG_ENDIAN:
         words.byteswap()
-    return int.from_bytes(words, "little")
+    value = int.from_bytes(words, "little")
+    return value - _offset(m, len(cs)) if signed else value
 
 
-def _unpack(value: int, m: int, length: int) -> list[int]:
+def _unpack(value: int, m: int, length: int, signed: bool) -> list[int]:
     """The first length m-word digits of value, read through a memoryview
-    of its little-endian bytes, adding word j shifted by 64j when m > 1."""
+    of its little-endian bytes (of value plus `_offset` when signed),
+    adding word j shifted by 64j when m > 1, and lowered by 2^(64m-1) when
+    signed."""
+    if signed:
+        value += _offset(m, length)
     words = memoryview(value.to_bytes(8 * m * length, "little")).cast("Q")
     if _BIG_ENDIAN:
         words = array("Q", words)
@@ -412,6 +397,9 @@ def _unpack(value: int, m: int, length: int) -> list[int]:
     out = words[::m].tolist()
     for j in range(1, m):
         out = [c + (w << (64 * j)) for c, w in zip(out, words[j::m])]
+    if signed:
+        half = 1 << (64 * m - 1)
+        out = [c - half for c in out]
     return out
 
 
@@ -433,9 +421,12 @@ def q_factorial(n: int) -> QPolynomial:
 
 def q_multinomial(n: int, parts: Sequence[int]) -> QPolynomial:
     """q-multinomial coefficient [n]_q! / prod [part]_q!; memoised on the
-    sorted nonzero parts, since their order does not matter."""
-    if any(p < 0 for p in parts):
-        raise ValueError("q_multinomial parts must be nonnegative")
+    sorted nonzero parts, since their order does not matter.  n and each
+    part are read through `check_size` on every call (ValueError), so a
+    float or bool twin of a memoised key is refused."""
+    check_size(n, "q_multinomial")
+    for p in parts:
+        check_size(p, "q_multinomial part")
     if sum(parts) != n:
         raise ValueError(f"parts {list(parts)} do not sum to {n}")
     return _q_multinomial(tuple(sorted(p for p in parts if p)))
@@ -453,18 +444,17 @@ def hook_syt_gf(shape) -> QPolynomial:
 
     Computes q^b(shape) [r]_q! / prod over cells [hook]_q, which equals the
     enumeration-side sum of q^maj over standard Young tableaux.  The r
-    factors 1 - q cancel, leaving binomials.  Memoised per shape; a shape
-    given as a list reads its tuple form.
+    factors 1 - q cancel, leaving binomials.  Memoised per shape; the
+    shape is read through `check_partition` on every call (ValueError), so
+    a list reads its tuple form and a float or bool twin of a memoised
+    shape is refused.
     """
-    try:
-        return _hook_syt_gf(shape)
-    except TypeError:  # a list is unhashable; a memo hit pays nothing for this
-        return _hook_syt_gf(check_partition(shape))
+    return _hook_syt_gf(check_partition(shape))
 
 
 @lru_cache(maxsize=None)
 def _hook_syt_gf(shape) -> QPolynomial:
-    factors = Counter(range(1, sum(check_partition(shape)) + 1))
+    factors = Counter(range(1, sum(shape) + 1))
     factors.subtract(hooks(shape))
     return _binomial_product(factors).shift(b_statistic(shape))
 

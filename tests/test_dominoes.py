@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from fakedegrees import dominoes
 from fakedegrees.dominoes import (
     DominoTableau,
     _by_last_domino,
@@ -20,6 +21,7 @@ from fakedegrees.shapes import (
     lusztig_rho2,
     multipartitions_of,
     partitions_of,
+    two_core,
 )
 from oracles import is_standard, supports_domino, truncate
 
@@ -45,6 +47,25 @@ def test_census_44():
 def test_untileable_shapes():
     assert list(enumerate_sdt((2, 1))) == []
     assert not sdt_maj_gf((2, 1))
+
+
+@pytest.mark.parametrize("shape", [(12, 11, 8, 7), (9, 7, 4, 3), (8, 7, 4, 3, 2, 2)])
+def test_a_shape_with_a_nontrivial_2_core_stops_at_its_first_dead_end(monkeypatch, shape):
+    """A shape whose 2-core is neither empty nor (1) has no tableau; the
+    walk stops at the first region with no border domino, which is that
+    core, reading at most one removals entry per rank on the way down
+    (a walk of every tiling above the core reads hundreds to tens of
+    thousands)."""
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return domino_removals(p)
+
+    monkeypatch.setattr(dominoes, "domino_removals", counting)
+    assert list(enumerate_sdt(shape)) == []
+    assert len(calls) <= sum(shape) // 2 + 1
+    assert calls[-1] == two_core(shape) not in ((), (1,))
 
 
 def test_zero_square_shapes():

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
+from fakedegrees import qpoly
 from fakedegrees.qpoly import (
     ONE,
     InexactDivisionError,
@@ -152,7 +153,7 @@ kernel_factors = st.one_of(
     st.just(ONE),
     st.builds(QPolynomial, st.lists(st.integers(-(2**70), 2**70), max_size=30)),
 )
-# Factors with no negative coefficient, which skip the sign split; their
+# Factors with no negative coefficient, which read unsigned digits; their
 # coefficients up to 2^200 fill four words of a digit, so every word of a
 # digit is written as well as read.
 natural_factors = st.one_of(
@@ -200,14 +201,57 @@ def test_weighted_sum_is_the_schoolbook_accumulation(terms):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_word_coder_round_trip_and_range(m):
-    """The coder reads back what it writes, up to the top of an m-word
-    digit, and refuses a coefficient below 0 or past that top."""
-    top = 2 ** (64 * m) - 1
-    cs = [top, 0, 1, top - 1, 2**63, 0]
-    assert _unpack(_pack(cs, m), m, len(cs)) == cs
-    for bad in (-1, top + 1):
-        with pytest.raises(OverflowError):
-            _pack([1, bad], m)
+    """Both readings of an m-word digit.  Unsigned, the coder packs a list
+    of naturals below 2^(64m) as the integer with those digits in base
+    2^(64m), reads it back, and refuses -1 and 2^(64m); signed, it does
+    the same for balanced digits in [-2^(64m-1), 2^(64m-1)) and refuses
+    one past each end."""
+    base = 2 ** (64 * m)
+    half = base // 2
+    readings = {
+        False: ([base - 1, 0, 1, base - 2, 2**63, half, 0], (-1, base)),
+        True: ([-half, half - 1, 0, -1, 1, 1 - half, half - 2, -(2**63), 0], (-half - 1, half)),
+    }
+    for signed, (cs, refused) in readings.items():
+        value = _pack(cs, m, signed)
+        assert value == sum(c * base**k for k, c in enumerate(cs))
+        assert _unpack(value, m, len(cs), signed) == cs
+        for bad in refused:
+            with pytest.raises(OverflowError):
+                _pack([1, bad], m, signed)
+
+
+@pytest.fixture
+def coder_calls(monkeypatch):
+    """Counts of the word coder's `_pack` and `_unpack` calls."""
+    calls = Counter()
+    for name in ("_pack", "_unpack"):
+        def call(*args, name=name, coder=getattr(qpoly, name)):
+            calls[name] += 1
+            return coder(*args)
+
+        monkeypatch.setattr(qpoly, name, call)
+    return calls
+
+
+def test_a_signed_product_packs_each_factor_once_and_unpacks_once(coder_calls):
+    """Every sign takes one path: one pack per factor, one multiply and
+    one unpack, however many factors have a negative coefficient."""
+    natural = [QPolynomial([0, 4, 1]), QPolynomial([2, 0, 0, 7])]
+    for signed in ([QPolynomial([1, -2, 3])], [QPolynomial([1, -2]), QPolynomial([-5, 0, 6])]):
+        coder_calls.clear()
+        factors = natural + signed
+        assert product(factors) == product_by_convolution(factors)
+        assert coder_calls == {"_pack": len(factors), "_unpack": 1}
+
+
+def test_a_signed_weighted_sum_unpacks_once(coder_calls):
+    """A negative coefficient, or a negative weight, makes the sum read
+    balanced digits, still with one unpack."""
+    for terms in ([(3, [1, -2, 3]), (2, [0, 4])], [(2, [0, 4]), (-1, [7]), (0, [-9])]):
+        coder_calls.clear()
+        assert weighted_sum(terms) == weighted_sum_by_accumulation(terms)
+        assert coder_calls["_unpack"] == 1
 
 
 @pytest.mark.parametrize(
@@ -221,8 +265,9 @@ def test_product_is_exact_at_a_byte_edge(bound, sign):
     coefficient reaches it, or two neighbours of opposite sign share it, on
     either side of a byte edge and of a 64-bit word edge of the digit.  In
     the last case a coefficient reaches the bound between two large
-    neighbours; with sign 1 no coefficient is negative, so it takes the
-    natural kernel with no sign split."""
+    neighbours.  With sign 1 no coefficient is negative, so the digits
+    are read unsigned; with sign -1 they are read balanced, whose word
+    edge is at 2^63."""
     a = bound // 2
     cases = [
         [QPolynomial([0, sign * bound]), QPolynomial([0, 0, -1])],
@@ -409,6 +454,24 @@ def test_hook_syt_gf_needs_a_partition():
     for shape in ((1, 2), (2, 0)):
         with pytest.raises(ValueError, match="partition parts must be"):
             hook_syt_gf(shape)
+
+
+def test_a_float_or_bool_twin_of_a_memoised_closed_form_is_refused():
+    """The closed forms read their input on every call, so a twin that
+    hashes as a memoised key is refused as it would be in a fresh
+    process."""
+    assert hook_syt_gf((2, 1)) == QPolynomial([0, 1, 1])
+    assert hook_syt_gf((1, 1)) == QPolynomial([0, 1])
+    for shape in ((2.0, 1), [2, 1.0], (True, True)):
+        with pytest.raises(ValueError, match="partition parts must be ints"):
+            hook_syt_gf(shape)
+    assert q_multinomial(3, [1, 2]) == QPolynomial([1, 1, 1])
+    assert q_multinomial(2, [1, 1]) == QPolynomial([1, 1])
+    for n, parts in ((3, [1.0, 2]), (3.0, [1, 2]), (2, [True, True]), (2, [True, 1])):
+        with pytest.raises(ValueError, match="requires an int n"):
+            q_multinomial(n, parts)
+    with pytest.raises(ValueError, match="requires n >= 0"):
+        q_multinomial(1, [2, -1])
 
 
 def test_hook_syt_gf_reads_a_list_shape():
