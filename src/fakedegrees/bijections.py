@@ -30,8 +30,8 @@ from .dominoes import DominoTableau, enumerate_sdt
 from .shapes import (
     Cell,
     Partition,
+    _domino_removals,
     check_partition,
-    domino_removals,
     lusztig_rho1_inverse,
     lusztig_rho2_inverse,
     two_core,
@@ -86,12 +86,12 @@ def _map_of(odd: int) -> tuple[Callable, int, str]:
 @lru_cache(maxsize=None)
 def _node(inverse, offset: int, region: Partition) -> _RegionNode:
     """The process-wide node (`_RegionNode`) of a covered region under one
-    (Lusztig inverse, key offset), made once, on its first lookup, for a
-    region that is a partition (ValueError otherwise), with the region's
-    preimage under the inverse computed then: one call of the inverse per
-    region.  The memo is keyed on the inverse itself, so a replaced inverse
-    gets nodes of its own, validated afresh."""
-    return _RegionNode(inverse, offset, check_partition(region))
+    (Lusztig inverse, key offset), made once, on its first lookup, with
+    the region's preimage under the inverse computed then: one call of the
+    inverse per region, which refuses a region that is not a partition
+    (ValueError).  The memo is keyed on the inverse itself, so a replaced
+    inverse gets nodes of its own, validated afresh."""
+    return _RegionNode(inverse, offset, region)
 
 
 class _RegionNode(dict):
@@ -103,7 +103,7 @@ class _RegionNode(dict):
     node's offset.  A map follows one dict lookup per label.
 
     A missing domino is validated, once per domino: it is one of the
-    region's border dominoes (`domino_removals`), so a tableau that is not
+    region's border dominoes (`_domino_removals`), so a tableau that is not
     standard is refused (ValueError otherwise); and
     the region's stored preimage under the Lusztig inverse exceeds the
     smaller region's by exactly one cell, at the end of one row of exactly
@@ -113,7 +113,7 @@ class _RegionNode(dict):
     them.
 
     steps is None until `map_shape` has visited the node completely once;
-    it then holds the node's steps in `domino_removals` order, each a
+    it then holds the node's steps in `_domino_removals` order, each a
     tuple (domino, top row, bottom row, child node, keyed cell), which
     later visits iterate in place of the removals and the lookups.
     """
@@ -133,7 +133,7 @@ class _RegionNode(dict):
 
     def _step(self, domino: tuple[Cell, Cell]):
         region = self.region
-        for smaller, cells in domino_removals(region):
+        for smaller, cells in _domino_removals(region):
             if cells == domino or cells == domino[::-1]:
                 break
         else:
@@ -379,7 +379,7 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
     k's bottom row lies above domino k+1's top row.  Each leaf only flips.
     A node's first complete visit stores its steps (`_RegionNode.steps`),
     and every later visit, in this walk or another, iterates them in
-    place of `domino_removals` and the node's lookups; a visit that
+    place of `_domino_removals` and the node's lookups; a visit that
     raises stores nothing.  The walk takes each tableau's steps and flip
     in the order the maps take them, so its first RuleError is theirs:
     it names the leaf's tableau, or for a failing step the first tableau
@@ -410,7 +410,7 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
                 walk(child, j, maj + k if bottom < below else maj, top)
             return
         steps = []
-        for smaller, domino in domino_removals(node.region):
+        for smaller, domino in _domino_removals(node.region):
             (top, _), (bottom, _) = stack[j] = domino
             try:
                 child, cells[j] = node[domino]

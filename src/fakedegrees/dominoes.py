@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .qpoly import QPolynomial, Value, running_sums
-from .shapes import Cell, Partition, check_partition, domino_removals
+from .shapes import Cell, Partition, _domino_removals, check_partition
 
 
 class DominoTableau(Value):
@@ -68,12 +68,12 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
     largest-labelled border domino; empty iff the shape supports none.
 
     The order is that of the recursion which tries the border dominoes of
-    each shape in `domino_removals` order, largest label outermost; the
+    each shape in `_domino_removals` order, largest label outermost; the
     CLI numbers tableaux by it, and the tests pin it against a copy of
     that recursion.  One generator frame runs that recursion with an
     explicit stack: levels[k] iterates the removals of the region under
     label k+1, and stack[k] holds that label's domino.  Each shape's
-    removals are computed once per process (`domino_removals` is
+    removals are computed once per process (`_domino_removals` is
     memoised), and each tableau's domino tuple is built once, at the
     leaf, from the stack filled in place.  The walk stops at its first
     region of rank >= 1 with no border domino: that region is the 2-core,
@@ -88,12 +88,12 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
         return
     stack: list = [None] * n
     levels: list = [None] * n
-    levels[-1] = iter(domino_removals(shape))
+    levels[-1] = iter(_domino_removals(shape))
     k = n - 1
     while k < n:
         for smaller, stack[k] in levels[k]:
             if k:
-                removals = domino_removals(smaller)
+                removals = _domino_removals(smaller)
                 if not removals:  # a 2-core of rank k >= 1
                     return
                 k -= 1
@@ -109,19 +109,21 @@ def sdt_at(shape: Partition, index: int) -> DominoTableau:
     (shape), without walking the ones before it.
 
     Descends from the largest label down: the tableaux are grouped by the
-    domino of the largest label, in `domino_removals` order, and each
+    domino of the largest label, in `_domino_removals` order, and each
     group is skipped whole, counted as the coefficient sum of its smaller
-    shape's `sdt_maj_gf`.  IndexError outside 0..count-1 or for an index
-    that is not integral; ValueError when the shape is not a partition.
+    shape's generating function.  IndexError outside 0..count-1 or for an
+    index that is not integral; ValueError when the shape is not a
+    partition.  The shape is checked here, and the smaller shapes come
+    from the removals table, so the memo is read directly.
     """
     shape = check_partition(shape)
-    if not 0 <= index < sum(sdt_maj_gf(shape).coeffs) or index % 1:
+    if not 0 <= index < sum(_sdt_maj_gf(shape).coeffs) or index % 1:
         raise IndexError(f"no standard domino tableau #{index} of shape {shape}")
     stack: list = []
     p, rest = shape, index
     while sum(p) > 1:
-        for smaller, cells in domino_removals(p):
-            count = sum(sdt_maj_gf(smaller).coeffs)
+        for smaller, cells in _domino_removals(p):
+            count = sum(_sdt_maj_gf(smaller).coeffs)
             if rest < count:
                 break
             rest -= count
@@ -150,23 +152,22 @@ def maj_domino(t: DominoTableau) -> int:
 
 def sdt_maj_gf(shape: Partition) -> QPolynomial:
     """Sum of q^maj over all standard domino tableaux of the shape; zero
-    when the shape supports none.  A shape given as a list reads its tuple
-    form."""
-    try:
-        entries = _by_last_domino(shape)
-    except TypeError:  # a list is unhashable; a memo hit pays nothing for this
-        entries = _by_last_domino(check_partition(shape))
+    when the shape supports none.  The shape is read through
+    `check_partition` on every call (ValueError), so a list reads its
+    tuple form and a float or bool twin of a memoised shape is refused."""
+    return _sdt_maj_gf(check_partition(shape))
+
+
+def _sdt_maj_gf(shape: Partition) -> QPolynomial:
+    entries = _by_last_domino(shape)
     return QPolynomial(entries[-1][1] if entries else ())
 
 
 # Running sums by the domino of the largest label (`qpoly.running_sums`),
 # keyed by its cells.  n-1 is a descent exactly when its domino lies
 # strictly above n's: its bottom row a[1] above n's top row b[0].
-# `domino_removals` lists the bottom rows in nondecreasing order.  The rank
-# reads the shape through `check_partition` (ValueError), so a shape is
-# checked on its miss and a stored key was checked when it was stored.
+# `_domino_removals` lists the bottom rows in nondecreasing order.  The
+# memo checks nothing: its callers hold checked shapes.
 _by_last_domino = running_sums(
-    domino_removals.__wrapped__,
-    lambda p: sum(check_partition(p)) // 2,
-    lambda a, b: a[1][0] < b[0][0],
+    _domino_removals.__wrapped__, lambda p: sum(p) // 2, lambda a, b: a[1][0] < b[0][0]
 )

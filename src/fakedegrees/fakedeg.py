@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import add, le
 
 from .bijections import map_shape
-from .dominoes import sdt_maj_gf
+from .dominoes import _sdt_maj_gf
 from .qpoly import (
     QPolynomial,
     Value,
@@ -35,7 +35,7 @@ from .shapes import (
     symbol_of,
     total_size,
 )
-from .tableaux import tuple_maj_gf, tuple_maj_gf_restricted
+from .tableaux import _tuple_maj_gf, _tuple_maj_gf_restricted
 
 
 class Representation(Value):
@@ -136,7 +136,9 @@ def d_rep(pair: Multipartition, marker: int = 1) -> Representation:
 # ---------------------------------------------------------------------------
 # Routes.  Each takes a Representation of its group.  They share only
 # plumbing (the maj histogram; `_scaled`, the one writer of q^b p(q^d)),
-# never a computation another route exists to check.
+# never a computation another route exists to check.  A label was checked
+# by `Representation`, so the routes read the memos through their
+# private readers, which check nothing.
 
 
 def _scaled(terms, d: int = 2) -> QPolynomial:
@@ -178,17 +180,17 @@ def _formula_product(components: Multipartition) -> QPolynomial:
 
 def _enumeration(rep: Representation) -> QPolynomial:
     """Sum of q^maj over standard tuple tableaux."""
-    return _scaled([(tuple_maj_gf(rep.label), b_multi(rep.label))], rep.d)
+    return _scaled([(_tuple_maj_gf(rep.label), b_multi(rep.label))], rep.d)
 
 
 def _domino_even(rep: Representation) -> QPolynomial:
     """Sum of q^maj over standard domino tableaux of the size-2n shape."""
-    return _scaled([(sdt_maj_gf(lusztig_rho1(rep.label)), b_multi(rep.label))])
+    return _scaled([(_sdt_maj_gf(lusztig_rho1(rep.label)), b_multi(rep.label))])
 
 
 def _domino_odd(rep: Representation) -> QPolynomial:
     """Sum of q^maj over standard domino tableaux of the size-2n+1 shape."""
-    return _scaled([(sdt_maj_gf(lusztig_rho2(rep.label)), b_multi(rep.label))])
+    return _scaled([(_sdt_maj_gf(lusztig_rho2(rep.label)), b_multi(rep.label))])
 
 
 def _ordering_terms(rep: Representation, restricted_gf) -> list[tuple[QPolynomial, int]]:
@@ -217,7 +219,7 @@ def _restricted_sdt_gf(pair: Multipartition) -> QPolynomial:
 
 def _d_tuple(rep: Representation) -> QPolynomial:
     """Restricted tuple generating functions of both orderings."""
-    return _scaled(_ordering_terms(rep, tuple_maj_gf_restricted))
+    return _scaled(_ordering_terms(rep, _tuple_maj_gf_restricted))
 
 
 def _d_domino(rep: Representation) -> QPolynomial:
@@ -233,8 +235,8 @@ def _d_shifted(rep: Representation) -> QPolynomial:
     the second filling is the total less the first; both are written
     raised by q^n, which is then taken off."""
     n, b = rep.n, b_multi(rep.label)
-    first = tuple_maj_gf_restricted(rep.label)
-    total = _scaled([(first, b + n), (tuple_maj_gf(rep.label) - first, b)]).shift(-n)
+    first = _tuple_maj_gf_restricted(rep.label)
+    total = _scaled([(first, b + n), (_tuple_maj_gf(rep.label) - first, b)]).shift(-n)
     lam1, lam2 = rep.label
     return total.exact_div(QPolynomial([2])) if lam1 == lam2 else total
 
@@ -406,7 +408,7 @@ def check_corollary1_d(n: int) -> list[dict]:
         f_mu = partners.get(mu.label)
         if f_mu is None:
             f_mu = partners[mu.label] = fake_degree_d(mu)
-        parts = [_scaled([term]) for term in _ordering_terms(rep, tuple_maj_gf_restricted)]
+        parts = [_scaled([term]) for term in _ordering_terms(rep, _tuple_maj_gf_restricted)]
         out.append(
             {
                 "label": rep.label,

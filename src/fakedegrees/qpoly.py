@@ -236,8 +236,11 @@ def running_sums(removals, rank, precedes):
     """The running-sum memo of one diagram kind, over its removals table
     (shape -> (smaller shape, move) pairs, a function read unmemoised),
     its rank (the largest label n of a shape's standard tableaux, read
-    first on every miss, so a kind checks its shapes there) and its
-    descent rule.
+    first on every miss) and its descent rule.  Nothing here checks a
+    shape: a memo keyed by a shape answers a float or bool twin of a
+    stored key, so each kind's public reader checks its shape on every
+    call, and the package's own callers, which hold checked shapes, read
+    the memo directly.
 
     The memo maps a shape to (move, coefficients) pairs, one per move of
     the table in its order, whose coefficients sum q^maj over the standard
@@ -409,18 +412,18 @@ def _unpack(value: int, m: int, length: int, signed: bool) -> list[int]:
 
 
 def q_int(n: int) -> QPolynomial:
-    """The q-analogue 1 + q + ... + q^(n-1); by convention [0]_q = 1."""
-    if n < 0:
-        raise ValueError("q_int requires n >= 0")
+    """The q-analogue 1 + q + ... + q^(n-1); by convention [0]_q = 1.  n
+    is read through `check_size` (ValueError)."""
+    check_size(n, "q_int")
     if n == 0:
         return ONE
     return QPolynomial([1] * n)
 
 
 def q_factorial(n: int) -> QPolynomial:
-    """Product [n]_q [n-1]_q ... [1]_q, with the empty product equal to 1."""
-    if n < 0:
-        raise ValueError("q_factorial requires n >= 0")
+    """Product [n]_q [n-1]_q ... [1]_q, with the empty product equal to 1.
+    n is read through `check_size` (ValueError)."""
+    check_size(n, "q_factorial")
     return product(map(q_int, range(1, n + 1)))
 
 

@@ -5,10 +5,13 @@ empty tuple is the empty partition.  A multipartition is a tuple of
 partitions.  Rows and columns are indexed from 1, row 1 at the top.
 With r >= len(p) rows, p has the r beads p_i + r - i; on the 2-abacus the
 even beads lie on runner 0 and the odd ones on runner 1 (James-Kerber).
-Every walk over domino tableaux reads `domino_removals` (1-based cells),
-and every walk over tuple tableaux `cell_removals` (0-based cells), the
-only coding of the (component, row) corner order.  Both are memoised;
-the route memos, which solve each shape once, read them unmemoised.
+Every walk over domino tableaux reads `_domino_removals` (1-based
+cells), and every walk over tuple tableaux `_cell_removals` (0-based
+cells), the only coding of the (component, row) corner order.  Both are
+memoised and private: a memo keyed by a shape answers a float or bool
+twin of a stored key, so only walkers whose shapes were checked read
+them, and the route memos, which solve each shape once, read them
+unmemoised.  A public reader checks its shape on every call.
 """
 
 from __future__ import annotations
@@ -181,7 +184,7 @@ def lusztig_rho2_inverse(p: Partition) -> Multipartition:
 
 
 @lru_cache(maxsize=None)
-def domino_removals(p: Partition) -> tuple[tuple[Partition, tuple[Cell, Cell]], ...]:
+def _domino_removals(p: Partition) -> tuple[tuple[Partition, tuple[Cell, Cell]], ...]:
     """Each border domino of p: the smaller shape left by removing it, and
     its two 1-based cells.  The memo is process-wide; its entries are
     tuples, so no caller can change them."""
@@ -206,7 +209,7 @@ def domino_removals(p: Partition) -> tuple[tuple[Partition, tuple[Cell, Cell]], 
 
 
 @lru_cache(maxsize=None)
-def cell_removals(mp: Multipartition) -> tuple[tuple[Multipartition, tuple[int, int, int]], ...]:
+def _cell_removals(mp: Multipartition) -> tuple[tuple[Multipartition, tuple[int, int, int]], ...]:
     """Each removable cell of mp, in (component, row) order: the smaller
     multipartition left by removing it, and its 0-based (component, row,
     column).  The only coding of the tuple-tableau corner order.  The

@@ -3,11 +3,14 @@
 A tableau is a tuple of row tuples.  A tuple tableau is a tuple of such
 fillings, one per component of a multipartition, using each label 1..n
 exactly once overall.  The corners of a shape, in (component, row) order,
-come from `shapes.cell_removals`, the only coding of that order: the
+come from `shapes._cell_removals`, the only coding of that order: the
 enumerator and the running-sum memo both walk it.  An empty filling holds
 no label and no row, so a shape has the tableaux and major indices of its
 nonempty components, in order; the running-sum memo is keyed on those, and
 solves each such shape once whatever empty components its callers give.
+The public readers check their shape on every call; the package's routes,
+whose labels `Representation` checked, read the memo through the private
+ones.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .qpoly import QPolynomial, running_sums
 from .shapes import (
     Multipartition,
     Partition,
-    cell_removals,
+    _cell_removals,
     check_partition,
     nonempty_components,
     total_size,
@@ -54,13 +57,13 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
     """All standard tuple tableaux of a multipartition shape.
 
     The order is that of the recursion which places the largest label at
-    each corner in turn, in `cell_removals` order (components, then rows),
+    each corner in turn, in `_cell_removals` order (components, then rows),
     outermost; the CLI numbers tableaux by it, and the tests pin it
     against a copy of that recursion.  One generator frame runs that
     recursion with an explicit stack: levels[k] iterates the removals of
     the shape under label k+1, whose cell is written into a preallocated
     grid as it is placed.  Each shape's removals are computed once per
-    process (`cell_removals` is memoised), and each tableau is built once,
+    process (`_cell_removals` is memoised), and each tableau is built once,
     at the leaf, from that grid.  A component that is not a partition is
     refused (`check_partition`'s ValueError).
     """
@@ -71,14 +74,14 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
         yield tuple([tuple(map(tuple, filling)) for filling in grid])
         return
     levels: list = [None] * n
-    levels[-1] = iter(cell_removals(mp))
+    levels[-1] = iter(_cell_removals(mp))
     k = n - 1
     while k < n:
         for smaller, (ci, ri, col) in levels[k]:
             grid[ci][ri][col] = k + 1
             if k:
                 k -= 1
-                levels[k] = iter(cell_removals(smaller))
+                levels[k] = iter(_cell_removals(smaller))
                 break
             yield tuple([tuple(map(tuple, filling)) for filling in grid])
         else:
@@ -133,7 +136,7 @@ def largest_label_component(t: TupleTableau) -> int:
 
 
 def _nonempty_cell_removals(mp: Multipartition) -> tuple:
-    """The table of the running-sum memo: the moves of `cell_removals`,
+    """The table of the running-sum memo: the moves of `_cell_removals`,
     read unmemoised, in its order, each with its smaller shape less the
     component the move empties.  A shape with an empty component is
     refused (ValueError), so every shape the memo solves past rank 0 has
@@ -148,57 +151,53 @@ def _nonempty_cell_removals(mp: Multipartition) -> tuple:
     if not all(mp):
         raise ValueError(f"the tuple running-sum memo needs nonempty components, got {mp}")
     return tuple(
-        (nonempty_components(smaller), move) for smaller, move in cell_removals.__wrapped__(mp)
+        (nonempty_components(smaller), move) for smaller, move in _cell_removals.__wrapped__(mp)
     )
 
 
 # Running sums by the cell of the largest label (`qpoly.running_sums`),
 # keyed by the corner (component, row, col) among the nonempty components.
 # n-1 is a descent exactly when its corner comes before n's in
-# (component, row) order.  The rank reads each component through
-# `check_partition` (ValueError), so a shape is checked on its miss and a
-# stored key was checked when it was stored.
+# (component, row) order.  The memo checks nothing: its callers hold
+# checked shapes.
 _maj_gf_by_last_cell = running_sums(
-    _nonempty_cell_removals,
-    lambda mp: total_size(map(check_partition, mp)),
-    lambda a, b: a[:2] < b[:2],
+    _nonempty_cell_removals, total_size, lambda a, b: a[:2] < b[:2]
 )
 
 
-def _entries(mp: Multipartition) -> tuple:
-    """The memo's entries for the nonempty components of mp; a shape
-    given with lists reads its tuple form."""
-    try:
-        return _maj_gf_by_last_cell(nonempty_components(mp))
-    except TypeError:  # a list is unhashable; a memo hit pays nothing for this
-        return _maj_gf_by_last_cell(nonempty_components(tuple(map(check_partition, mp))))
-
-
 def tuple_maj_gf(mp: Multipartition) -> QPolynomial:
-    """Sum of q^maj over all standard tuple tableaux of the shape.  A shape
-    given with lists reads its tuple form."""
-    return QPolynomial(_entries(mp)[-1][1])
+    """Sum of q^maj over all standard tuple tableaux of the shape.  Each
+    component is read through `check_partition` on every call
+    (ValueError), so a shape given with lists reads its tuple form and a
+    float or bool twin of a memoised shape is refused."""
+    return _tuple_maj_gf(tuple(map(check_partition, mp)))
+
+
+def _tuple_maj_gf(mp: Multipartition) -> QPolynomial:
+    return QPolynomial(_maj_gf_by_last_cell(nonempty_components(mp))[-1][1])
 
 
 def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
     """Same sum, restricted to tableaux whose largest label is in the
-    first filling: zero when that filling is empty, else the entries of
-    component 0 of the nonempty shape.  Defined for ordered pairs
-    (d = 2).  A shape given with lists reads its tuple form.  A shape
-    with an empty first component reads no memo entry, so both its
-    components are read through `check_partition` (ValueError) before
-    n >= 1 is tested; the memo checks any other shape on its miss."""
+    first filling.  Defined for ordered pairs (d = 2) with n >= 1; the
+    components are read as by `tuple_maj_gf`."""
     if len(mp) != 2:
         raise ValueError("restricted generating function needs a pair shape")
-    if not mp[0]:
-        if not any(map(check_partition, mp)):
-            raise ValueError("restricted generating function needs n >= 1")
-        return QPolynomial()
+    mp = tuple(map(check_partition, mp))
+    if not any(mp):
+        raise ValueError("restricted generating function needs n >= 1")
+    return _tuple_maj_gf_restricted(mp)
+
+
+def _tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
+    """Zero when the first filling is empty, else the last of the memo's
+    entries in component 0 of the nonempty shape."""
     first: tuple[int, ...] = ()
-    for key, coeffs in _entries(mp):
-        if key[0]:
-            break
-        first = coeffs
+    if mp[0]:
+        for key, coeffs in _maj_gf_by_last_cell(nonempty_components(mp)):
+            if key[0]:
+                break
+            first = coeffs
     return QPolynomial(first)
 
 

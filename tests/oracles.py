@@ -15,9 +15,9 @@ from fakedegrees.qpoly import ONE, QPolynomial, q_int
 from fakedegrees.shapes import (
     Cell,
     Partition,
+    _domino_removals,
     b_statistic,
     check_partition,
-    domino_removals,
     hooks,
     two_core,
 )
@@ -106,7 +106,7 @@ def supports_domino(p: Partition) -> bool:
         return True
     if p == (1,):
         return True
-    for smaller, _cells in domino_removals(p):
+    for smaller, _cells in _domino_removals(p):
         if supports_domino(smaller):
             return True
     return False

@@ -29,8 +29,8 @@ from fakedegrees.dominoes import (
 )
 from fakedegrees.shapes import (
     Partition,
+    _domino_removals,
     check_partition,
-    domino_removals,
     lusztig_rho1,
     lusztig_rho1_inverse,
     lusztig_rho2,
@@ -547,15 +547,15 @@ def test_a_second_walk_reads_the_stored_steps(monkeypatch, shape):
 
     def counting(region):
         removals.append(region)
-        return domino_removals(region)
+        return _domino_removals(region)
 
-    monkeypatch.setattr(bijections, "domino_removals", counting)
+    monkeypatch.setattr(bijections, "_domino_removals", counting)
     assert walked_cells(shape) == first
     assert removals == []
     assert [(maj, pair_of(cells)) for maj, cells in first] == mapped(shape)
     odd = sum(shape) % 2
     steps = bijections._node(*bijections._map_of(odd)[:2], shape).steps
-    assert [step[0] for step in steps] == [domino for _, domino in domino_removals(shape)]
+    assert [step[0] for step in steps] == [domino for _, domino in _domino_removals(shape)]
 
 
 @pytest.mark.parametrize("shape", WALK_SHAPES)

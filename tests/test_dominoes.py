@@ -16,7 +16,7 @@ from fakedegrees.dominoes import (
 )
 from fakedegrees.qpoly import QPolynomial
 from fakedegrees.shapes import (
-    domino_removals,
+    _domino_removals,
     lusztig_rho1,
     lusztig_rho2,
     multipartitions_of,
@@ -60,9 +60,9 @@ def test_a_shape_with_a_nontrivial_2_core_stops_at_its_first_dead_end(monkeypatc
 
     def counting(p):
         calls.append(p)
-        return domino_removals(p)
+        return _domino_removals(p)
 
-    monkeypatch.setattr(dominoes, "domino_removals", counting)
+    monkeypatch.setattr(dominoes, "_domino_removals", counting)
     assert list(enumerate_sdt(shape)) == []
     assert len(calls) <= sum(shape) // 2 + 1
     assert calls[-1] == two_core(shape) not in ((), (1,))
@@ -101,7 +101,7 @@ def test_recursion_matches_enumeration():
 
 
 def test_memo_entries_are_running_sums():
-    """The memo has one entry per border domino, in `domino_removals`
+    """The memo has one entry per border domino, in `_domino_removals`
     order, and entry k sums q^maj over the enumerated tableaux whose
     largest label lies in domino k or an earlier one, for every shape of
     size <= 13."""
@@ -111,7 +111,7 @@ def test_memo_entries_are_running_sums():
             if size < 2:
                 assert entries == ((None, (1,)),), shape
                 continue
-            removals = [cells for _, cells in domino_removals(shape)]
+            removals = [cells for _, cells in _domino_removals(shape)]
             assert [cells for cells, _ in entries] == removals, shape
             placed = [(removals.index(t.dominoes[-1]), maj_domino(t)) for t in enumerate_sdt(shape)]
             for k, (_, coeffs) in enumerate(entries):
@@ -121,13 +121,13 @@ def test_memo_entries_are_running_sums():
 
 def reference_sdt_dominoes(shape, n):
     """The earlier enumerator, kept as the reference for its order: each
-    border domino of the shape in `domino_removals` order holds the
+    border domino of the shape in `_domino_removals` order holds the
     largest label, each smaller tableau's tuple extended by it."""
     if n == 0:
         if sum(shape) == 0 or shape == (1,):
             yield ()
         return
-    for smaller, cells in domino_removals(shape):
+    for smaller, cells in _domino_removals(shape):
         for rest in reference_sdt_dominoes(smaller, n - 1):
             yield rest + (cells,)
 

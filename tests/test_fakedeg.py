@@ -39,7 +39,7 @@ from fakedegrees.fakedeg import (
 from fakedegrees.bijections import pi_c_prime
 from fakedegrees.dominoes import enumerate_sdt, maj_domino
 from fakedegrees.fakedeg import _formula_product, _restricted_sdt_gf
-from fakedegrees.qpoly import QPolynomial, hook_syt_gf, q_int, q_multinomial
+from fakedegrees.qpoly import QPolynomial, hook_syt_gf, q_factorial, q_int, q_multinomial
 from fakedegrees.shapes import b_multi, lusztig_rho1, multipartitions_of
 from fakedegrees.tableaux import enumerate_tuple_tableaux, largest_label_component
 
@@ -506,14 +506,19 @@ def test_regular_sum_stays_exact_on_a_broken_route(bad, monkeypatch):
         lambda: poincare_d(True),
         lambda: regular_representation_sum("bc", 2.0),
         lambda: check_corollary1_bc(True),
+        lambda: q_int(True),
+        lambda: q_int(2.0),
+        lambda: q_factorial(True),
+        lambda: q_factorial(2.0),
     ],
     ids=["bc-bool", "d-float", "wreath-float", "poincare_wreath-bool", "poincare_bc-float",
-         "poincare_d-bool", "regular-sum-float", "cor1-bool"],
+         "poincare_d-bool", "regular-sum-float", "cor1-bool", "q_int-bool", "q_int-float",
+         "q_factorial-bool", "q_factorial-float"],
 )
 def test_a_rank_that_is_not_an_int_is_refused(call):
     """A bool or float rank is refused with a ValueError, not read as the
-    int it equals (poincare("bc", True) was 1 + q) nor failed on deep
-    inside."""
+    int it equals (poincare("bc", True) was 1 + q, q_int(True) was 1) nor
+    failed on deep inside (q_int(2.0) raised TypeError)."""
     with pytest.raises(ValueError, match="requires an int n"):
         call()
 

@@ -25,8 +25,8 @@ from fakedegrees.qpoly import (
 )
 from fakedegrees.dominoes import _by_last_domino, enumerate_sdt, maj_domino, sdt_maj_gf
 from fakedegrees.shapes import (
-    cell_removals,
-    domino_removals,
+    _cell_removals,
+    _domino_removals,
     multipartitions_of,
     nonempty_components,
     partitions_of,
@@ -36,6 +36,7 @@ from fakedegrees.tableaux import (
     enumerate_tuple_tableaux,
     maj_tuple,
     tuple_maj_gf,
+    tuple_maj_gf_restricted,
 )
 
 from oracles import (
@@ -297,7 +298,7 @@ def test_add_raised_is_the_raised_sum(acc, total, below, s):
 RUNNING_SUM_MEMOS = {
     "tuple": (
         _maj_gf_by_last_cell,
-        cell_removals,
+        _cell_removals,
         tuple_maj_gf,
         lambda mp: map(maj_tuple, enumerate_tuple_tableaux(mp)),
         list(
@@ -312,7 +313,7 @@ RUNNING_SUM_MEMOS = {
     ),
     "domino": (
         _by_last_domino,
-        domino_removals,
+        _domino_removals,
         sdt_maj_gf,
         lambda p: map(maj_domino, enumerate_sdt(p)),
         [shape for size in range(0, 12) for shape in partitions_of(size)],
@@ -472,6 +473,34 @@ def test_a_float_or_bool_twin_of_a_memoised_closed_form_is_refused():
             q_multinomial(n, parts)
     with pytest.raises(ValueError, match="requires n >= 0"):
         q_multinomial(1, [2, -1])
+
+
+# Each route memo's public reader: the memo, the reader, a shape, the
+# shape given with lists, and a float or bool twin of the shape.
+ROUTE_MEMO_TWINS = {
+    "tuple-float": (_maj_gf_by_last_cell, tuple_maj_gf, ((2,),), [[2]], ((2.0,),)),
+    "tuple-bool": (_maj_gf_by_last_cell, tuple_maj_gf, ((1, 1),), [[1, 1]], ((True, True),)),
+    "restricted-float": (
+        _maj_gf_by_last_cell, tuple_maj_gf_restricted, ((2,), ()), [[2], []], ((2.0,), ())
+    ),
+    "sdt-float": (_by_last_domino, sdt_maj_gf, (2,), [2], (2.0,)),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("case", ROUTE_MEMO_TWINS)
+def test_a_float_or_bool_twin_of_a_memoised_route_shape_is_refused(case, warm):
+    """The route memos' public readers check their shape on every call, so
+    a twin that hashes as a memoised shape is refused whether or not its
+    int twin was read first, and a shape given with lists reads its tuple
+    form."""
+    memo, reader, shape, listed, twin = ROUTE_MEMO_TWINS[case]
+    memo.cache_clear()
+    if warm:
+        assert reader(shape) and memo.cache_info().currsize
+    with pytest.raises(ValueError, match="partition parts must be ints"):
+        reader(twin)
+    assert reader(listed) == reader(shape)
 
 
 def test_hook_syt_gf_reads_a_list_shape():

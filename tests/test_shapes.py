@@ -1,12 +1,14 @@
+import importlib
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fakedegrees.fakedeg import special_partner_bc
 from fakedegrees.shapes import (
+    _cell_removals,
     b_multi,
     b_statistic,
     beta_set,
-    cell_removals,
     check_partition,
     conjugate,
     format_multipartition,
@@ -279,4 +281,17 @@ def test_cell_removals_lists_each_removable_cell():
                         if parts == sorted(parts, reverse=True):
                             smaller = mp[:ci] + (tuple(x for x in parts if x),) + mp[ci + 1:]
                             expected.append((smaller, (ci, ri, length - 1)))
-                assert cell_removals(mp) == tuple(expected), mp
+                assert _cell_removals(mp) == tuple(expected), mp
+
+
+def test_every_memo_of_the_package_is_private():
+    """A memo keyed by a shape answers a float or bool twin of a stored
+    key, so no public name is a memo: each public reader checks its input
+    on every call, and only callers holding checked input read a memo,
+    the removals tables included."""
+    memos = []
+    for name in ("shapes", "qpoly", "tableaux", "dominoes", "bijections", "fakedeg"):
+        module = importlib.import_module("fakedegrees." + name)
+        memos += [(name, attr) for attr, v in vars(module).items() if hasattr(v, "cache_info")]
+    assert ("shapes", "_domino_removals") in memos and ("shapes", "_cell_removals") in memos
+    assert all(attr.startswith("_") for _, attr in memos), memos

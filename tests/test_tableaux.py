@@ -6,7 +6,7 @@ import pytest
 from fakedegrees.dominoes import enumerate_sdt
 from fakedegrees.qpoly import QPolynomial, q_int
 from fakedegrees.shapes import (
-    cell_removals,
+    _cell_removals,
     hooks,
     multipartitions_of,
     nonempty_components,
@@ -186,7 +186,7 @@ def test_recursion_matches_enumeration():
 def test_memo_entries_are_running_sums():
     """The memo is keyed on the nonempty components, in order: read at
     that form, a shape has one entry per corner, keyed by the 0-based
-    (component, row, col) move of the form's `cell_removals` table in its
+    (component, row, col) move of the form's `_cell_removals` table in its
     order, and entry k sums q^maj over the enumerated tableaux whose
     largest label sits at key k or an earlier one, for every tuple shape
     with d <= 3 and n <= 6.  An enumerated cell's component is counted
@@ -205,7 +205,7 @@ def test_memo_entries_are_running_sums():
                 entries = _maj_gf_by_last_cell(form)
                 keys = [key for key, _ in entries]
                 assert keys == sorted({key for key, _ in placed}), mp
-                assert keys == [move for _, move in cell_removals(form)], mp
+                assert keys == [move for _, move in _cell_removals(form)], mp
                 for key, coeffs in entries:
                     below = QPolynomial.from_exponents(m for k, m in placed if k <= key)
                     assert QPolynomial(coeffs) == below, (mp, key)
