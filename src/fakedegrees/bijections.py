@@ -14,11 +14,11 @@ insertion produces it, the flip swaps its entries, and `pair_of` builds
 the tableau pair once, at the end.  `map_shape` maps every tableau of a
 shape in one walk, sharing each insertion step among the tableaux that
 share the dominoes of the larger labels.  The walk and the insertion
-follow the same cached nodes (`_node`), one per covered region and one
-dict lookup per label, in the same order, so the walk's first RuleError
-is the first one the maps would raise; a node the walk has visited
-completely keeps its steps, which later walks read in place of the
-lookups.
+follow the same cached nodes (`_node`), one per covered region, each
+holding one store of its steps, built whole on the node's first use; the
+insertion reads it by one dict lookup per label and the walk iterates
+it, and both build the nodes in the same order, so the walk's first
+RuleError is the first one the maps would raise.
 """
 
 from __future__ import annotations
@@ -95,27 +95,26 @@ def _node(inverse, offset: int, region: Partition) -> _RegionNode:
 
 
 class _RegionNode(dict):
-    """The insertion steps out of one covered region: a dict from a
-    domino, its two cells in the order asked for, to (node, cell), the
-    node of the region left when the domino is lifted off and the keyed
-    cell (filling, row, col, key) of the domino's label, the cell the pair
-    loses between the two regions, keyed as in `_keyed_cells` at the
-    node's offset.  A map follows one dict lookup per label.
+    """The insertion steps out of one covered region, one store built
+    whole on the node's first use (`build`): the insertion's first lookup
+    or the walk's first visit.  steps is None until then; it then lists
+    the steps in `_domino_removals` order, each a tuple (domino, top row,
+    bottom row, child node, keyed cell): a border domino of the region,
+    the rows of its two cells, the node of the region left once it is
+    lifted off, and its label's keyed cell (filling, row, col, key), the
+    cell the pair loses between the two regions, keyed as in
+    `_keyed_cells` at the node's offset.  The same build fills the dict,
+    from each domino, its cells in either order, to (child node, keyed
+    cell), so a map follows one lookup per label; a domino that is not a
+    border domino of the region, as in a tableau that is not standard, is
+    refused (ValueError).
 
-    A missing domino is validated, once per domino: it is one of the
-    region's border dominoes (`_domino_removals`), so a tableau that is not
-    standard is refused (ValueError otherwise); and
-    the region's stored preimage under the Lusztig inverse exceeds the
-    smaller region's by exactly one cell, at the end of one row of exactly
-    one component, so the grown component is its old shape plus one
-    addable cell (RuleError otherwise).  The domino's cells in the other
-    order reuse the entry.  Entries are tuples, so no caller can change
-    them.
-
-    steps is None until `map_shape` has visited the node completely once;
-    it then holds the node's steps in `_domino_removals` order, each a
-    tuple (domino, top row, bottom row, child node, keyed cell), which
-    later visits iterate in place of the removals and the lookups.
+    Each step is validated as it is built: the region's stored preimage
+    under the Lusztig inverse exceeds the smaller region's by exactly one
+    cell, at the end of one row of exactly one component, so the grown
+    component is its old shape plus one addable cell (RuleError
+    otherwise), and a build that raises stores nothing.  Steps and
+    entries are tuples, so no caller can change them.
     """
 
     __slots__ = ("inverse", "offset", "region", "preimage", "steps")
@@ -127,32 +126,38 @@ class _RegionNode(dict):
         self.steps = None
 
     def __missing__(self, domino: tuple[Cell, Cell]):
-        entry = self.get(domino[::-1]) or self._step(domino)
-        self[domino] = entry
-        return entry
+        if self.steps is None:
+            self.build()
+            if domino in self:
+                return self[domino]
+        raise ValueError(f"cells {domino} are not a border domino of {self.region}")
 
-    def _step(self, domino: tuple[Cell, Cell]):
-        region = self.region
-        for smaller, cells in _domino_removals(region):
-            if cells == domino or cells == domino[::-1]:
-                break
-        else:
-            raise ValueError(f"cells {domino} are not a border domino of {region}")
-        child = _node(self.inverse, self.offset, smaller)
-        before, after = child.preimage, self.preimage
-        grown = [k for k in (0, 1) if before[k] != after[k]]
-        if len(grown) == 1:
-            old, new = before[grown[0]], after[grown[0]]
-            # the first row where they differ must gain one addable cell
-            row = next((i for i, x in enumerate(old) if i >= len(new) or new[i] != x), len(old))
-            col = (old[row] if row < len(old) else 0) + 1
-            if (row == 0 or old[row - 1] >= col) and new == old[:row] + (col,) + old[row + 1:]:
-                key = 2 * (row + 1 - col) + self.offset * grown[0]
-                return child, (grown[0] + 1, row + 1, col, key)
-        raise RuleError(
-            f"covered regions {smaller} -> {region}: pairs {before} -> {after} "
-            "do not differ by one addable cell in one component"
-        )
+    def build(self) -> tuple:
+        """Validate every step out of the region, then store them as steps
+        and as dict entries; return steps."""
+        region, after, steps = self.region, self.preimage, []
+        for smaller, domino in _domino_removals(region):
+            child = _node(self.inverse, self.offset, smaller)
+            before = child.preimage
+            grown = [k for k in (0, 1) if before[k] != after[k]]
+            if len(grown) == 1:
+                old, new = before[grown[0]], after[grown[0]]
+                # the first row where they differ must gain one addable cell
+                row = next((i for i, x in enumerate(old) if i >= len(new) or new[i] != x), len(old))
+                col = (old[row] if row < len(old) else 0) + 1
+                if (row == 0 or old[row - 1] >= col) and new == old[:row] + (col,) + old[row + 1:]:
+                    key = 2 * (row + 1 - col) + self.offset * grown[0]
+                    (top, _), (bottom, _) = domino
+                    steps.append((domino, top, bottom, child, (grown[0] + 1, row + 1, col, key)))
+                    continue
+            raise RuleError(
+                f"covered regions {smaller} -> {region}: pairs {before} -> {after} "
+                "do not differ by one addable cell in one component"
+            )
+        for domino, _, _, child, cell in steps:
+            self[domino] = self[domino[::-1]] = child, cell
+        self.steps = steps = tuple(steps)
+        return steps
 
 
 def _insert(t: DominoTableau, odd: int) -> list[KeyedCell]:
@@ -164,10 +169,12 @@ def _insert(t: DominoTableau, odd: int) -> list[KeyedCell]:
     map, so the cell each lift takes from the pair holds the domino's
     label; the shape's node (`_node`) lifts the domino and keys the cell,
     one lookup per label, written into a list of n from the largest label
-    down.
+    down.  The shape is read through `check_partition` on every call, so
+    a list reads its tuple form and a shape that is not a partition is
+    refused (ValueError), whatever nodes exist.
     """
     inverse, offset, name = _map_of(odd)
-    shape, dominoes = t.shape, t.dominoes
+    shape, dominoes = check_partition(t.shape), t.dominoes
     if sum(shape) % 2 != odd:
         raise ValueError(f"{name} needs an {('even', 'odd')[odd]}-size shape")
     k = len(dominoes)
@@ -176,7 +183,7 @@ def _insert(t: DominoTableau, odd: int) -> list[KeyedCell]:
         k -= 1
         node, cells[k] = node[domino]
     if node.region != (1,) * odd:
-        raise ValueError(f"the dominoes do not tile shape {t.shape}")
+        raise ValueError(f"the dominoes do not tile shape {shape}")
     return cells
 
 
@@ -372,18 +379,16 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
     `pi_c_prime`(t) (even size) or `pi_b_prime`(t) (odd size).
 
     One recursion lifts the largest label first, as `enumerate_sdt` and
-    `_insert` do.  Label k's insertion step depends only on its domino and
-    the region under it, so its node reads the step once for every
-    tableau below and writes label k's keyed cell into one reused list (a
-    visit that keeps the list must copy it); k is a descent when domino
-    k's bottom row lies above domino k+1's top row.  Each leaf only flips.
-    A node's first complete visit stores its steps (`_RegionNode.steps`),
-    and every later visit, in this walk or another, iterates them in
-    place of `_domino_removals` and the node's lookups; a visit that
-    raises stores nothing.  The walk takes each tableau's steps and flip
-    in the order the maps take them, so its first RuleError is theirs:
-    it names the leaf's tableau, or for a failing step the first tableau
-    below that node.
+    `_insert` do, over the nodes `_insert` looks up.  Label k's insertion
+    step depends only on its domino and the region under it, so the walk
+    reads each node's steps (`_RegionNode.steps`, built on the node's
+    first use, by the walk or the maps) once for every tableau below and
+    writes label k's keyed cell into one reused list (a visit that keeps
+    the list must copy it); k is a descent when domino k's bottom row lies
+    above domino k+1's top row.  Each leaf only flips.  The walk builds
+    each node and flips each tableau in the order the maps do, so its
+    first RuleError is theirs: it names the leaf's tableau, or for a
+    failing build the first tableau below that node.
     A shape given as a list reads its tuple form; a shape that is not a
     partition is refused (ValueError).
     """
@@ -405,22 +410,15 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
             visit(maj, image)
             return
         steps, j = node.steps, k - 1
-        if steps is not None:  # each step writes label k's domino and cell in place
-            for stack[j], top, bottom, child, cells[j] in steps:
-                walk(child, j, maj + k if bottom < below else maj, top)
-            return
-        steps = []
-        for smaller, domino in _domino_removals(node.region):
-            (top, _), (bottom, _) = stack[j] = domino
+        if steps is None:
             try:
-                child, cells[j] = node[domino]
+                steps = node.build()
             except RuleError as exc:
-                # labels 1..k-1 of the first tableau below
-                first = next(enumerate_sdt(smaller)).dominoes
-                exc.tableau = DominoTableau(shape=shape, dominoes=first + tuple(stack[j:]))
+                # labels 1..k of the first tableau below, under labels k+1..n
+                first = next(enumerate_sdt(node.region)).dominoes
+                exc.tableau = DominoTableau(shape=shape, dominoes=first + tuple(stack[k:]))
                 raise
-            steps.append((domino, top, bottom, child, cells[j]))
+        for stack[j], top, bottom, child, cells[j] in steps:
             walk(child, j, maj + k if bottom < below else maj, top)
-        node.steps = steps  # only once every step below has been walked
 
     walk(_node(inverse, offset, shape), n, 0, 0)

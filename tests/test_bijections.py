@@ -139,6 +139,30 @@ def test_insertion_rejects_dominoes_that_do_not_tile():
         pi_c(too_few)
 
 
+# (int tableau, twin shape, maps): one domino of each parity, and the
+# 2-core tableau of the odd map with a bool for its one part.
+TWINS = [
+    (DominoTableau((2,), (((1, 1), (1, 2)),)), (2.0,), (pi_c, pi_c_prime)),
+    (DominoTableau((3,), (((1, 2), (1, 3)),)), (3.0,), (pi_b, pi_b_prime)),
+    (DominoTableau((1,), ()), (True,), (pi_b, pi_b_prime)),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("t, twin, maps", TWINS, ids=["even-float", "odd-float", "core-bool"])
+def test_the_insertion_reads_its_shape_as_a_partition(t, twin, maps, warm):
+    """A float or bool twin of a shape is refused whether or not the int
+    shape's region node exists, and a shape given as a list maps as its
+    tuple form."""
+    bijections._node.cache_clear()
+    for f in maps:
+        if warm:
+            f(t)
+        with pytest.raises(ValueError, match="partition parts must be ints"):
+            f(DominoTableau(twin, t.dominoes))
+        assert f(DominoTableau(list(t.shape), t.dominoes)) == f(t)
+
+
 # Domino tableaux that tile their shape but are not standard: label 1
 # lies right of label 2, in one row or in two columns, for both parities
 # (the odd ones with the zero square at (1, 1)).
@@ -558,13 +582,68 @@ def test_a_second_walk_reads_the_stored_steps(monkeypatch, shape):
     assert [step[0] for step in steps] == [domino for _, domino in _domino_removals(shape)]
 
 
+def counting_removals(monkeypatch) -> list:
+    """The regions whose border dominoes `bijections` reads from now on."""
+    removals = []
+
+    def counting(region):
+        removals.append(region)
+        return _domino_removals(region)
+
+    monkeypatch.setattr(bijections, "_domino_removals", counting)
+    return removals
+
+
+@pytest.mark.parametrize("shape", WALK_SHAPES)
+def test_a_walk_after_the_maps_reads_the_steps_they_built(monkeypatch, shape):
+    """On fresh region nodes, the tableau maps over every tableau of the
+    shape build every node the walk visits, so the walk after them reads
+    no border domino table and gives their images."""
+    bijections._node.cache_clear()
+    maps = mapped(shape)
+    removals = counting_removals(monkeypatch)
+    assert walked(shape) == maps
+    assert removals == []
+
+
+@pytest.mark.parametrize("shape", WALK_SHAPES)
+def test_the_maps_after_a_walk_read_the_steps_it_built(monkeypatch, shape):
+    """On fresh region nodes, a walk builds every node the tableau maps
+    look up, so the maps after it read no border domino table and give
+    its images."""
+    bijections._node.cache_clear()
+    walk = walked(shape)
+    removals = counting_removals(monkeypatch)
+    assert mapped(shape) == walk
+    assert removals == []
+
+
+@pytest.mark.parametrize("shape", WALK_SHAPES)
+def test_a_build_that_raises_stores_nothing(monkeypatch, shape):
+    """Under an inverse bent at every region of two dominoes, the node
+    whose build raised first keeps no steps and no dict entry, and its
+    next build raises the same message."""
+    monkeypatch.setattr(
+        bijections, *bent_inverse(shape, both_components, lambda p: sum(p) == 4 + sum(shape) % 2)
+    )
+    message, _ = walk_failure(shape)
+    region = literal_eval(message.removeprefix("covered regions ").split(":")[0].split(" -> ")[1])
+    odd = sum(shape) % 2
+    node = bijections._node(*bijections._map_of(odd)[:2], region)
+    assert node.steps is None and len(node) == 0
+    with pytest.raises(RuleError) as raised:
+        node.build()
+    assert str(raised.value) == message
+    assert node.steps is None and len(node) == 0
+
+
 @pytest.mark.parametrize("shape", WALK_SHAPES)
 @pytest.mark.parametrize(
     "fault",
     [
         lambda shape: bent_inverse(shape, two_cells, lambda p: sum(p) == 2 + sum(shape) % 2),
         lambda shape: bent_inverse(shape, both_components, lambda p: sum(p) == 4 + sum(shape) % 2),
-        # every subtree before the last tableau's completes and keeps its steps
+        # bent at one region only, so the first walk builds many nodes before it fails
         lambda shape: bent_inverse(
             shape,
             two_cells,
@@ -575,10 +654,10 @@ def test_a_second_walk_reads_the_stored_steps(monkeypatch, shape):
     ids=["two-cells", "both-components", "one-region", "flip-second-filling"],
 )
 def test_a_walk_that_raised_raises_the_same_again(monkeypatch, shape, fault):
-    """A visit that raises stores no steps, so a second walk after a
+    """A build that raises stores no steps, so a second walk after a
     failing one raises the same message naming the same tableau, the
-    first failure of the tableau maps, whatever steps the first walk
-    stored below the nodes it did finish."""
+    first failure of the tableau maps, whatever nodes the first walk
+    did build."""
     monkeypatch.setattr(bijections, *fault(shape))
     first = walk_failure(shape)
     assert walk_failure(shape) == first == first_failure(shape)
