@@ -117,13 +117,13 @@ def sdt_at(shape: Partition, index: int) -> DominoTableau:
     from the removals table, so the memo is read directly.
     """
     shape = check_partition(shape)
-    if not 0 <= index < sum(_sdt_maj_gf(shape).coeffs) or index % 1:
+    if not 0 <= index < sum(_sdt_maj_gf(shape)) or index % 1:
         raise IndexError(f"no standard domino tableau #{index} of shape {shape}")
     stack: list = []
     p, rest = shape, index
     while sum(p) > 1:
         for smaller, cells in _domino_removals(p):
-            count = sum(_sdt_maj_gf(smaller).coeffs)
+            count = sum(_sdt_maj_gf(smaller))
             if rest < count:
                 break
             rest -= count
@@ -155,12 +155,14 @@ def sdt_maj_gf(shape: Partition) -> QPolynomial:
     when the shape supports none.  The shape is read through
     `check_partition` on every call (ValueError), so a list reads its
     tuple form and a float or bool twin of a memoised shape is refused."""
-    return _sdt_maj_gf(check_partition(shape))
+    return QPolynomial(_sdt_maj_gf(check_partition(shape)))
 
 
-def _sdt_maj_gf(shape: Partition) -> QPolynomial:
+def _sdt_maj_gf(shape: Partition) -> tuple[int, ...]:
+    """The coefficient tuple of that sum, read from the memo as it is
+    stored; the shape is not checked."""
     entries = _by_last_domino(shape)
-    return QPolynomial(entries[-1][1] if entries else ())
+    return entries[-1][1] if entries else ()
 
 
 # Running sums by the domino of the largest label (`qpoly.running_sums`),

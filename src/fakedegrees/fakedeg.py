@@ -48,8 +48,9 @@ class Representation(Value):
     (lexicographically larger component first) and marker distinguishes
     the two representations attached to an equal-component pair.  Every
     other label takes marker 1.  This is the one place a label is refused
-    (ValueError).  Instances are immutable, and equal and hashable by
-    their fields (group, d, label, marker).
+    (ValueError); the labels of `all_representations`, valid as built,
+    are stored without it (`_trusted`).  Instances are immutable, and
+    equal and hashable by their fields (group, d, label, marker).
     """
 
     __slots__ = ("group", "d", "label", "marker")
@@ -62,14 +63,14 @@ class Representation(Value):
         if group != "wreath" and len(label) != 2:
             raise ValueError(f"types B/C/D take an ordered pair of partitions, got {label}")
         if group == "d":
-            if total_size(label) < 2:
-                raise ValueError("type D needs n >= 2")
             lam1, lam2 = label
+            if sum(lam1) + sum(lam2) < 2:
+                raise ValueError("type D needs n >= 2")
             if lam1 < lam2:
                 raise ValueError("type D label must be in canonical order")
             if type(marker) is not int or marker not in (1, 2):
                 raise ValueError("type D marker must be 1 or 2")
-            if lam1 != lam2 and marker != 1:
+            if marker != 1 and lam1 != lam2:
                 raise ValueError("marker 2 needs equal components")
         elif type(marker) is not int or marker != 1:
             raise ValueError(f"only type D takes a marker, got marker {marker}")
@@ -91,6 +92,18 @@ _set_group, _set_d, _set_label, _set_marker = (
 )
 
 
+def _trusted(group: str, d: int, label: Multipartition, marker: int = 1) -> Representation:
+    """The representation of a label the caller built valid, as
+    `Representation` would store it (a tuple of partition tuples, a type-D
+    pair in canonical order), its fields set without a check."""
+    rep = object.__new__(Representation)
+    _set_group(rep, group)
+    _set_d(rep, d)
+    _set_label(rep, label)
+    _set_marker(rep, marker)
+    return rep
+
+
 def _check_group(group: str, d: int) -> None:
     """The one rule for a (group, d): group is a key of ROUTES, d is an
     int, a wreath product G(d,1,n) has d >= 1, and types B/C and D have
@@ -106,31 +119,38 @@ def _check_group(group: str, d: int) -> None:
 
 
 def wreath_rep(label: Multipartition, d: int) -> Representation:
-    return Representation(group="wreath", d=d, label=label)
+    return Representation("wreath", d, label)
 
 
 def bc_rep(pair: Multipartition) -> Representation:
-    return Representation(group="bc", d=2, label=pair)
+    return Representation("bc", 2, pair)
 
 
 def representation(
     group: str, label: Multipartition, d: int = 2, marker: int = 1
 ) -> Representation:
     """The representation of a label as given, a type-D pair put in
-    canonical order first, its components compared as tuples;
-    `Representation` refuses what is not a label (ValueError)."""
-    if group == "d" and len(label) == 2 and tuple(label[0]) < tuple(label[1]):
-        label = label[::-1]
-    return Representation(group=group, d=d, label=label, marker=marker)
+    canonical order first, its components turned into tuples and compared
+    once; `Representation` refuses what is not a label (ValueError)."""
+    if group == "d" and len(label) == 2:
+        lam1, lam2 = map(tuple, label)
+        label = (lam2, lam1) if lam1 < lam2 else (lam1, lam2)
+    return Representation(group, d, label, marker)
 
 
 def d_rep(pair: Multipartition, marker: int = 1) -> Representation:
     """Canonicalize an unordered pair for type D; an unequal pair takes
-    marker 1, whatever marker is given.  The components are compared as
-    tuples, so a list equals its tuple form."""
-    if len(pair) == 2 and tuple(pair[0]) != tuple(pair[1]):
-        marker = 1
-    return representation("d", pair, 2, marker)
+    marker 1, whatever marker is given.  The components are turned into
+    tuples once, so a list equals its tuple form;
+    `Representation` refuses what is not a label (ValueError)."""
+    if len(pair) == 2:
+        lam1, lam2 = map(tuple, pair)
+        if lam1 != lam2:
+            marker = 1
+            if lam1 < lam2:
+                lam1, lam2 = lam2, lam1
+        pair = (lam1, lam2)
+    return Representation("d", 2, pair, marker)
 
 
 # ---------------------------------------------------------------------------
@@ -138,49 +158,55 @@ def d_rep(pair: Multipartition, marker: int = 1) -> Representation:
 # plumbing (the maj histogram; `_scaled`, the one writer of q^b p(q^d)),
 # never a computation another route exists to check.  A label was checked
 # by `Representation`, so the routes read the memos through their
-# private readers, which check nothing.
+# private readers, which check nothing and hand back the memo's
+# coefficient tuples; `_scaled` builds each call's one QPolynomial.
 
 
 def _scaled(terms, d: int = 2) -> QPolynomial:
-    """Sum of q^b p(q^d) over the (QPolynomial p, int b) terms, in one
-    coefficient list: the first term is written into zeros, each later one
-    added, the list grown as needed; one slice assignment each."""
-    out: list[int] = []
-    for p, b in terms:
-        cs = p.coeffs
+    """Sum of q^b p(q^d) over the (coefficient tuple p, int b) terms in
+    one list: the first term written into zeros, the list exactly as long
+    as its top exponent, by one slice assignment (the whole write of the
+    common one-term call); each later term added into its slice, the list
+    grown as needed.  When no p ends in a zero and the terms do not cancel
+    at the top, `QPolynomial` stores the list's tuple as it is; else it
+    drops the trailing zeros."""
+    cs, b = terms[0]
+    out = [0] * (b + d * len(cs) - d + 1)
+    out[b::d] = cs
+    for cs, b in terms[1:]:
         stop = b + d * len(cs)
-        if out:
-            out.extend([0] * (stop - len(out)))
-            out[b:stop:d] = map(add, out[b:stop:d], cs)
-        else:
-            out = [0] * stop
-            out[b::d] = cs
-    return QPolynomial(out)
+        if stop - d >= len(out):
+            out += [0] * (stop - d + 1 - len(out))
+        out[b:stop:d] = map(add, out[b:stop:d], cs)
+    return QPolynomial(tuple(out))
 
 
 def _formula(rep: Representation) -> QPolynomial:
     """The q-multinomial of the component sizes times the hook-length form
     of each component's SYT generating function, then the label's own
     b-shift and q -> q^d."""
-    inner = _formula_product(tuple(sorted(nonempty_components(rep.label))))
-    return _scaled([(inner, b_multi(rep.label))], rep.d)
+    label = rep.label
+    inner = _formula_product(tuple(sorted(nonempty_components(label))))
+    return _scaled([(inner, b_multi(label))], rep.d)
 
 
 @lru_cache(maxsize=None)
-def _formula_product(components: Multipartition) -> QPolynomial:
-    """The product of the formula route, memoised per multiset of nonempty
-    components: it is symmetric in the components, an empty one
-    contributes a factor of 1 to both the q-multinomial and the hook
-    forms, and d enters only through `_scaled`.  The components come from
-    a `Representation`, which checked them, so the memoised closed forms
-    are read directly, not through their checking public readers."""
+def _formula_product(components: Multipartition) -> tuple[int, ...]:
+    """The coefficients of the formula route's product, memoised per
+    multiset of nonempty components: it is symmetric in the components,
+    an empty one contributes a factor of 1 to both the q-multinomial and
+    the hook forms, and d enters only through `_scaled`.  The components
+    come from a `Representation`, which checked them, so the memoised
+    closed forms are read directly, not through their checking public
+    readers."""
     sizes = tuple(sorted(sum(c) for c in components))
-    return product([_q_multinomial(sizes), *map(_hook_syt_gf, components)])
+    return product([_q_multinomial(sizes), *map(_hook_syt_gf, components)]).coeffs
 
 
 def _enumeration(rep: Representation) -> QPolynomial:
     """Sum of q^maj over standard tuple tableaux."""
-    return _scaled([(_tuple_maj_gf(rep.label), b_multi(rep.label))], rep.d)
+    label = rep.label
+    return _scaled([(_tuple_maj_gf(label), b_multi(label))], rep.d)
 
 
 def _domino_even(rep: Representation) -> QPolynomial:
@@ -193,20 +219,23 @@ def _domino_odd(rep: Representation) -> QPolynomial:
     return _scaled([(_sdt_maj_gf(lusztig_rho2(rep.label)), b_multi(rep.label))])
 
 
-def _ordering_terms(rep: Representation, restricted_gf) -> list[tuple[QPolynomial, int]]:
+def _ordering_terms(rep: Representation, restricted_gf) -> list[tuple[tuple[int, ...], int]]:
     """One (p, b) term per ordering of a type-D pair (one when the
-    components are equal): its restricted generating function and its
-    b-shift."""
-    lam1, lam2 = rep.label
-    orderings = [rep.label] if lam1 == lam2 else [rep.label, (lam2, lam1)]
-    return [(restricted_gf(ordering), b_multi(ordering)) for ordering in orderings]
+    components are equal): the coefficients of its restricted generating
+    function and its b-shift, the size of its second component."""
+    label = lam1, lam2 = rep.label
+    terms = [(restricted_gf(label), sum(lam2))]
+    if lam1 != lam2:
+        terms.append((restricted_gf((lam2, lam1)), sum(lam1)))
+    return terms
 
 
-def _restricted_sdt_gf(pair: Multipartition) -> QPolynomial:
-    """Sum of q^maj over SDTs of the even associated shape whose image
-    pair under the maj-preserving bijection has the largest label in the
-    first component: one walk over the shape (`map_shape`), keeping the
-    maj of each tableau whose last keyed cell lies in the first filling."""
+def _restricted_sdt_gf(pair: Multipartition) -> tuple[int, ...]:
+    """The coefficients of the sum of q^maj over SDTs of the even
+    associated shape whose image pair under the maj-preserving bijection
+    has the largest label in the first component: one walk over the shape
+    (`map_shape`), keeping the maj of each tableau whose last keyed cell
+    lies in the first filling."""
     majs: list[int] = []
 
     def keep(maj: int, cells) -> None:
@@ -214,7 +243,7 @@ def _restricted_sdt_gf(pair: Multipartition) -> QPolynomial:
             majs.append(maj)
 
     map_shape(lusztig_rho1(pair), keep)
-    return QPolynomial.from_exponents(majs)
+    return QPolynomial.from_exponents(majs).coeffs
 
 
 def _d_tuple(rep: Representation) -> QPolynomial:
@@ -234,10 +263,11 @@ def _d_shifted(rep: Representation) -> QPolynomial:
     second filling; halved when the components are equal.  The sum over
     the second filling is the total less the first; both are written
     raised by q^n, which is then taken off."""
-    n, b = rep.n, b_multi(rep.label)
-    first = _tuple_maj_gf_restricted(rep.label)
-    total = _scaled([(first, b + n), (_tuple_maj_gf(rep.label) - first, b)]).shift(-n)
-    lam1, lam2 = rep.label
+    label = lam1, lam2 = rep.label
+    n, b = rep.n, sum(lam2)
+    first = _tuple_maj_gf_restricted(label)
+    second = QPolynomial(_tuple_maj_gf(label)) - QPolynomial(first)
+    total = _scaled([(first, b + n), (second.coeffs, b)]).shift(-n)
     return total.exact_div(QPolynomial([2])) if lam1 == lam2 else total
 
 
@@ -251,14 +281,25 @@ ROUTES = {
 DEFAULT_ROUTE = {"wreath": "formula", "bc": "tuple", "d": "tuple"}
 
 
+def _route(rep: Representation, route: str | None, refusal: str, group: str | None = None):
+    """The named route of rep's group (its default route for None), the
+    one check of `fake_degree` and `fake_degree_d`: ValueError, the
+    refusal followed by what was given, when rep is not a Representation
+    (of the group, when one is named), or naming the route when its group
+    has none of that name."""
+    if rep.__class__ is not Representation or group is not None and rep.group != group:
+        raise ValueError(f"{refusal}, got {rep!r}")
+    name = DEFAULT_ROUTE[rep.group] if route is None else route
+    fn = ROUTES[rep.group].get(name)
+    if fn is None:
+        raise ValueError(f"unknown {rep.group} route {name!r}")
+    return fn
+
+
 def fake_degree(rep: Representation, route: str | None = None) -> QPolynomial:
     """Fake degree of rep by a named route of its group, or by the group's
     default route.  The marker of a type-D label does not affect it."""
-    routes = ROUTES[rep.group]
-    name = DEFAULT_ROUTE[rep.group] if route is None else route
-    if name not in routes:
-        raise ValueError(f"unknown {rep.group} route {name!r}")
-    return routes[name](rep)
+    return _route(rep, route, "fake_degree needs a Representation")(rep)
 
 
 def fake_degree_wreath(
@@ -275,9 +316,7 @@ def fake_degree_bc(pair: Multipartition, route: str = DEFAULT_ROUTE["bc"]) -> QP
 
 def fake_degree_d(rep: Representation, route: str = DEFAULT_ROUTE["d"]) -> QPolynomial:
     """Fake degree of a type-D irreducible."""
-    if rep.group != "d":
-        raise ValueError("fake_degree_d needs a type-D representation")
-    return fake_degree(rep, route)
+    return _route(rep, route, "fake_degree_d needs a type-D representation", "d")(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +349,21 @@ def poincare(group: str, n: int, d: int = 2) -> QPolynomial:
 
 
 def all_representations(group: str, n: int, d: int = 2) -> list[Representation]:
-    """Every irreducible representation label of the group of rank n."""
+    """Every irreducible representation label of the group of rank n (n >=
+    2 for type D; ValueError otherwise).  `multipartitions_of` builds each
+    label as `Representation` stores it, and only the type-D pairs in
+    canonical order are kept, so the labels are stored unchecked
+    (`_trusted`)."""
     _check_group(group, d)
+    check_size(n, "all_representations", 2 if group == "d" else 0)
     if group == "d":
         return [
-            Representation(group, d, pair, marker)
+            _trusted(group, d, pair, marker)
             for pair in multipartitions_of(n, 2)
             if pair[0] >= pair[1]
             for marker in ((1, 2) if pair[0] == pair[1] else (1,))
         ]
-    return [Representation(group=group, d=d, label=mp) for mp in multipartitions_of(n, d)]
+    return [_trusted(group, d, mp) for mp in multipartitions_of(n, d)]
 
 
 def regular_representation_sum(group: str, n: int, d: int = 2) -> QPolynomial:

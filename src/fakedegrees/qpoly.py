@@ -61,16 +61,20 @@ class QPolynomial(Value):
 
     ``coeffs[k]`` is the coefficient of ``q**k``.  Instances are immutable
     values; all operations return new polynomials in canonical form
-    (no trailing zero coefficients, zero polynomial == empty tuple).
+    (no trailing zero coefficients, zero polynomial == empty tuple).  A
+    tuple already in that form is stored as it is, neither copied nor
+    stripped; anything else is copied and its trailing zeros dropped.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        _set_coeffs(self, tuple(cs))
+        if coeffs.__class__ is not tuple or coeffs and coeffs[-1] == 0:
+            cs = list(coeffs)
+            while cs and cs[-1] == 0:
+                cs.pop()
+            coeffs = tuple(cs)
+        _set_coeffs(self, coeffs)
 
     @classmethod
     def monomial(cls, k: int) -> "QPolynomial":
@@ -221,10 +225,12 @@ class InexactDivisionError(ArithmeticError):
 
 def add_raised(acc: list[int], total: Sequence[int], below: Sequence[int], s: int) -> None:
     """Add total - below + q^s below into the coefficient list acc, in
-    place, growing acc as needed: a sum whose part below gains the factor
-    q^s."""
+    place, growing acc only as far as a nonzero term reaches: a sum whose
+    part below gains the factor q^s.  With total and below free of
+    trailing zeros, and below a part of total (coefficientwise at most
+    it, never negative), the grown acc ends in a nonzero coefficient."""
     m = len(below)
-    grow = max(len(total), s + m) - len(acc)
+    grow = (max(len(total), s + m) if m else len(total)) - len(acc)
     if grow > 0:
         acc.extend([0] * grow)
     acc[: len(total)] = map(add, acc, total)
@@ -246,7 +252,10 @@ def running_sums(removals, rank, precedes):
     the table in its order, whose coefficients sum q^maj over the standard
     tableaux of the shape with n in that move or an earlier one.  The last
     entry is the whole sum; a shape of rank 0 has one tableau, keyed None,
-    and any other shape with no move has no entry.
+    and any other shape with no move has no entry.  No entry ends in a
+    zero coefficient (`add_raised`), so each is the coefficient tuple of a
+    polynomial in canonical form, the empty tuple when no tableau of the
+    shape puts n in that move or an earlier one.
 
     Recursion on the move of n: removing it leaves a tableau of the
     smaller shape, and n-1 is a descent exactly when its move a precedes

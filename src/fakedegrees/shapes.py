@@ -88,11 +88,14 @@ def b_statistic(p: Partition) -> int:
 
 def b_multi(mp: Multipartition) -> int:
     """b(lambda) = sum (i-1)*|component i|."""
-    return sum(i * sum(comp) for i, comp in enumerate(mp))
+    b = 0
+    for i, comp in enumerate(mp):
+        b += i * sum(comp)
+    return b
 
 
 def total_size(mp: Multipartition) -> int:
-    return sum(sum(comp) for comp in mp)
+    return sum(map(sum, mp))
 
 
 def nonempty_components(mp: Multipartition) -> Multipartition:

@@ -8,9 +8,10 @@ enumerator and the running-sum memo both walk it.  An empty filling holds
 no label and no row, so a shape has the tableaux and major indices of its
 nonempty components, in order; the running-sum memo is keyed on those, and
 solves each such shape once whatever empty components its callers give.
-The public readers check their shape on every call; the package's routes,
-whose labels `Representation` checked, read the memo through the private
-ones.
+The public readers check their shape on every call and return a
+`QPolynomial`; the package's routes, whose labels `Representation`
+checked, read the memo through the private ones, which return the memo's
+coefficient tuple itself.
 """
 
 from __future__ import annotations
@@ -170,11 +171,11 @@ def tuple_maj_gf(mp: Multipartition) -> QPolynomial:
     component is read through `check_partition` on every call
     (ValueError), so a shape given with lists reads its tuple form and a
     float or bool twin of a memoised shape is refused."""
-    return _tuple_maj_gf(tuple(map(check_partition, mp)))
+    return QPolynomial(_tuple_maj_gf(tuple(map(check_partition, mp))))
 
 
-def _tuple_maj_gf(mp: Multipartition) -> QPolynomial:
-    return QPolynomial(_maj_gf_by_last_cell(nonempty_components(mp))[-1][1])
+def _tuple_maj_gf(mp: Multipartition) -> tuple[int, ...]:
+    return _maj_gf_by_last_cell(nonempty_components(mp))[-1][1]
 
 
 def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
@@ -186,19 +187,18 @@ def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
     mp = tuple(map(check_partition, mp))
     if not any(mp):
         raise ValueError("restricted generating function needs n >= 1")
-    return _tuple_maj_gf_restricted(mp)
+    return QPolynomial(_tuple_maj_gf_restricted(mp))
 
 
-def _tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
-    """Zero when the first filling is empty, else the last of the memo's
-    entries in component 0 of the nonempty shape."""
-    first: tuple[int, ...] = ()
-    if mp[0]:
-        for key, coeffs in _maj_gf_by_last_cell(nonempty_components(mp)):
-            if key[0]:
-                break
-            first = coeffs
-    return QPolynomial(first)
+def _tuple_maj_gf_restricted(mp: Multipartition) -> tuple[int, ...]:
+    """Zero (the empty tuple) when the first filling alpha is empty, else
+    the memo entry of alpha's last corner: the nonempty shape begins with
+    alpha, whose corners, one per distinct part, come first in
+    (component, row) order, so it is entry len(set(alpha)) - 1."""
+    alpha = mp[0]
+    if not alpha:
+        return ()
+    return _maj_gf_by_last_cell(nonempty_components(mp))[len(set(alpha)) - 1][1]
 
 
 def format_tableau(t: Tableau) -> str:

@@ -38,7 +38,7 @@ from fakedegrees.fakedeg import (
 )
 from fakedegrees.bijections import pi_c_prime
 from fakedegrees.dominoes import enumerate_sdt, maj_domino
-from fakedegrees.fakedeg import _formula_product, _restricted_sdt_gf
+from fakedegrees.fakedeg import _formula_product, _restricted_sdt_gf, _scaled
 from fakedegrees.qpoly import QPolynomial, hook_syt_gf, q_factorial, q_int, q_multinomial
 from fakedegrees.shapes import b_multi, lusztig_rho1, multipartitions_of
 from fakedegrees.tableaux import enumerate_tuple_tableaux, largest_label_component
@@ -112,6 +112,108 @@ def test_representation_is_a_value():
         with pytest.raises(AttributeError):
             delattr(r, name)
     assert r == bc_rep(((2,), (1,))) and r.n == 3
+
+
+@pytest.mark.parametrize(
+    "group, d, label, marker, message",
+    [
+        ("wreath", 3, ((1,), (1,)), 1, "does not have 3 components"),
+        ("bc", 2, ((1,),), 1, "ordered pair of partitions"),
+        ("d", 2, ((1,), (1,), ()), 1, "ordered pair of partitions"),
+        ("bc", 2, ((1, 2), ()), 1, "weakly decreasing"),
+        ("wreath", 2, ((1,), (0,)), 1, "positive"),
+        ("bc", 2, ((True,), ()), 1, "must be ints"),
+        ("wreath", 1, ((2.0,),), 1, "must be ints"),
+        ("d", 2, ((1,), (2,)), 1, "canonical order"),
+        ("d", 2, ((1,), (1,)), 3, "marker must be 1 or 2"),
+        ("d", 2, ((1,), (1,)), True, "marker must be 1 or 2"),
+        ("d", 2, ((2,), (1,)), 2, "marker 2 needs equal components"),
+        ("bc", 2, ((1,), (1,)), 2, "only type D takes a marker"),
+        ("wreath", 2.0, ((1,), (1,)), 1, "d must be an int"),
+        ("bc", True, ((1,), (1,)), 1, "d must be an int"),
+        ("d", 2, ((1,), ()), 1, "type D needs n >= 2"),
+        ("d", 2, ((), ()), 1, "type D needs n >= 2"),
+    ],
+)
+def test_the_public_constructor_refuses_every_malformed_label(group, d, label, marker, message):
+    """`Representation(...)` checks whatever it is given: a wrong
+    component count, a component that is not a partition, a bool or float
+    part, a type-D pair out of order, a bad marker, a d that is not an int
+    and type D of rank n < 2 are each refused."""
+    with pytest.raises(ValueError, match=message):
+        Representation(group, d, label, marker)
+
+
+GROUPS = [("wreath", 1), ("wreath", 2), ("wreath", 3), ("bc", 2), ("d", 2)]
+
+
+@pytest.mark.parametrize("group, d", GROUPS)
+def test_the_listed_labels_are_the_public_ones(group, d):
+    """`all_representations` stores its labels unchecked; for every group
+    with n <= 6 each compares, hashes and prints as the label
+    `Representation` builds from the same fields, and holds tuples of int
+    tuples.  Type D lists no rank below 2."""
+    for n in range(2 if group == "d" else 0, 7):
+        for rep in all_representations(group, n, d):
+            public = Representation(rep.group, rep.d, rep.label, rep.marker)
+            assert rep == public and hash(rep) == hash(public) and repr(rep) == repr(public)
+            assert type(rep.label) is tuple and all(type(c) is tuple for c in rep.label)
+            assert all(type(x) is int for c in rep.label for x in c)
+    if group == "d":
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="n >= 2"):
+                all_representations(group, n, d)
+
+
+@pytest.mark.parametrize(
+    "given", [((1,), (1,)), "1|1", None, 3], ids=["pair", "text", "None", "int"]
+)
+@pytest.mark.parametrize("call", [fake_degree, fake_degree_d])
+def test_a_non_representation_is_refused_by_name(call, given):
+    """A pair, or anything else that is not a `Representation`, given to
+    `fake_degree` or `fake_degree_d` is refused with a ValueError naming
+    it (a pair raised AttributeError)."""
+    with pytest.raises(ValueError, match="needs a") as raised:
+        call(given)
+    assert repr(given) in str(raised.value)
+
+
+def test_fake_degree_d_refuses_a_representation_of_another_group():
+    with pytest.raises(ValueError, match="needs a type-D representation, got .*'bc'"):
+        fake_degree_d(bc_rep(((1,), (1,))))
+
+
+@pytest.mark.parametrize("group, d", GROUPS)
+def test_every_route_returns_a_canonical_polynomial(group, d):
+    """Every route of the group, for every label with n <= 6, returns a
+    `QPolynomial` whose coeffs is a tuple ending in a nonzero coefficient,
+    equal to the polynomial of its coefficients given as a list."""
+    for n in range(2 if group == "d" else 0, 7):
+        for rep in all_representations(group, n, d):
+            for route in ROUTES[group]:
+                p = fake_degree(rep, route)
+                assert type(p) is QPolynomial and type(p.coeffs) is tuple, (rep, route)
+                assert p.coeffs[-1] != 0 and p == QPolynomial(list(p.coeffs)), (rep, route)
+
+
+canonical_tuples = st.lists(st.integers(-3, 3), max_size=5).map(lambda cs: QPolynomial(cs).coeffs)
+scaled_terms = st.lists(st.tuples(canonical_tuples, st.integers(0, 6)), min_size=1, max_size=3)
+
+
+@given(scaled_terms, st.integers(1, 4))
+@example([((), 0), ((1,), 0)], 2)
+@example([((1,), 4), ((), 0)], 2)  # an empty later term at b < d - 1
+@example([((1, 1), 0), ((-1, -1), 0)], 1)  # terms that cancel
+def test_scaled_is_the_sum_of_its_terms(terms, d):
+    """The one writer of the routes: sum of q^b p(q^d) over (coefficient
+    tuple, b) terms, empty and cancelling terms included, against
+    polynomial arithmetic, in canonical form."""
+    expected = QPolynomial()
+    for cs, b in terms:
+        raised = [0] * (d * len(cs))
+        raised[::d] = cs
+        expected += QPolynomial(raised).shift(b)
+    assert _scaled(terms, d) == expected
 
 
 @pytest.mark.parametrize(
@@ -333,9 +435,10 @@ def reference_restricted_sdt_gf(pair):
 
 
 def test_restricted_sdt_gf_equals_the_reference():
+    """The walk's sum, a coefficient tuple, is the reference's."""
     for n in range(1, 9):
         for pair in multipartitions_of(n, 2):
-            assert _restricted_sdt_gf(pair) == reference_restricted_sdt_gf(pair), pair
+            assert _restricted_sdt_gf(pair) == reference_restricted_sdt_gf(pair).coeffs, pair
 
 
 # Pairs of rank 8 to 10, past the exhaustive sweeps.

@@ -57,6 +57,17 @@ def test_canonical_form():
     assert QPolynomial([1]) == ONE
 
 
+@given(st.lists(st.integers(-9, 9), max_size=8))
+def test_a_canonical_tuple_is_stored_as_it_is(coeffs):
+    """A tuple that ends in a nonzero coefficient (or is empty) becomes
+    the polynomial's coeffs itself; a tuple ending in zeros, and any
+    other iterable, is copied with its trailing zeros dropped."""
+    canonical = QPolynomial(coeffs).coeffs
+    assert QPolynomial(canonical).coeffs is canonical
+    for other in (tuple(coeffs) + (0,), coeffs + [0], iter(coeffs)):
+        assert QPolynomial(other).coeffs == canonical
+
+
 @given(st.lists(st.integers(-9, 9), max_size=8), st.integers(-9, 9))
 def test_equal_polynomials_hash_equal_and_no_int_is_equal(coeffs, k):
     """Equality is that of the canonical coefficients, so equal values
@@ -352,6 +363,17 @@ def test_running_sum_memo_leaves_the_removals_table_alone(kind):
     whole_sum(shape)
     assert memo.cache_info().currsize > 1
     assert removals.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("kind", RUNNING_SUM_MEMOS)
+def test_running_sum_entries_end_in_a_nonzero_coefficient(kind):
+    """Every entry of the memo is the coefficient tuple of a polynomial in
+    canonical form: none ends in a zero, though a move whose smaller shape
+    adds no term ((3,) and (6,) among them) used to leave one."""
+    memo, _, _, _, shapes, _ = RUNNING_SUM_MEMOS[kind]
+    for shape in shapes:
+        for _, coeffs in memo(shape):
+            assert not coeffs or coeffs[-1] != 0, (shape, coeffs)
 
 
 @given(polys, polys)

@@ -15,6 +15,7 @@ from fakedegrees.shapes import (
 from fakedegrees.tableaux import (
     _maj_gf_by_last_cell,
     _nonempty_cell_removals,
+    _tuple_maj_gf_restricted,
     enumerate_syt,
     enumerate_tuple_tableaux,
     format_tableau,
@@ -141,6 +142,31 @@ def test_tuple_maj_known_value():
 def test_restricted_gfs_known_values():
     assert tuple_maj_gf_restricted(((1, 1), (1,))) == QPolynomial([0, 1, 1])
     assert tuple_maj_gf_restricted(((1,), (1, 1))) == QPolynomial([0, 1])
+
+
+def restricted_by_scan(mp):
+    """The restricted sum as a scan of the memo read it: the last entry
+    keyed in component 0 of the nonempty form, zero when the first
+    filling is empty."""
+    first = ()
+    if mp[0]:
+        for key, coeffs in _maj_gf_by_last_cell(nonempty_components(mp)):
+            if key[0]:
+                break
+            first = coeffs
+    return first
+
+
+def test_the_indexed_restricted_read_is_the_scan():
+    """Every nonempty pair form with n <= 8 (including first components
+    with repeated parts): the entry of the first component's last corner,
+    read by index, is the scan's."""
+    repeated = 0
+    for n in range(1, 9):
+        for mp in multipartitions_of(n, 2):
+            assert _tuple_maj_gf_restricted(mp) == restricted_by_scan(mp), mp
+            repeated += len(set(mp[0])) < len(mp[0])
+    assert repeated > 100
 
 
 def test_restricted_complement_identity():
