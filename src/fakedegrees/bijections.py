@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache
 
-from .dominoes import DominoTableau, enumerate_sdt
+from .dominoes import DominoTableau, _trusted, enumerate_sdt
 from .shapes import (
     Cell,
     Partition,
@@ -102,8 +102,8 @@ class _RegionNode(dict):
     bottom row, child node, keyed cell): a border domino of the region,
     the rows of its two cells, the node of the region left once it is
     lifted off, and its label's keyed cell (filling, row, col, key), the
-    cell the pair loses between the two regions, keyed as in
-    `_keyed_cells` at the node's offset.  The same build fills the dict,
+    cell the pair loses between the two regions, keyed by `_keyed_cell`
+    at the node's offset.  The same build fills the dict,
     from each domino, its cells in either order, to (child node, keyed
     cell), so a map follows one lookup per label; a domino that is not a
     border domino of the region, as in a tableau that is not standard, is
@@ -146,9 +146,9 @@ class _RegionNode(dict):
                 row = next((i for i, x in enumerate(old) if i >= len(new) or new[i] != x), len(old))
                 col = (old[row] if row < len(old) else 0) + 1
                 if (row == 0 or old[row - 1] >= col) and new == old[:row] + (col,) + old[row + 1:]:
-                    key = 2 * (row + 1 - col) + self.offset * grown[0]
                     (top, _), (bottom, _) = domino
-                    steps.append((domino, top, bottom, child, (grown[0] + 1, row + 1, col, key)))
+                    cell = _keyed_cell(grown[0] + 1, row + 1, col, self.offset)
+                    steps.append((domino, top, bottom, child, cell))
                     continue
             raise RuleError(
                 f"covered regions {smaller} -> {region}: pairs {before} -> {after} "
@@ -169,12 +169,14 @@ def _insert(t: DominoTableau, odd: int) -> list[KeyedCell]:
     map, so the cell each lift takes from the pair holds the domino's
     label; the shape's node (`_node`) lifts the domino and keys the cell,
     one lookup per label, written into a list of n from the largest label
-    down.  The shape is read through `check_partition` on every call, so
-    a list reads its tuple form and a shape that is not a partition is
-    refused (ValueError), whatever nodes exist.
+    down.  Anything but a `DominoTableau` is refused (ValueError naming
+    it), by one class test; the shape and dominoes are read as stored,
+    since the tableau's constructor checked them.
     """
     inverse, offset, name = _map_of(odd)
-    shape, dominoes = check_partition(t.shape), t.dominoes
+    if t.__class__ is not DominoTableau:
+        raise ValueError(f"{name} needs a DominoTableau, got {t!r}")
+    shape, dominoes = t.shape, t.dominoes
     if sum(shape) % 2 != odd:
         raise ValueError(f"{name} needs an {('even', 'odd')[odd]}-size shape")
     k = len(dominoes)
@@ -217,10 +219,17 @@ def pi_b(t: DominoTableau) -> TableauPair:
     return pair_of(_insert(t, 1))
 
 
+def _keyed_cell(f: int, r: int, c: int, offset: int) -> KeyedCell:
+    """The keyed cell (f, r, c, key) of the cell (r, c) of filling f, all
+    1-based, under a map of that key offset.  The one coding of the
+    pair-level key, which decides every pair maj: the cell's diagonal
+    2(r - c), plus offset in the second filling."""
+    return f, r, c, 2 * (r - c) + (offset if f == 2 else 0)
+
+
 def _keyed_cells(pair: TableauPair, offset: int) -> list[KeyedCell]:
     """(filling, row, col, key) of labels 1..n in order, all 1-based, read
-    from `label_positions`; the pair-level key of a cell (r, c) is its
-    diagonal 2(r - c), plus offset in the second filling.  A pair that
+    from `label_positions` and keyed by `_keyed_cell`.  A pair that
     is not standard is refused (ValueError): it must have two fillings,
     each of a partition's shape with rows and columns increasing, that
     hold the labels 1..n once each."""
@@ -238,10 +247,7 @@ def _keyed_cells(pair: TableauPair, offset: int) -> list[KeyedCell]:
         )
     ):
         raise ValueError(f"not a standard tableau pair: {pair}")
-    return [
-        (f, r, c, 2 * (r - c) + (offset if f == 2 else 0))
-        for f, r, c in map(pos.__getitem__, range(1, len(pos) + 1))
-    ]
+    return [_keyed_cell(*pos[label], offset) for label in range(1, len(pos) + 1)]
 
 
 def _pair_maj(pair: TableauPair, odd: int) -> int:
@@ -405,7 +411,7 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
             try:
                 image = _flip(cells, None)
             except RuleError as exc:
-                exc.tableau = DominoTableau(shape=shape, dominoes=tuple(stack))
+                exc.tableau = _trusted(shape, tuple(stack))
                 raise
             visit(maj, image)
             return
@@ -416,7 +422,7 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
             except RuleError as exc:
                 # labels 1..k of the first tableau below, under labels k+1..n
                 first = next(enumerate_sdt(node.region)).dominoes
-                exc.tableau = DominoTableau(shape=shape, dominoes=first + tuple(stack[k:]))
+                exc.tableau = _trusted(shape, first + tuple(stack[k:]))
                 raise
         for stack[j], top, bottom, child, cells[j] in steps:
             walk(child, j, maj + k if bottom < below else maj, top)

@@ -15,13 +15,23 @@ from .shapes import Cell, Partition, _domino_removals, check_partition
 class DominoTableau(Value):
     """A domino tableau: its shape and dominoes[i], the cell pair of the
     domino labelled i+1.  Instances are immutable, and equal and hashable
-    by (shape, dominoes)."""
+    by (shape, dominoes).
+
+    This is the one place a tableau is checked: the shape is read through
+    `check_partition` and the dominoes are stored as a tuple of
+    ((row, col), (row, col)) int tuples, so a list form equals, hashes
+    and maps as its tuple form, and a float or bool part or cell, a zero
+    part, or a domino that is not two cells of two ints is refused
+    (ValueError).  Whether the dominoes tile the shape is left to the
+    maps.  Code that holds a checked shape and dominoes read from the
+    removals table (`enumerate_sdt`, `sdt_at`, the error path of
+    `bijections.map_shape`) builds its tableaux unchecked (`_trusted`)."""
 
     __slots__ = ("shape", "dominoes")
 
     def __init__(self, shape: Partition, dominoes: tuple[tuple[Cell, Cell], ...]):
-        _set_shape(self, shape)
-        _set_dominoes(self, dominoes)
+        _set_shape(self, check_partition(shape))
+        _set_dominoes(self, _check_dominoes(dominoes))
 
     @property
     def size(self) -> int:
@@ -63,6 +73,27 @@ class DominoTableau(Value):
 _set_shape, _set_dominoes = DominoTableau.shape.__set__, DominoTableau.dominoes.__set__
 
 
+def _check_dominoes(dominoes) -> tuple[tuple[Cell, Cell], ...]:
+    """The dominoes as a tuple of ((row, col), (row, col)) tuples, each
+    entry an int (a bool is not one); ValueError otherwise."""
+    try:
+        out = tuple(((r1, c1), (r2, c2)) for (r1, c1), (r2, c2) in dominoes)
+    except (TypeError, ValueError):
+        raise ValueError(f"dominoes must be pairs of (row, col) cells: {dominoes!r}") from None
+    if not all(type(x) is int for domino in out for cell in domino for x in cell):
+        raise ValueError(f"domino cells must be int pairs: {out}")
+    return out
+
+
+def _trusted(shape: Partition, dominoes: tuple[tuple[Cell, Cell], ...]) -> DominoTableau:
+    """The tableau of a checked shape and dominoes the caller built as
+    `DominoTableau` would store them, its fields set without a check."""
+    t = object.__new__(DominoTableau)
+    _set_shape(t, shape)
+    _set_dominoes(t, dominoes)
+    return t
+
+
 def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
     """All standard domino tableaux of the shape, built by peeling the
     largest-labelled border domino; empty iff the shape supports none.
@@ -75,7 +106,8 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
     label k+1, and stack[k] holds that label's domino.  Each shape's
     removals are computed once per process (`_domino_removals` is
     memoised), and each tableau's domino tuple is built once, at the
-    leaf, from the stack filled in place.  The walk stops at its first
+    leaf, from the stack filled in place, into a tableau stored unchecked
+    (`_trusted`).  The walk stops at its first
     region of rank >= 1 with no border domino: that region is the 2-core,
     which every region of the shape shares, so the shape has no tableau.
     A shape that is not a partition is refused (`check_partition`'s
@@ -84,7 +116,7 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
     shape = check_partition(shape)
     n = sum(shape) // 2
     if n == 0:
-        yield DominoTableau(shape=shape, dominoes=())
+        yield _trusted(shape, ())
         return
     stack: list = [None] * n
     levels: list = [None] * n
@@ -99,7 +131,7 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
                 k -= 1
                 levels[k] = iter(removals)
                 break
-            yield DominoTableau(shape, tuple(stack))
+            yield _trusted(shape, tuple(stack))
         else:
             k += 1
 
@@ -114,7 +146,8 @@ def sdt_at(shape: Partition, index: int) -> DominoTableau:
     shape's generating function.  IndexError outside 0..count-1 or for an
     index that is not integral; ValueError when the shape is not a
     partition.  The shape is checked here, and the smaller shapes come
-    from the removals table, so the memo is read directly.
+    from the removals table, so the memo is read directly and the
+    tableau is stored unchecked (`_trusted`).
     """
     shape = check_partition(shape)
     if not 0 <= index < sum(_sdt_maj_gf(shape)) or index % 1:
@@ -129,7 +162,7 @@ def sdt_at(shape: Partition, index: int) -> DominoTableau:
             rest -= count
         stack.append(cells)
         p = smaller
-    return DominoTableau(shape=shape, dominoes=tuple(reversed(stack)))
+    return _trusted(shape, tuple(reversed(stack)))
 
 
 def maj_domino(t: DominoTableau) -> int:

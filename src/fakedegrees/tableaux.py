@@ -64,27 +64,38 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
     recursion with an explicit stack: levels[k] iterates the removals of
     the shape under label k+1, whose cell is written into a preallocated
     grid as it is placed.  Each shape's removals are computed once per
-    process (`_cell_removals` is memoised), and each tableau is built once,
-    at the leaf, from that grid.  A component that is not a partition is
-    refused (`check_partition`'s ValueError).
+    process (`_cell_removals` is memoised).  A row's labels all lie above
+    its column-0 cell, so its tuple is built when that cell is placed,
+    and a filling's when its (0, 0) cell is; each leaf builds only the
+    tuple of fillings, and every tableau below a node shares the rows and
+    fillings completed above it.  An empty component is the empty
+    filling.  A component that is not a partition is refused
+    (`check_partition`'s ValueError).
     """
     mp = tuple(map(check_partition, mp))
     grid = [[[0] * length for length in comp] for comp in mp]
+    rows = [[()] * len(comp) for comp in mp]
+    fillings = [()] * len(mp)
     n = total_size(mp)
     if n == 0:
-        yield tuple([tuple(map(tuple, filling)) for filling in grid])
+        yield tuple(fillings)
         return
     levels: list = [None] * n
     levels[-1] = iter(_cell_removals(mp))
     k = n - 1
     while k < n:
         for smaller, (ci, ri, col) in levels[k]:
-            grid[ci][ri][col] = k + 1
+            row = grid[ci][ri]
+            row[col] = k + 1
+            if not col:
+                rows[ci][ri] = tuple(row)
+                if not ri:
+                    fillings[ci] = tuple(rows[ci])
             if k:
                 k -= 1
                 levels[k] = iter(_cell_removals(smaller))
                 break
-            yield tuple([tuple(map(tuple, filling)) for filling in grid])
+            yield tuple(fillings)
         else:
             k += 1
 

@@ -17,7 +17,6 @@ from fakedegrees.shapes import (
     Partition,
     _domino_removals,
     b_statistic,
-    check_partition,
     hooks,
     two_core,
 )
@@ -161,7 +160,7 @@ def truncate(t: DominoTableau, k: int) -> DominoTableau:
     shape = tuple(
         sum(1 for (r, _c) in cells if r == row) for row in range(1, max_row + 1)
     )
-    return DominoTableau(shape=check_partition(shape), dominoes=t.dominoes[:k])
+    return DominoTableau(shape=shape, dominoes=t.dominoes[:k])
 
 
 def shape_of(t) -> Partition:

@@ -1,5 +1,7 @@
+import sys
 from ast import literal_eval
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,12 +127,11 @@ def test_step_graph_calls_the_inverse_once_per_region(monkeypatch):
 
 
 def test_insertion_rejects_dominoes_that_do_not_tile():
-    """The shape must be a partition, every domino a border domino of the
-    region it is lifted off, and lifting every domino must leave the
-    2-core."""
-    not_a_partition = DominoTableau(shape=(2, 0), dominoes=(((1, 1), (1, 2)),))
+    """The shape must be a partition (refused when the tableau is built),
+    every domino a border domino of the region it is lifted off, and
+    lifting every domino must leave the 2-core."""
     with pytest.raises(ValueError, match="partition parts must be positive"):
-        pi_c(not_a_partition)
+        DominoTableau(shape=(2, 0), dominoes=(((1, 1), (1, 2)),))
     below_first = DominoTableau(shape=(2, 2), dominoes=(((2, 1), (2, 2)), ((1, 1), (1, 2))))
     with pytest.raises(ValueError, match="not a border domino of"):
         pi_c(below_first)
@@ -151,9 +152,9 @@ TWINS = [
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("t, twin, maps", TWINS, ids=["even-float", "odd-float", "core-bool"])
 def test_the_insertion_reads_its_shape_as_a_partition(t, twin, maps, warm):
-    """A float or bool twin of a shape is refused whether or not the int
-    shape's region node exists, and a shape given as a list maps as its
-    tuple form."""
+    """A float or bool twin of a shape is refused when its tableau is
+    built, whether or not the int shape's region node exists, and a shape
+    and dominoes given as lists map as their tuple forms."""
     bijections._node.cache_clear()
     for f in maps:
         if warm:
@@ -161,6 +162,65 @@ def test_the_insertion_reads_its_shape_as_a_partition(t, twin, maps, warm):
         with pytest.raises(ValueError, match="partition parts must be ints"):
             f(DominoTableau(twin, t.dominoes))
         assert f(DominoTableau(list(t.shape), t.dominoes)) == f(t)
+        assert f(DominoTableau(t.shape, [list(map(list, d)) for d in t.dominoes])) == f(t)
+
+
+# (shape, dominoes, refusal) of tableaux refused when built, beyond the
+# float and bool parts of TWINS: a zero part, a float or bool cell entry,
+# and dominoes that are not pairs of (row, col) cells.
+NOT_TABLEAUX = [
+    ((2, 0), (((1, 1), (1, 2)),), "partition parts must be positive"),
+    ((2,), (((1, 1.0), (1, 2)),), "domino cells must be int pairs"),
+    ((3,), (((True, 2), (1, 3)),), "domino cells must be int pairs"),
+    ((2,), (((1, 1), (1, 2), (1, 3)),), "dominoes must be pairs of"),
+    ((2,), ((1, 2),), "dominoes must be pairs of"),
+    ((2,), 1, "dominoes must be pairs of"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_domino_tableau_is_checked_when_built(warm):
+    """A tableau of NOT_TABLEAUX is refused when built, whether or not the
+    maps have built the region nodes of its int twin."""
+    bijections._node.cache_clear()
+    if warm:
+        pi_c_prime(DominoTableau((2,), (((1, 1), (1, 2)),)))
+        pi_b_prime(DominoTableau((3,), (((1, 2), (1, 3)),)))
+    for shape, dominoes, refusal in NOT_TABLEAUX:
+        with pytest.raises(ValueError, match=refusal):
+            DominoTableau(shape, dominoes)
+
+
+def test_the_maps_refuse_anything_but_a_domino_tableau():
+    """The maps read a tableau's fields as its constructor stored them, so
+    a look-alike is refused by its class, naming what was given."""
+    dominoes = (((1, 1), (1, 2)),)
+    for given in (SimpleNamespace(shape=(2,), dominoes=dominoes), ((2,), dominoes)):
+        for f in (pi_c, pi_c_prime):
+            with pytest.raises(ValueError, match=r"pi_c needs a DominoTableau, got (namespace|\(\(2,\))"):
+                f(given)
+
+
+def test_the_maps_check_no_shape_per_tableau(monkeypatch):
+    """Each tableau's shape was checked when it was built, so once the
+    region nodes exist, mapping every tableau of a shape of each parity
+    makes no `check_partition` call."""
+    work = [
+        (list(enumerate_sdt(rho(((2, 1), (1, 1))))), prime)
+        for rho, prime in ((lusztig_rho1, pi_c_prime), (lusztig_rho2, pi_b_prime))
+    ]
+    images = [[prime(t) for t in ts] for ts, prime in work]
+    calls = []
+
+    def counting(parts):
+        calls.append(parts)
+        return check_partition(parts)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fakedegrees") and getattr(module, "check_partition", None) is check_partition:
+            monkeypatch.setattr(module, "check_partition", counting)
+    assert [[prime(t) for t in ts] for ts, prime in work] == images
+    assert calls == [] and sum(map(len, images)) > 0
 
 
 # Domino tableaux that tile their shape but are not standard: label 1

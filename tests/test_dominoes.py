@@ -170,15 +170,19 @@ def test_sdt_maj_gf_of_a_list_shape_is_that_of_its_tuple_form():
 
 
 def test_domino_tableau_is_a_value():
-    """A `DominoTableau` is built by position or keyword, is equal and
-    hashes by (shape, dominoes), equals no tuple of them and no object of
-    another class, has the repr of its fields, refuses any assignment or
-    deletion, and survives pickle, `copy.copy` and `copy.deepcopy`."""
+    """A `DominoTableau` is built by position or keyword, stores a shape
+    or dominoes given as lists as tuples, is equal and hashes by (shape,
+    dominoes), equals no tuple of them and no object of another class,
+    has the repr of its fields, refuses any assignment or deletion, and
+    survives pickle, `copy.copy` and `copy.deepcopy`.  A shape that is not
+    a partition is refused at construction."""
     dominoes = (((1, 1), (2, 1)), ((1, 2), (2, 2)))
     t = DominoTableau((2, 2), dominoes)
     for same in (
         DominoTableau(shape=(2, 2), dominoes=dominoes),
         DominoTableau((2, 2), dominoes=dominoes),
+        DominoTableau([2, 2], list(dominoes)),
+        DominoTableau((2, 2), [[[1, 1], [2, 1]], [[1, 2], [2, 2]]]),
         sdt_at((2, 2), 0),
         pickle.loads(pickle.dumps(t)),
         copy.copy(t),
@@ -188,9 +192,10 @@ def test_domino_tableau_is_a_value():
         assert hash(t) == hash(same)
     assert hash(t) == hash(((2, 2), dominoes))
     assert len(set(enumerate_sdt((2, 2))) | {t}) == 2
+    with pytest.raises(ValueError, match="partition parts must be positive"):
+        DominoTableau((2, 2, 0), dominoes)
     for other in (
         sdt_at((2, 2), 1),
-        DominoTableau((2, 2, 0), dominoes),
         ((2, 2), dominoes),
         SimpleNamespace(shape=(2, 2), dominoes=dominoes),
     ):

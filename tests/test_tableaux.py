@@ -347,6 +347,27 @@ def test_enumeration_order_is_the_reference_order():
                     assert [(t,) for t in enumerate_syt(mp[0])] == reference, mp
 
 
+def test_tableaux_below_a_node_share_the_rows_and_fillings_above_it():
+    """Consecutive tableaux agree on every label above the largest one
+    they place differently, so a row or filling made only of those labels
+    was completed above the node where they part, and both hold the one
+    tuple built there."""
+    ts = list(enumerate_tuple_tableaux(((3, 2), (2, 1))))
+    shared = 0
+    for a, b in zip(ts, ts[1:]):
+        pa, pb = label_positions(a), label_positions(b)
+        parted = max(x for x in pa if pa[x] != pb[x])
+        for fa, fb in zip(a, b):
+            if fa[0][0] > parted:
+                assert fa is fb, (a, b)
+                shared += 1
+            for ra, rb in zip(fa, fb):
+                if ra[0] > parted:
+                    assert ra is rb, (a, b)
+                    shared += 1
+    assert len(ts) == 560 and shared > 0
+
+
 def test_formatting():
     t = ((1, 3), (2,))
     assert format_tableau(t) == "[[1,3],[2]]"
