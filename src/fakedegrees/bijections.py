@@ -15,7 +15,9 @@ the tableau pair once, at the end.  `map_shape` maps every tableau of a
 shape in one walk, sharing each insertion step among the tableaux that
 share the dominoes of the larger labels.  The walk and the insertion
 follow the same cached nodes (`_node`), one per covered region, each
-holding one store of its steps, built whole on the node's first use; the
+holding one store of its steps, built whole on the node's first use: a
+dict keyed by each border domino in its one orientation, its cells in
+increasing (row, col) order, as `DominoTableau` stores it.  The
 insertion reads it by one dict lookup per label and the walk iterates
 it, and both build the nodes in the same order, so the walk's first
 RuleError is the first one the maps would raise.
@@ -28,7 +30,6 @@ from functools import lru_cache
 
 from .dominoes import DominoTableau, _trusted, enumerate_sdt
 from .shapes import (
-    Cell,
     Partition,
     _domino_removals,
     check_partition,
@@ -94,48 +95,38 @@ def _node(inverse, offset: int, region: Partition) -> _RegionNode:
     return _RegionNode(inverse, offset, region)
 
 
-class _RegionNode(dict):
+class _RegionNode:
     """The insertion steps out of one covered region, one store built
     whole on the node's first use (`build`): the insertion's first lookup
-    or the walk's first visit.  steps is None until then; it then lists
-    the steps in `_domino_removals` order, each a tuple (domino, top row,
-    bottom row, child node, keyed cell): a border domino of the region,
-    the rows of its two cells, the node of the region left once it is
+    or the walk's first visit; both read it as ``node.steps or
+    node.build()``.  steps is None until then; it is then a dict from
+    each border domino of the region, in `_domino_removals` order, to its
+    step (domino, top row, bottom row, child node, keyed cell): the rows
+    of the domino's two cells, the node of the region left once it is
     lifted off, and its label's keyed cell (filling, row, col, key), the
     cell the pair loses between the two regions, keyed by `_keyed_cell`
-    at the node's offset.  The same build fills the dict,
-    from each domino, its cells in either order, to (child node, keyed
-    cell), so a map follows one lookup per label; a domino that is not a
-    border domino of the region, as in a tableau that is not standard, is
-    refused (ValueError).
+    at the node's offset.  A map follows one lookup per label.
 
     Each step is validated as it is built: the region's stored preimage
     under the Lusztig inverse exceeds the smaller region's by exactly one
     cell, at the end of one row of exactly one component, so the grown
     component is its old shape plus one addable cell (RuleError
-    otherwise), and a build that raises stores nothing.  Steps and
-    entries are tuples, so no caller can change them.
+    otherwise), and steps is assigned only once every step has passed,
+    so a build that raises stores nothing.  Steps are tuples, so no
+    caller can change them.
     """
 
     __slots__ = ("inverse", "offset", "region", "preimage", "steps")
 
     def __init__(self, inverse, offset: int, region: Partition):
-        super().__init__()
         self.inverse, self.offset, self.region = inverse, offset, region
         self.preimage = inverse(region)
         self.steps = None
 
-    def __missing__(self, domino: tuple[Cell, Cell]):
-        if self.steps is None:
-            self.build()
-            if domino in self:
-                return self[domino]
-        raise ValueError(f"cells {domino} are not a border domino of {self.region}")
-
-    def build(self) -> tuple:
-        """Validate every step out of the region, then store them as steps
-        and as dict entries; return steps."""
-        region, after, steps = self.region, self.preimage, []
+    def build(self) -> dict:
+        """Validate every step out of the region, then store them as
+        steps; return steps."""
+        region, after, steps = self.region, self.preimage, {}
         for smaller, domino in _domino_removals(region):
             child = _node(self.inverse, self.offset, smaller)
             before = child.preimage
@@ -148,15 +139,13 @@ class _RegionNode(dict):
                 if (row == 0 or old[row - 1] >= col) and new == old[:row] + (col,) + old[row + 1:]:
                     (top, _), (bottom, _) = domino
                     cell = _keyed_cell(grown[0] + 1, row + 1, col, self.offset)
-                    steps.append((domino, top, bottom, child, cell))
+                    steps[domino] = domino, top, bottom, child, cell
                     continue
             raise RuleError(
                 f"covered regions {smaller} -> {region}: pairs {before} -> {after} "
                 "do not differ by one addable cell in one component"
             )
-        for domino, _, _, child, cell in steps:
-            self[domino] = self[domino[::-1]] = child, cell
-        self.steps = steps = tuple(steps)
+        self.steps = steps
         return steps
 
 
@@ -169,7 +158,9 @@ def _insert(t: DominoTableau, odd: int) -> list[KeyedCell]:
     map, so the cell each lift takes from the pair holds the domino's
     label; the shape's node (`_node`) lifts the domino and keys the cell,
     one lookup per label, written into a list of n from the largest label
-    down.  Anything but a `DominoTableau` is refused (ValueError naming
+    down.  A domino the node has no step for is not a border domino of
+    its region, as in a tableau that is not standard (ValueError).
+    Anything but a `DominoTableau` is refused (ValueError naming
     it), by one class test; the shape and dominoes are read as stored,
     since the tableau's constructor checked them.
     """
@@ -183,7 +174,11 @@ def _insert(t: DominoTableau, odd: int) -> list[KeyedCell]:
     node, cells = _node(inverse, offset, shape), [None] * k
     for domino in reversed(dominoes):
         k -= 1
-        node, cells[k] = node[domino]
+        steps = node.steps or node.build()
+        try:
+            _, _, _, node, cells[k] = steps[domino]
+        except KeyError:
+            raise ValueError(f"cells {domino} are not a border domino of {node.region}") from None
     if node.region != (1,) * odd:
         raise ValueError(f"the dominoes do not tile shape {shape}")
     return cells
@@ -415,16 +410,15 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
                 raise
             visit(maj, image)
             return
-        steps, j = node.steps, k - 1
-        if steps is None:
-            try:
-                steps = node.build()
-            except RuleError as exc:
-                # labels 1..k of the first tableau below, under labels k+1..n
-                first = next(enumerate_sdt(node.region)).dominoes
-                exc.tableau = _trusted(shape, first + tuple(stack[k:]))
-                raise
-        for stack[j], top, bottom, child, cells[j] in steps:
+        j = k - 1
+        try:
+            steps = node.steps or node.build()
+        except RuleError as exc:
+            # labels 1..k of the first tableau below, under labels k+1..n
+            first = next(enumerate_sdt(node.region)).dominoes
+            exc.tableau = _trusted(shape, first + tuple(stack[k:]))
+            raise
+        for stack[j], top, bottom, child, cells[j] in steps.values():
             walk(child, j, maj + k if bottom < below else maj, top)
 
     walk(_node(inverse, offset, shape), n, 0, 0)

@@ -136,15 +136,12 @@ def _cmd_map(args) -> int:
 
 def _case_name(prefix: str, domino: tuple[tuple[int, int], tuple[int, int]]) -> str:
     """Descriptive case label of an insertion step: orientation plus
-    row/column and extreme-square parities of the domino."""
+    row/column and extreme-square parities of the domino, whose second
+    cell is its extreme square (`DominoTableau` stores its cells in
+    increasing order)."""
     (r1, c1), (r2, c2) = domino
-    if r1 == r2:
-        line_par = "e" if r1 % 2 == 0 else "o"
-        ext_par = "e" if max(c1, c2) % 2 == 0 else "o"
-        return f"{prefix}-H{line_par}{ext_par}"
-    line_par = "e" if c1 % 2 == 0 else "o"
-    ext_par = "e" if max(r1, r2) % 2 == 0 else "o"
-    return f"{prefix}-V{line_par}{ext_par}"
+    kind, line, extreme = ("H", r1, c2) if r1 == r2 else ("V", c1, r2)
+    return f"{prefix}-{kind}{'eo'[line % 2]}{'eo'[extreme % 2]}"
 
 
 def _cmd_explain(args) -> int:

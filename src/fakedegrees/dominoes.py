@@ -1,7 +1,10 @@
 """Standard domino tableaux and the domino major index.
 
 Cells are 1-based (row, col) pairs, row 1 at the top.  An odd-size shape
-carries a zero square fixed at (1, 1); dominoes are labelled 1..n.
+carries a zero square fixed at (1, 1); dominoes are labelled 1..n.  A
+domino has one orientation: its two cells in increasing (row, col)
+order, as `_domino_removals` lists them, so its first cell holds its top
+row and its second its bottom row.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ class DominoTableau(Value):
 
     This is the one place a tableau is checked: the shape is read through
     `check_partition` and the dominoes are stored as a tuple of
-    ((row, col), (row, col)) int tuples, so a list form equals, hashes
-    and maps as its tuple form, and a float or bool part or cell, a zero
-    part, or a domino that is not two cells of two ints is refused
-    (ValueError).  Whether the dominoes tile the shape is left to the
+    ((row, col), (row, col)) int tuples, each domino's cells in increasing
+    order, so a list form, or a domino given with its cells turned,
+    equals, hashes and maps as the stored form, and a float or bool part
+    or cell, a zero part, or a domino that is not two cells of two ints
+    is refused (ValueError).  Whether the dominoes tile the shape is left to the
     maps.  Code that holds a checked shape and dominoes read from the
     removals table (`enumerate_sdt`, `sdt_at`, the error path of
     `bijections.map_shape`) builds its tableaux unchecked (`_trusted`)."""
@@ -46,17 +50,27 @@ class DominoTableau(Value):
         return len(self.dominoes)
 
     def cells_of(self, label: int) -> tuple[Cell, Cell]:
+        """The cells of the domino labelled label; IndexError for a label
+        outside 1..n."""
+        if not 1 <= label <= self.n:
+            raise IndexError(f"no domino labelled {label} in a tableau of {self.n}")
         return self.dominoes[label - 1]
 
     def render(self) -> str:
         """Grid with each domino's label in both its cells, 0 for the
-        zero square."""
-        grid: dict[Cell, int] = {}
-        if self.has_zero_square:
-            grid[(1, 1)] = 0
-        for label, (a, b) in enumerate(self.dominoes, start=1):
-            grid[a] = label
-            grid[b] = label
+        zero square.  ValueError naming a cell when the dominoes do not
+        cover each cell of the shape, the zero square aside, once."""
+        grid: dict[Cell, int] = {(1, 1): 0} if self.has_zero_square else {}
+        for label, domino in enumerate(self.dominoes, start=1):
+            for cell in domino:
+                if cell in grid:
+                    raise ValueError(f"cell {cell} is covered twice")
+                grid[cell] = label
+        cells = {(r, c) for r, length in enumerate(self.shape, start=1) for c in range(1, length + 1)}
+        stray = min(grid.keys() ^ cells, default=None)
+        if stray is not None:
+            where = "lies outside" if stray in grid else "is not covered in"
+            raise ValueError(f"cell {stray} {where} shape {self.shape}")
         width = max(len(str(self.n)), 1)
         lines = []
         for r, row_len in enumerate(self.shape, start=1):
@@ -75,14 +89,15 @@ _set_shape, _set_dominoes = DominoTableau.shape.__set__, DominoTableau.dominoes.
 
 def _check_dominoes(dominoes) -> tuple[tuple[Cell, Cell], ...]:
     """The dominoes as a tuple of ((row, col), (row, col)) tuples, each
-    entry an int (a bool is not one); ValueError otherwise."""
+    entry an int (a bool is not one), each domino's two cells in
+    increasing order; ValueError otherwise."""
     try:
         out = tuple(((r1, c1), (r2, c2)) for (r1, c1), (r2, c2) in dominoes)
     except (TypeError, ValueError):
         raise ValueError(f"dominoes must be pairs of (row, col) cells: {dominoes!r}") from None
     if not all(type(x) is int for domino in out for cell in domino for x in cell):
         raise ValueError(f"domino cells must be int pairs: {out}")
-    return out
+    return tuple((a, b) if a < b else (b, a) for a, b in out)
 
 
 def _trusted(shape: Partition, dominoes: tuple[tuple[Cell, Cell], ...]) -> DominoTableau:
@@ -144,13 +159,13 @@ def sdt_at(shape: Partition, index: int) -> DominoTableau:
     domino of the largest label, in `_domino_removals` order, and each
     group is skipped whole, counted as the coefficient sum of its smaller
     shape's generating function.  IndexError outside 0..count-1 or for an
-    index that is not integral; ValueError when the shape is not a
-    partition.  The shape is checked here, and the smaller shapes come
+    index that is not an int (a bool or a float is not one); ValueError
+    when the shape is not a partition.  The shape is checked here, and the smaller shapes come
     from the removals table, so the memo is read directly and the
     tableau is stored unchecked (`_trusted`).
     """
     shape = check_partition(shape)
-    if not 0 <= index < sum(_sdt_maj_gf(shape)) or index % 1:
+    if type(index) is not int or not 0 <= index < sum(_sdt_maj_gf(shape)):
         raise IndexError(f"no standard domino tableau #{index} of shape {shape}")
     stack: list = []
     p, rest = shape, index
@@ -170,16 +185,15 @@ def maj_domino(t: DominoTableau) -> int:
 
     "Strictly above" compares rows only: every cell of i must have a
     smaller row index than every cell of i+1.  One pass reads each
-    domino's two rows once, in either order, and keeps the bottom row of
-    domino i, the one before (row 0 for i = 0, which adds nothing).
+    domino's top and bottom row, its first and second cell's, and keeps
+    the bottom row of domino i, the one before (row 0 for i = 0, which
+    adds nothing).
     """
     total = bottom = 0
-    for i, ((r1, _), (r2, _)) in enumerate(t.dominoes):
-        if r1 > r2:
-            r1, r2 = r2, r1
-        if bottom < r1:
+    for i, ((top, _), (r, _)) in enumerate(t.dominoes):
+        if bottom < top:
             total += i
-        bottom = r2
+        bottom = r
     return total
 
 

@@ -189,8 +189,10 @@ def lusztig_rho2_inverse(p: Partition) -> Multipartition:
 @lru_cache(maxsize=None)
 def _domino_removals(p: Partition) -> tuple[tuple[Partition, tuple[Cell, Cell]], ...]:
     """Each border domino of p: the smaller shape left by removing it, and
-    its two 1-based cells.  The memo is process-wide; its entries are
-    tuples, so no caller can change them."""
+    its two 1-based cells in increasing (row, col) order, the one
+    orientation of a domino (`DominoTableau` stores the same).  The memo
+    is process-wide; its entries are tuples, so no caller can change
+    them."""
     out = []
     k = len(p)
     for i in range(k):

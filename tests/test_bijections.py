@@ -245,26 +245,34 @@ def test_insertion_rejects_a_tableau_that_is_not_standard(t):
 
 
 def test_insertion_reads_a_domino_in_either_order():
-    """A standard tableau with one domino's cells given in the other order
-    maps to the same pair as the tableau itself, for every label of every
-    domino tableau with n <= 5 of both parities."""
+    """A standard tableau with one domino's cells, or every domino's,
+    given in the other order is stored in the one orientation: it equals
+    and hashes as the tableau itself, is a member of its shape's
+    enumeration, writes the same JSON and maps to the same pairs, for
+    every label of every domino tableau with n <= 5 of both parities."""
     for n in range(0, 6):
         for pair_shape in multipartitions_of(n, 2):
             for rho, pi, prime in ((lusztig_rho1, pi_c, pi_c_prime), (lusztig_rho2, pi_b, pi_b_prime)):
-                for t in enumerate_sdt(rho(pair_shape)):
+                tableaux = list(enumerate_sdt(rho(pair_shape)))
+                members = set(tableaux)
+                for t in tableaux:
                     image, bijected = pi(t), prime(t)
-                    for k in range(t.n):
-                        a, b = t.dominoes[k]
-                        turned = DominoTableau(t.shape, t.dominoes[:k] + ((b, a),) + t.dominoes[k + 1:])
+                    d = t.dominoes
+                    forms = [tuple(x[::-1] for x in d)] + [d[:k] + (d[k][::-1],) + d[k + 1:] for k in range(t.n)]
+                    for dominoes in forms:
+                        turned = DominoTableau(t.shape, dominoes)
+                        assert turned == t and hash(turned) == hash(t) and turned in members
+                        assert turned.dominoes == t.dominoes and turned.to_json() == t.to_json()
                         assert (pi(turned), prime(turned)) == (image, bijected)
 
 
 def test_insertion_memo_is_order_independent_and_immutable():
     """The process-wide region nodes give the same images whether the small
-    shapes are mapped first or the large ones, and every entry of a
-    region's node is a tuple naming the node of the region left once the
-    domino is lifted off and the filling, cell and key of that label in
-    the image."""
+    shapes are mapped first or the large ones, and every step of a
+    region's node, keyed by its domino, is a tuple naming the domino, its
+    top and bottom rows, the node of the region left once the domino is
+    lifted off and the filling, cell and key of that label in the
+    image."""
     node_of = bijections._node
     shapes = [ps for n in range(0, 6) for ps in multipartitions_of(n, 2)]
     maps = (
@@ -284,9 +292,10 @@ def test_insertion_memo_is_order_independent_and_immutable():
                 for t in enumerate_sdt(rho(ps)):
                     pos = label_positions(pi(t))
                     for k in range(1, t.n + 1):
-                        entry = node_of(inverse, offset, truncate(t, k).shape)[t.cells_of(k)]
+                        entry = node_of(inverse, offset, truncate(t, k).shape).steps[t.cells_of(k)]
                         assert isinstance(entry, tuple)
-                        child, (f, r, c, key) = entry
+                        domino, top, bottom, child, (f, r, c, key) = entry
+                        assert domino == t.cells_of(k) and (top, bottom) == (domino[0][0], domino[1][0])
                         assert child is node_of(inverse, offset, truncate(t, k - 1).shape)
                         assert child.region == truncate(t, k - 1).shape
                         assert (f, r, c) == pos[k]
@@ -639,7 +648,9 @@ def test_a_second_walk_reads_the_stored_steps(monkeypatch, shape):
     assert [(maj, pair_of(cells)) for maj, cells in first] == mapped(shape)
     odd = sum(shape) % 2
     steps = bijections._node(*bijections._map_of(odd)[:2], shape).steps
-    assert [step[0] for step in steps] == [domino for _, domino in _domino_removals(shape)]
+    assert type(steps) is dict
+    assert list(steps) == [domino for _, domino in _domino_removals(shape)]
+    assert [step[0] for step in steps.values()] == list(steps)
 
 
 def counting_removals(monkeypatch) -> list:
@@ -681,8 +692,8 @@ def test_the_maps_after_a_walk_read_the_steps_it_built(monkeypatch, shape):
 @pytest.mark.parametrize("shape", WALK_SHAPES)
 def test_a_build_that_raises_stores_nothing(monkeypatch, shape):
     """Under an inverse bent at every region of two dominoes, the node
-    whose build raised first keeps no steps and no dict entry, and its
-    next build raises the same message."""
+    whose build raised first keeps no steps, and its next build raises
+    the same message and keeps none either."""
     monkeypatch.setattr(
         bijections, *bent_inverse(shape, both_components, lambda p: sum(p) == 4 + sum(shape) % 2)
     )
@@ -690,11 +701,11 @@ def test_a_build_that_raises_stores_nothing(monkeypatch, shape):
     region = literal_eval(message.removeprefix("covered regions ").split(":")[0].split(" -> ")[1])
     odd = sum(shape) % 2
     node = bijections._node(*bijections._map_of(odd)[:2], region)
-    assert node.steps is None and len(node) == 0
+    assert node.steps is None
     with pytest.raises(RuleError) as raised:
         node.build()
     assert str(raised.value) == message
-    assert node.steps is None and len(node) == 0
+    assert node.steps is None
 
 
 @pytest.mark.parametrize("shape", WALK_SHAPES)

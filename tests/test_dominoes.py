@@ -221,6 +221,36 @@ def test_render_zero_square():
     assert t.render() == "0"
 
 
+@pytest.mark.parametrize(
+    "shape, dominoes, refusal",
+    [
+        ((2,), (), r"cell \(1, 1\) is not covered in shape \(2,\)"),
+        ((3,), (((1, 1), (1, 2)),), r"cell \(1, 1\) is covered twice"),
+        ((2,), (((1, 1), (1, 2)), ((5, 5), (5, 6))), r"cell \(5, 5\) lies outside shape \(2,\)"),
+        ((2, 2), (((1, 1), (1, 2)), ((1, 2), (2, 2))), r"cell \(1, 2\) is covered twice"),
+        ((2, 2), (((1, 1), (1, 2)), ((2, 2), (2, 3))), r"cell \(2, 1\) is not covered in shape"),
+    ],
+    ids=["empty", "zero-square", "outside", "overlap", "shifted"],
+)
+def test_render_refuses_dominoes_that_do_not_cover_the_shape_once(shape, dominoes, refusal):
+    """A tableau is drawn only when its dominoes cover each cell of its
+    shape, the zero square aside, exactly once; otherwise render names the
+    first cell that is missed, covered twice or outside the shape."""
+    with pytest.raises(ValueError, match=refusal):
+        DominoTableau(shape, dominoes).render()
+
+
+def test_cells_of_takes_only_a_label_of_the_tableau():
+    """cells_of(label) is the domino labelled label for 1..n, and an
+    IndexError naming the label outside that range, where indexing the
+    dominoes would read from the end."""
+    t = sdt_at((4, 2), 0)
+    assert [t.cells_of(label) for label in (1, 2, 3)] == list(t.dominoes)
+    for label in (0, -1, -3, 4):
+        with pytest.raises(IndexError, match=f"no domino labelled {label} in a tableau of 3"):
+            t.cells_of(label)
+
+
 def test_maj_is_row_strict():
     t = DominoTableau(shape=(2, 2), dominoes=(((1, 1), (2, 1)), ((1, 2), (2, 2))))
     assert maj_domino(t) == 0  # overlapping rows: no descent
@@ -268,13 +298,12 @@ def test_sdt_at_is_the_enumeration_order():
 
 @pytest.mark.parametrize("shape", [(2, 2), (8, 6, 4, 2)])
 def test_sdt_at_takes_only_an_integral_index_in_range(shape):
-    """An index equal to an int (1.0, True) is that int; a fractional,
-    negative or too large one is an IndexError."""
+    """An index that is not an int (1.0, True, a fractional float), or is
+    negative or too large, is an IndexError, as `check_size` refuses a
+    bool."""
     count = sum(sdt_maj_gf(shape).coeffs)
     assert count == 2 or count > 1000
-    assert sdt_at(shape, 1.0) == sdt_at(shape, True) == sdt_at(shape, 1)
-    assert sdt_at(shape, float(count - 1)) == sdt_at(shape, count - 1)
-    for index in (0.5, 1.5, count - 0.5, -1, count):
+    for index in (1.0, True, False, float(count - 1), 0.5, 1.5, count - 0.5, -1, count):
         with pytest.raises(IndexError, match="no standard domino tableau #"):
             sdt_at(shape, index)
 
