@@ -51,8 +51,9 @@ class DominoTableau(Value):
 
     def cells_of(self, label: int) -> tuple[Cell, Cell]:
         """The cells of the domino labelled label; IndexError for a label
-        outside 1..n."""
-        if not 1 <= label <= self.n:
+        that is not an int (a bool or a float is not one) or lies outside
+        1..n."""
+        if type(label) is not int or not 1 <= label <= self.n:
             raise IndexError(f"no domino labelled {label} in a tableau of {self.n}")
         return self.dominoes[label - 1]
 

@@ -17,6 +17,7 @@ from .qpoly import (
     QPolynomial,
     Value,
     _hook_syt_gf,
+    _product,
     _q_multinomial,
     product,
     q_int,
@@ -198,9 +199,10 @@ def _formula_product(components: Multipartition) -> tuple[int, ...]:
     the hook forms, and d enters only through `_scaled`.  The components
     come from a `Representation`, which checked them, so the memoised
     closed forms are read directly, not through their checking public
-    readers."""
+    readers, and their coefficient tuples multiplied as they are
+    (`qpoly._product`), with no polynomial built."""
     sizes = tuple(sorted(sum(c) for c in components))
-    return product([_q_multinomial(sizes), *map(_hook_syt_gf, components)]).coeffs
+    return _product([_q_multinomial(sizes), *map(_hook_syt_gf, components)])
 
 
 def _enumeration(rep: Representation) -> QPolynomial:

@@ -78,7 +78,9 @@ class QPolynomial(Value):
 
     @classmethod
     def monomial(cls, k: int) -> "QPolynomial":
-        return cls([0] * k + [1])
+        """q^k; k is read through `check_size` (ValueError)."""
+        check_size(k, "QPolynomial.monomial")
+        return cls((0,) * k + (1,))
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "QPolynomial":
@@ -296,24 +298,37 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def product(polys: Iterable[QPolynomial]) -> QPolynomial:
-    """Product of the polynomials by Kronecker substitution: each factor
-    is packed at q = 2^(64m) as one integer (`_pack`), the integers are
+    """Product of the polynomials, through `_product` on their coefficient
+    tuples.  Factors equal to 1 are dropped, and a single remaining factor
+    is returned as it is."""
+    factors = [p for p in polys if p.coeffs != (1,)]
+    if len(factors) < 2:
+        return factors[0] if factors else ONE
+    return QPolynomial(_product([p.coeffs for p in factors]))
+
+
+def _product(coeffs: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The coefficient tuple of the product of the coefficient tuples,
+    each in canonical form, by Kronecker substitution: each factor is
+    packed at q = 2^(64m) as one integer (`_pack`), the integers are
     multiplied, and the product's coefficients are read back (`_unpack`).
+    The product of canonical factors is canonical (its top coefficient is
+    the product of theirs), so its tuple is stored by `QPolynomial` as it
+    is.  The formula route calls it on its memoised tuples directly.
 
     No coefficient of the product exceeds bound, the product of the
     factors' coefficient sums, or of their absolute coefficient sums when
     some coefficient is negative; m is the least word count whose digits
     hold bound (`_digit_words`), natural digits unsigned and signed ones
-    balanced, so no digit carries into the next.  Factors equal to 1 are
-    dropped, a zero factor gives zero, and a single factor is returned as
-    it is.
+    balanced, so no digit carries into the next.  Factors equal to (1,)
+    are dropped, a zero factor gives (), and a single factor is returned
+    as it is.
     """
-    factors = [p for p in polys if p.coeffs != (1,)]
-    if len(factors) < 2:
-        return factors[0] if factors else ONE
-    coeffs = [p.coeffs for p in factors]
+    coeffs = [cs for cs in coeffs if cs != (1,)]
+    if len(coeffs) < 2:
+        return coeffs[0] if coeffs else (1,)
     if not all(coeffs):
-        return QPolynomial()
+        return ()
     signed = min(map(min, coeffs)) < 0
     bound = 1
     for cs in coeffs:
@@ -322,7 +337,7 @@ def product(polys: Iterable[QPolynomial]) -> QPolynomial:
     value = 1
     for cs in coeffs:
         value *= _pack(cs, m, signed)
-    return QPolynomial(_unpack(value, m, sum(map(len, coeffs)) - len(coeffs) + 1, signed))
+    return tuple(_unpack(value, m, sum(map(len, coeffs)) - len(coeffs) + 1, signed))
 
 
 def weighted_sum(terms: Iterable[tuple[int, Sequence[int]]]) -> QPolynomial:
@@ -446,14 +461,21 @@ def q_multinomial(n: int, parts: Sequence[int]) -> QPolynomial:
         check_size(p, "q_multinomial part")
     if sum(parts) != n:
         raise ValueError(f"parts {list(parts)} do not sum to {n}")
-    return _q_multinomial(tuple(sorted(p for p in parts if p)))
+    return QPolynomial(_q_multinomial(tuple(sorted(p for p in parts if p))))
 
 
 @lru_cache(maxsize=None)
-def _q_multinomial(parts: tuple[int, ...]) -> QPolynomial:
-    factors = Counter(range(1, sum(parts) + 1))
-    factors.subtract(i for p in parts for i in range(1, p + 1))
-    return _binomial_product(factors)
+def _q_multinomial(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficient tuple of the q-multinomial of the ascending nonzero
+    parts, as the binomial multiset [n]_q! / prod_j [p_j]_q!: 1 - q^i has
+    multiplicity 1 less the number of parts at least i, written one run
+    of equal multiplicities per part."""
+    mult = [1] * (sum(parts) + 1)
+    below = 0
+    for left, p in enumerate(parts):
+        mult[below + 1 : p + 1] = [left - len(parts) + 1] * (p - below)
+        below = p
+    return tuple(_binomial_product(*_surviving(mult)))
 
 
 def hook_syt_gf(shape) -> QPolynomial:
@@ -466,31 +488,52 @@ def hook_syt_gf(shape) -> QPolynomial:
     a list reads its tuple form and a float or bool twin of a memoised
     shape is refused.
     """
-    return _hook_syt_gf(check_partition(shape))
+    return QPolynomial(_hook_syt_gf(check_partition(shape)))
 
 
 @lru_cache(maxsize=None)
-def _hook_syt_gf(shape) -> QPolynomial:
-    factors = Counter(range(1, sum(shape) + 1))
-    factors.subtract(hooks(shape))
-    return _binomial_product(factors).shift(b_statistic(shape))
+def _hook_syt_gf(shape) -> tuple[int, ...]:
+    """The coefficient tuple of the hook form, its b(shape) leading zeros
+    written in: 1 - q^i has multiplicity 1 less the number of cells of
+    hook length i."""
+    mult = [1] * (sum(shape) + 1)
+    for h in hooks(shape):
+        mult[h] -= 1
+    return (0,) * b_statistic(shape) + tuple(_binomial_product(*_surviving(mult)))
 
 
-def _binomial_product(factors: Counter[int]) -> QPolynomial:
-    """prod (1 - q^a)^m over the exponents a and multiplicities m in factors
-    (m < 0 divides), one O(len) pass per factor: every product first,
-    p[k] -= p[k - a] walking down, then every quotient, q[k] += q[k - a]
-    walking up, exact iff its top a coefficients close to zero; if they do
-    not, InexactDivisionError names the dividend (multiplied back)."""
+def _surviving(mult: list[int]) -> tuple[list[int], list[int]]:
+    """The numerator and the denominator exponents of a binomial multiset
+    given as multiplicities over 0..n (entry 0 ignored): each exponent a
+    repeated by its multiplicity, ascending."""
+    numerators: list[int] = []
+    denominators: list[int] = []
+    for a in range(1, len(mult)):
+        m = mult[a]
+        if m > 0:
+            numerators += [a] * m
+        elif m < 0:
+            denominators += [a] * -m
+    return numerators, denominators
+
+
+def _binomial_product(numerators: Iterable[int], denominators: Iterable[int]) -> list[int]:
+    """The coefficient list of prod (1 - q^b) / prod (1 - q^a) over the
+    numerator exponents b and denominator exponents a, one O(len) pass
+    per factor: every product first, p[k] -= p[k - b] walking down, then
+    every quotient, q[k] += q[k - a] walking up, exact iff its top a
+    coefficients close to zero; if they do not, InexactDivisionError
+    names the dividend (multiplied back).  An exact quotient ends in a
+    nonzero coefficient."""
     cs = [1]
-    for a in factors.elements():
-        cs += [0] * a
-        cs[a:] = [x - y for x, y in zip(cs[a:], cs)]
-    for a in (-factors).elements():
+    for b in numerators:
+        cs += [0] * b
+        cs[b:] = map(sub, cs[b:], cs)
+    for a in denominators:
         for r in range(a):
             cs[r::a] = accumulate(cs[r::a])
         if any(cs[-a:]):
-            cs[a:] = [x - y for x, y in zip(cs[a:], cs)]
+            cs[a:] = map(sub, cs[a:], cs)
             raise InexactDivisionError(QPolynomial(cs), ONE - QPolynomial.monomial(a))
         del cs[-a:]
-    return QPolynomial(cs)
+    return cs

@@ -2,7 +2,8 @@
 multiplication, the regular sum by schoolbook accumulation, partitions
 and multipartitions by brute force, a search for domino support, a
 cell-by-cell standardness check, prefixes of a domino tableau, the shapes
-of tableaux and the hook formula by long division."""
+of tableaux, the hook formula by long division and the q-multinomial by
+the q-Pascal rule."""
 
 from __future__ import annotations
 
@@ -180,3 +181,20 @@ def hook_syt_gf_by_long_division(shape: Partition) -> QPolynomial:
     for h in hooks(shape):
         num = num.exact_div(q_int(h))
     return num
+
+
+@lru_cache(maxsize=None)
+def q_binomial_by_pascal(n: int, k: int) -> QPolynomial:
+    """The q-binomial [n, k] by the q-Pascal rule
+    [n, k] = [n-1, k-1] + q^k [n-1, k], with no division."""
+    if k == 0 or k == n:
+        return ONE
+    return q_binomial_by_pascal(n - 1, k - 1) + q_binomial_by_pascal(n - 1, k).shift(k)
+
+
+def q_multinomial_by_pascal(parts) -> QPolynomial:
+    """The q-multinomial of the parts as the schoolbook product of
+    q-binomials [p_1 + ... + p_j, p_j], one per part, each by the q-Pascal
+    rule."""
+    totals = [sum(parts[: j + 1]) for j in range(len(parts))]
+    return product_by_convolution(map(q_binomial_by_pascal, totals, parts))

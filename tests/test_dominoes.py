@@ -243,10 +243,11 @@ def test_render_refuses_dominoes_that_do_not_cover_the_shape_once(shape, dominoe
 def test_cells_of_takes_only_a_label_of_the_tableau():
     """cells_of(label) is the domino labelled label for 1..n, and an
     IndexError naming the label outside that range, where indexing the
-    dominoes would read from the end."""
+    dominoes would read from the end, or when the label is not an int: a
+    bool would read label 1's domino and a float would fail to index."""
     t = sdt_at((4, 2), 0)
     assert [t.cells_of(label) for label in (1, 2, 3)] == list(t.dominoes)
-    for label in (0, -1, -3, 4):
+    for label in (0, -1, -3, 4, True, 1.0):
         with pytest.raises(IndexError, match=f"no domino labelled {label} in a tableau of 3"):
             t.cells_of(label)
 

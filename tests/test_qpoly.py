@@ -1,4 +1,5 @@
 import copy
+import itertools
 import operator
 import pickle
 from collections import Counter
@@ -13,7 +14,9 @@ from fakedegrees.qpoly import (
     InexactDivisionError,
     QPolynomial,
     _binomial_product,
+    _hook_syt_gf,
     _pack,
+    _q_multinomial,
     _unpack,
     add_raised,
     hook_syt_gf,
@@ -27,6 +30,7 @@ from fakedegrees.dominoes import _by_last_domino, enumerate_sdt, maj_domino, sdt
 from fakedegrees.shapes import (
     _cell_removals,
     _domino_removals,
+    b_statistic,
     multipartitions_of,
     nonempty_components,
     partitions_of,
@@ -44,6 +48,7 @@ from oracles import (
     mul_by_convolution,
     product_by_convolution,
     q_factorial_by_convolution,
+    q_multinomial_by_pascal,
     weighted_sum_by_accumulation,
 )
 
@@ -127,6 +132,15 @@ def test_monomial_degree_low_degree():
     assert m.degree == 3
     assert m.low_degree == 3
     assert QPolynomial().degree == -1
+    assert QPolynomial.monomial(0) == ONE
+
+
+@pytest.mark.parametrize("k", [-1, -2, True, False, 2.0])
+def test_monomial_needs_a_natural_int(k):
+    """A negative exponent would give 1 and a bool would read as 0 or 1,
+    so each is refused, as a float is."""
+    with pytest.raises(ValueError, match=r"QPolynomial\.monomial requires"):
+        QPolynomial.monomial(k)
 
 
 def test_arithmetic_basics():
@@ -457,6 +471,39 @@ def test_q_binomial_pascal():
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k).shift(k)
 
 
+def test_q_multinomial_is_the_q_pascal_product():
+    """Every size tuple of at most three parts with n <= 12, zero parts
+    and every order included (560 tuples), against the product of
+    q-binomials built by the q-Pascal rule."""
+    count = 0
+    for k in range(4):
+        for parts in itertools.product(range(13), repeat=k):
+            n = sum(parts)
+            if n <= 12:
+                assert q_multinomial(n, parts) == q_multinomial_by_pascal(parts), parts
+                count += 1
+    assert count == 560
+
+
+def test_closed_form_memos_hold_canonical_coefficient_tuples():
+    """For every partition of n <= 12 (272 shapes), the hook-form memo
+    holds a tuple that opens with exactly b(shape) zeros and ends in a
+    nonzero coefficient, and the q-multinomial memo of the shape's parts,
+    ascending, a tuple that ends in a nonzero coefficient; each public
+    reader's polynomial stores that very tuple."""
+    shapes = [shape for n in range(13) for shape in partitions_of(n)]
+    assert len(shapes) == 272
+    for shape in shapes:
+        hook = _hook_syt_gf(shape)
+        b = b_statistic(shape)
+        assert type(hook) is tuple and hook[:b] == (0,) * b and hook[b] and hook[-1], shape
+        assert hook_syt_gf(shape).coeffs is hook, shape
+        parts = shape[::-1]
+        multinomial = _q_multinomial(parts)
+        assert type(multinomial) is tuple and multinomial[-1], shape
+        assert q_multinomial(sum(shape), parts).coeffs is multinomial, shape
+
+
 def test_hook_syt_gf_matches_enumeration():
     from fakedegrees.tableaux import syt_maj_gf
 
@@ -548,28 +595,25 @@ def exact_factor_multisets(draw):
 @given(exact_factor_multisets())
 def test_binomial_product_is_the_quotient_of_q_integers(case):
     """Since 1 - q^a = (1 - q) [a]_q, the kernel agrees with products and
-    long divisions by q_int."""
+    long divisions by q_int, and its list ends in a nonzero coefficient."""
     numerators, denominators = case
     expected = ONE
     for b in numerators:
         expected = expected * q_int(b) * QPolynomial([1, -1])
     for a in denominators:
         expected = expected.exact_div(q_int(a) * QPolynomial([1, -1]))
-    factors = Counter(numerators)
-    factors.subtract(denominators)
-    assert _binomial_product(factors) == expected
+    cs = _binomial_product(numerators, denominators)
+    assert tuple(cs) == expected.coeffs
 
 
 def test_binomial_product_raises_on_an_inexact_quotient():
     def binomial(a):
         return ONE - QPolynomial.monomial(a)
 
-    assert _binomial_product(Counter()) == ONE
+    assert _binomial_product([], []) == [1]
     for numerators, a in (((2,), 3), ((1,), 2), ((2, 3), 4)):
-        factors = Counter(numerators)
-        factors[a] -= 1
         with pytest.raises(InexactDivisionError) as err:
-            _binomial_product(factors)
+            _binomial_product(numerators, [a])
         dividend = ONE
         for b in numerators:
             dividend = dividend * binomial(b)
