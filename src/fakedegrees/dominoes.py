@@ -119,15 +119,18 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
     CLI numbers tableaux by it, and the tests pin it against a copy of
     that recursion.  One generator frame runs that recursion with an
     explicit stack: levels[k] iterates the removals of the region under
-    label k+1, and stack[k] holds that label's domino.  Each shape's
-    removals are computed once per process (`_domino_removals` is
-    memoised), and each tableau's domino tuple is built once, at the
-    leaf, from the stack filled in place, into a tableau stored unchecked
-    (`_trusted`).  The walk stops at its first
-    region of rank >= 1 with no border domino: that region is the 2-core,
-    which every region of the shape shares, so the shape has no tableau.
-    A shape that is not a partition is refused (`check_partition`'s
-    ValueError).
+    label k+1, and stack[k] holds that label's domino.  Label 1 has no
+    level: the region under label 2 has rank 1, so its one border domino,
+    the one entry of its removals, is read, not iterated, and the leaf
+    follows at once, in the same order.  Each shape's removals are
+    computed once per process (`_domino_removals` is memoised) and read
+    once per region of rank >= 1 the walk reaches, and each tableau's
+    domino tuple is built once, at the leaf, from the stack filled in
+    place, into a tableau stored unchecked (`_trusted`).  The walk stops
+    at its first region of rank >= 1 with no border domino: that region
+    is the 2-core, which every region of the shape shares, so the shape
+    has no tableau.  A shape that is not a partition is refused
+    (`check_partition`'s ValueError).
     """
     shape = check_partition(shape)
     n = sum(shape) // 2
@@ -144,9 +147,11 @@ def enumerate_sdt(shape: Partition) -> Iterator[DominoTableau]:
                 removals = _domino_removals(smaller)
                 if not removals:  # a 2-core of rank k >= 1
                     return
-                k -= 1
-                levels[k] = iter(removals)
-                break
+                if k > 1:
+                    k -= 1
+                    levels[k] = iter(removals)
+                    break
+                stack[0] = removals[0][1]  # a rank-1 region's one domino
             yield _trusted(shape, tuple(stack))
         else:
             k += 1

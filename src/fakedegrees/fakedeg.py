@@ -49,16 +49,21 @@ class Representation(Value):
     (lexicographically larger component first) and marker distinguishes
     the two representations attached to an equal-component pair.  Every
     other label takes marker 1.  This is the one place a label is refused
-    (ValueError); the labels of `all_representations`, valid as built,
-    are stored without it (`_trusted`).  Instances are immutable, and
-    equal and hashable by their fields (group, d, label, marker).
+    (ValueError, also for a label or component that is not a sequence,
+    such as an int or None); the labels of `all_representations`, valid
+    as built, are stored without it (`_trusted`).  Instances are
+    immutable, and equal and hashable by their fields (group, d, label,
+    marker).
     """
 
     __slots__ = ("group", "d", "label", "marker")
 
     def __init__(self, group: str, d: int, label: Multipartition, marker: int = 1):
         _check_group(group, d)
-        label = tuple(map(check_partition, label))
+        try:
+            label = tuple(map(check_partition, label))
+        except TypeError:
+            raise ValueError(f"a label must be a sequence of partitions, got {label!r}") from None
         if group == "wreath" and len(label) != d:
             raise ValueError(f"label {label} does not have {d} components")
         if group != "wreath" and len(label) != 2:
@@ -132,20 +137,29 @@ def representation(
 ) -> Representation:
     """The representation of a label as given, a type-D pair put in
     canonical order first, its components turned into tuples and compared
-    once; `Representation` refuses what is not a label (ValueError)."""
-    if group == "d" and len(label) == 2:
-        lam1, lam2 = map(tuple, label)
-        label = (lam2, lam1) if lam1 < lam2 else (lam1, lam2)
+    once; `Representation` refuses what is not a label (ValueError),
+    a type-D label that is not a pair of sequences included."""
+    if group == "d":
+        try:
+            lam1, lam2 = map(tuple, label)
+        except (TypeError, ValueError):
+            pass  # not a pair of sequences
+        else:
+            label = (lam2, lam1) if lam1 < lam2 else (lam1, lam2)
     return Representation(group, d, label, marker)
 
 
 def d_rep(pair: Multipartition, marker: int = 1) -> Representation:
     """Canonicalize an unordered pair for type D; an unequal pair takes
     marker 1, whatever marker is given.  The components are turned into
-    tuples once, so a list equals its tuple form;
-    `Representation` refuses what is not a label (ValueError)."""
-    if len(pair) == 2:
+    tuples once, so a list equals its tuple form; `Representation`
+    refuses what is not a label (ValueError), a pair of sequences or
+    not."""
+    try:
         lam1, lam2 = map(tuple, pair)
+    except (TypeError, ValueError):
+        pass  # not a pair of sequences
+    else:
         if lam1 != lam2:
             marker = 1
             if lam1 < lam2:
@@ -419,9 +433,10 @@ def check_corollary1_bc(n: int) -> list[dict]:
 
     Returns one record per ordered pair of total size n; "ok" is the
     shifted-submultiset verdict.  Every partner is a pair of size n, so
-    each fake degree is computed once, in a local dict.
+    each fake degree is computed once, in a local dict, from the labels
+    of `all_representations`, which need no check.
     """
-    fakes = {pair: fake_degree_bc(pair) for pair in multipartitions_of(n, 2)}
+    fakes = {rep.label: fake_degree(rep) for rep in all_representations("bc", n)}
     out = []
     for pair, f in fakes.items():
         mu = special_partner_bc(pair)

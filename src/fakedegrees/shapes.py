@@ -26,9 +26,13 @@ Cell = tuple[int, int]
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
-    """Validate int parts, weak decrease and positivity; return a
-    canonical tuple."""
-    p = tuple(parts)
+    """Validate a sequence of int parts, weak decrease and positivity;
+    return a canonical tuple.  Anything that is not a sequence (an int,
+    None) is refused with the same ValueError as a bad part."""
+    try:
+        p = tuple(parts)
+    except TypeError:
+        raise ValueError(f"partition parts must be a sequence of ints, got {parts!r}") from None
     last = p[0] if p else 0
     for x in p:
         if type(x) is not int:  # a bool is not a part

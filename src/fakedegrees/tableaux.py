@@ -63,14 +63,17 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
     against a copy of that recursion.  One generator frame runs that
     recursion with an explicit stack: levels[k] iterates the removals of
     the shape under label k+1, whose cell is written into a preallocated
-    grid as it is placed.  Each shape's removals are computed once per
-    process (`_cell_removals` is memoised).  A row's labels all lie above
-    its column-0 cell, so its tuple is built when that cell is placed,
-    and a filling's when its (0, 0) cell is; each leaf builds only the
-    tuple of fillings, and every tableau below a node shares the rows and
-    fillings completed above it.  An empty component is the empty
-    filling.  A component that is not a partition is refused
-    (`check_partition`'s ValueError).
+    grid as it is placed.  Label 1 has no level: the shape under label 2
+    has one cell, the one entry of its removals, which is read, not
+    iterated, and the leaf follows at once, in the same order.  Each
+    shape's removals are computed once per process (`_cell_removals` is
+    memoised) and read once per shape of rank >= 1 the walk reaches.  A
+    row's labels all lie above its column-0 cell, so its tuple is built
+    when that cell is placed, and a filling's when its (0, 0) cell is;
+    each leaf builds only the tuple of fillings, and every tableau below
+    a node shares the rows and fillings completed above it.  An empty
+    component is the empty filling.  A component that is not a partition
+    is refused (`check_partition`'s ValueError).
     """
     mp = tuple(map(check_partition, mp))
     grid = [[[0] * length for length in comp] for comp in mp]
@@ -92,9 +95,17 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
                 if not ri:
                     fillings[ci] = tuple(rows[ci])
             if k:
-                k -= 1
-                levels[k] = iter(_cell_removals(smaller))
-                break
+                removals = _cell_removals(smaller)
+                if k > 1:
+                    k -= 1
+                    levels[k] = iter(removals)
+                    break
+                # a rank-1 shape's one cell, (ci, 0, 0), opens its filling
+                ci = removals[0][1][0]
+                row = grid[ci][0]
+                row[0] = 1
+                rows[ci][0] = tuple(row)
+                fillings[ci] = tuple(rows[ci])
             yield tuple(fillings)
         else:
             k += 1

@@ -689,6 +689,54 @@ def test_the_maps_after_a_walk_read_the_steps_it_built(monkeypatch, shape):
     assert removals == []
 
 
+def node_traffic(monkeypatch, run) -> tuple:
+    """What run gives on fresh region nodes, with the regions whose nodes
+    it makes (one Lusztig inverse call each), builds, and reads the
+    border domino table of, and the sizes of the cell lists it flips,
+    each list in order."""
+    made, built, flipped = [], [], []
+    flip = bijections._flip
+    monkeypatch.setattr(
+        bijections, "_flip", lambda cells, trace: flipped.append(len(cells)) or flip(cells, trace)
+    )
+    for name in ("lusztig_rho1_inverse", "lusztig_rho2_inverse"):
+        inverse = getattr(bijections, name)
+        monkeypatch.setattr(bijections, name, lambda p, inverse=inverse: made.append(p) or inverse(p))
+    build = bijections._RegionNode.build
+    monkeypatch.setattr(
+        bijections._RegionNode, "build", lambda node: built.append(node.region) or build(node)
+    )
+    bijections._node.cache_clear()
+    reads = counting_removals(monkeypatch)
+    try:
+        return run(), made, built, reads, flipped
+    finally:
+        monkeypatch.undo()
+        bijections._node.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(), (1,), (2,), (1, 1), (3,), (1, 1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (3, 2, 2),
+     (5, 2, 2), *WALK_SHAPES],
+)
+def test_the_walk_makes_and_builds_the_nodes_the_maps_do(monkeypatch, shape):
+    """On fresh region nodes, a walk makes, builds and reads the table of
+    the same regions as the tableau maps over every tableau of the shape,
+    in the same order, flips once per tableau, and gives their images:
+    label 1's step is the rank-1 node's one step, built as the maps build
+    it, and no rank-0 node is ever built.  Ranks 0 and 1 of both parities
+    and the rank-1 2-core (2, 1), which has no tableau, are included."""
+    walk = node_traffic(monkeypatch, lambda: walked(shape))
+    maps = node_traffic(monkeypatch, lambda: mapped(shape))
+    assert walk == maps
+    images, made, built, reads, flipped = walk
+    assert bool(images) == (shape != (2, 1))
+    assert flipped == [sum(shape) // 2] * len(images)
+    assert reads == built and set(built) <= set(made)
+    assert all(sum(region) >= 2 for region in built)
+
+
 @pytest.mark.parametrize("shape", WALK_SHAPES)
 def test_a_build_that_raises_stores_nothing(monkeypatch, shape):
     """Under an inverse bent at every region of two dominoes, the node

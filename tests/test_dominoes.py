@@ -142,6 +142,38 @@ def test_enumeration_order_is_the_reference_order():
                 assert list(enumerate_sdt(shape)) == expected, shape
 
 
+def reference_regions(shape):
+    """The regions of rank >= 1 of the reference recursion, in the order
+    it reaches them: the shape, then below each border domino in turn."""
+    if sum(shape) < 2:
+        return []
+    return [shape] + [r for smaller, _ in _domino_removals(shape) for r in reference_regions(smaller)]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(), (1,), (2,), (1, 1), (3,), (1, 1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (3, 2, 2),
+     (4, 4, 2, 2), (5, 3, 1), (9, 5, 5, 1, 1)],
+)
+def test_the_walk_reads_each_region_of_rank_1_or_more_once(monkeypatch, shape):
+    """Enumerating a shape reads the removals table once for each region
+    of rank >= 1 the reference recursion reaches, in its order, and no
+    region of rank 0: label 1's domino is the one entry of the rank-1
+    region's table.  The rank-1 2-core (2, 1) is read once and has no
+    tableau."""
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return _domino_removals(p)
+
+    monkeypatch.setattr(dominoes, "_domino_removals", counting)
+    tableaux = list(enumerate_sdt(shape))
+    assert calls == reference_regions(shape)
+    assert [t.dominoes for t in tableaux] == list(reference_sdt_dominoes(shape, sum(shape) // 2))
+    assert bool(tableaux) == (shape != (2, 1))
+
+
 def test_truncate_prefix_shapes():
     for t in enumerate_sdt((4, 4)):
         for k in range(t.n + 1):
@@ -318,12 +350,16 @@ def test_sdt_at_takes_only_an_integral_index_in_range(shape):
         lambda: list(enumerate_sdt((1, 1, -1))),
         lambda: sdt_at((2, 4), 0),
         lambda: sdt_at((0,), 0),
+        lambda: list(enumerate_sdt(4)),
+        lambda: sdt_maj_gf(None),
+        lambda: sdt_at(6, 0),
+        lambda: DominoTableau(4, ()),
     ],
 )
 def test_a_shape_that_is_not_a_partition_is_refused(call):
-    """The enumerator, the generating-function reader and `sdt_at` refuse
-    a shape that is not a partition, and the memo stores no entry for
-    it."""
+    """The enumerator, the generating-function reader, `sdt_at` and the
+    tableau constructor refuse a shape that is not a partition, or not a
+    sequence at all, and the memo stores no entry for it."""
     stored = _by_last_domino.cache_info().currsize
     with pytest.raises(ValueError, match="partition parts must be"):
         call()

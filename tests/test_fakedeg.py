@@ -133,13 +133,18 @@ def test_representation_is_a_value():
         ("bc", True, ((1,), (1,)), 1, "d must be an int"),
         ("d", 2, ((1,), ()), 1, "type D needs n >= 2"),
         ("d", 2, ((), ()), 1, "type D needs n >= 2"),
+        ("bc", 2, 5, 1, "a label must be a sequence of partitions, got 5"),
+        ("wreath", 1, None, 1, "a label must be a sequence of partitions, got None"),
+        ("bc", 2, ((2, 1), 3), 1, "partition parts must be a sequence of ints, got 3"),
+        ("d", 2, ((1,), None), 1, "partition parts must be a sequence of ints, got None"),
     ],
 )
 def test_the_public_constructor_refuses_every_malformed_label(group, d, label, marker, message):
     """`Representation(...)` checks whatever it is given: a wrong
     component count, a component that is not a partition, a bool or float
-    part, a type-D pair out of order, a bad marker, a d that is not an int
-    and type D of rank n < 2 are each refused."""
+    part, a type-D pair out of order, a bad marker, a d that is not an int,
+    type D of rank n < 2, and a label or component that is not a sequence
+    at all are each refused."""
     with pytest.raises(ValueError, match=message):
         Representation(group, d, label, marker)
 
@@ -271,6 +276,28 @@ def test_a_label_whose_parts_are_not_ints_is_refused(call):
     """`Representation` refuses a part that is not an int with a
     ValueError, before any route reads it."""
     with pytest.raises(ValueError, match="partition parts must be ints"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fake_degree_bc(((2, 1), 3)),
+        lambda: fake_degree_wreath(((1,), None), 2),
+        lambda: bc_rep(5),
+        lambda: wreath_rep(None, 1),
+        lambda: d_rep(5),
+        lambda: d_rep(((2,), 4)),
+        lambda: representation("d", 5),
+        lambda: representation("d", ((1,), 2)),
+        lambda: representation("bc", None),
+    ],
+)
+def test_a_label_that_is_not_a_sequence_is_refused(call):
+    """A label, or a component of one, that is not a sequence (an int,
+    None) is refused with the ValueError of any other malformed label,
+    which the CLI reports as a usage error, not a TypeError."""
+    with pytest.raises(ValueError, match="must be a sequence of"):
         call()
 
 

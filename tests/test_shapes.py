@@ -121,6 +121,9 @@ def test_lusztig_image_is_domino_supporting():
         (special_partner_bc, ((1, 2), ())),
         (lusztig_rho1, ((2, 0), ())),
         (lusztig_rho1, ((1,), (0,))),
+        (symbol_of, ((1,), None)),
+        (lusztig_rho1, ((1,), 2)),
+        (lusztig_rho2, (3, ())),
     ],
 )
 def test_pair_components_must_be_partitions(call, pair):
@@ -137,11 +140,15 @@ def test_pair_components_must_be_partitions(call, pair):
         (lusztig_rho2_inverse, (1, 2)),
         (two_core, (1, 3)),
         (two_core, (2, 0)),
+        (two_core, 4),
+        (lusztig_rho1_inverse, None),
+        (lusztig_rho2_inverse, 5),
     ],
 )
 def test_shape_maps_refuse_a_non_partition(call, shape):
     """The Lusztig inverses and the 2-core read their shape as a
-    partition, so a zero part or an increase is refused, not answered."""
+    partition, so a zero part, an increase or a value that is not a
+    sequence is refused, not answered."""
     with pytest.raises(ValueError, match="partition parts must be"):
         call(shape)
 

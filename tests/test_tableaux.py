@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from fakedegrees import tableaux
 from fakedegrees.dominoes import enumerate_sdt
 from fakedegrees.qpoly import QPolynomial, q_int
 from fakedegrees.shapes import (
@@ -301,12 +302,17 @@ def test_the_memo_table_refuses_an_empty_component(mp):
         lambda: list(enumerate_syt((1, 2))),
         lambda: list(enumerate_tuple_tableaux(((2,), (1, 1, 0)))),
         lambda: tuple_maj_gf_restricted((("a",), ())),
+        lambda: list(enumerate_syt(4)),
+        lambda: list(enumerate_tuple_tableaux(((2,), None))),
+        lambda: tuple_maj_gf(((1,), 3)),
+        lambda: syt_maj_gf(None),
+        lambda: tuple_maj_gf_restricted(((1,), 2)),
     ],
 )
 def test_a_shape_that_is_not_a_partition_is_refused(call):
     """The enumerators and the generating-function readers refuse a
-    component that is not a partition, and the memo stores no entry for
-    it."""
+    component that is not a partition, or not a sequence at all, and the
+    memo stores no entry for it."""
     stored = _maj_gf_by_last_cell.cache_info().currsize
     with pytest.raises(ValueError, match="partition parts must be"):
         call()
@@ -345,6 +351,39 @@ def test_enumeration_order_is_the_reference_order():
                 assert list(enumerate_tuple_tableaux(mp)) == reference, mp
                 if d == 1:
                     assert [(t,) for t in enumerate_syt(mp[0])] == reference, mp
+
+
+def reference_shapes(mp):
+    """The shapes of rank >= 1 of the reference recursion, in the order
+    it reaches them: the shape, then below each corner in turn."""
+    if not any(mp):
+        return []
+    return [mp] + [s for smaller, _ in _cell_removals(mp) for s in reference_shapes(smaller)]
+
+
+@pytest.mark.parametrize(
+    "mp",
+    [((),), ((), ()), ((1,),), ((), (1,), ()), ((), (), (1,)), ((2,),), ((1, 1),),
+     ((1,), (1,)), ((), (2, 1), (), (1,), ()), ((3, 1), (2,)), ((2, 2), (), (1, 1))],
+)
+def test_the_walk_reads_each_shape_of_rank_1_or_more_once(monkeypatch, mp):
+    """Enumerating a shape reads the removals table once for each shape
+    of rank >= 1 the reference recursion reaches, in its order, and no
+    shape of rank 0: label 1's cell is the one entry of the rank-1
+    shape's table, also when it lies after empty components."""
+    calls = []
+
+    def counting(shape):
+        calls.append(shape)
+        return _cell_removals(shape)
+
+    monkeypatch.setattr(tableaux, "_cell_removals", counting)
+    assert list(enumerate_tuple_tableaux(mp)) == list(reference_tuple_tableaux(mp))
+    assert calls == reference_shapes(mp)
+    if len(mp) == 1:
+        calls.clear()
+        assert [(t,) for t in enumerate_syt(mp[0])] == list(reference_tuple_tableaux(mp))
+        assert calls == reference_shapes(mp)
 
 
 def test_tableaux_below_a_node_share_the_rows_and_fillings_above_it():
