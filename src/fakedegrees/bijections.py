@@ -386,13 +386,13 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
     first use, by the walk or the maps) once for every tableau below and
     writes label k's keyed cell into one reused list (a visit that keeps
     the list must copy it); k is a descent when domino k's bottom row lies
-    above domino k+1's top row.  Label 1 has no level of its own: the
-    region under label 2 has rank 1, and its node's one step, read, not
-    iterated, is label 1's, so each leaf flips and visits in the loop of
-    label 2, in the same order.  The walk builds each node and flips each
-    tableau in the order the maps do, so its first RuleError is theirs:
-    it names the leaf's tableau, or for a failing build the first tableau
-    below that node.
+    above domino k+1's top row.  Every label has a level of its own,
+    label 1's iterating the rank-1 node's one step, and the level below
+    it, k = 0, is the leaf, which flips the list and visits; so the walk
+    builds nodes at one site and flips at one.  It builds each node and
+    flips each tableau in the order the maps do, so its first RuleError
+    is theirs: it names the leaf's tableau, or for a failing build the
+    first tableau below that node.
     A shape given as a list reads its tuple form; a shape that is not a
     partition is refused (ValueError).
     """
@@ -404,45 +404,25 @@ def map_shape(shape: Partition, visit: Callable[[int, list[KeyedCell]], None]) -
     cells: list = [None] * n
     stack: list = [None] * n  # stack[k-1] is the domino of label k
 
-    def steps_of(node: _RegionNode, k: int) -> dict:
-        """The steps of the node under labels k+1..n, built if need be."""
-        try:
-            return node.steps or node.build()
-        except RuleError as exc:
-            # labels 1..k of the first tableau below, under labels k+1..n
-            first = next(enumerate_sdt(node.region)).dominoes
-            exc.tableau = _trusted(shape, first + tuple(stack[k:]))
-            raise
-
     def walk(node: _RegionNode, k: int, maj: int, below: int) -> None:
-        """Labels k..1 below the node, for k >= 2."""
-        j = k - 1
-        steps = steps_of(node, k).values()
-        if j > 1:
-            for stack[j], top, bottom, child, cells[j] in steps:
-                walk(child, j, maj + k if bottom < below else maj, top)
-            return
-        for stack[1], top, bottom, child, cells[1] in steps:
-            leaf_maj = maj + 2 if bottom < below else maj
-            # the child's region has rank 1: its one step is label 1's
-            label_1_steps = child.steps or steps_of(child, 1)
-            stack[0], _, bottom, _, cells[0] = next(iter(label_1_steps.values()))
+        """Labels k..1 below the node; at k = 0, the leaf."""
+        if k == 0:
             try:
                 image = _flip(cells, None)
             except RuleError as exc:
                 exc.tableau = _trusted(shape, tuple(stack))
                 raise
-            visit(leaf_maj + 1 if bottom < top else leaf_maj, image)
+            visit(maj, image)
+            return
+        try:
+            steps = node.steps or node.build()
+        except RuleError as exc:
+            # labels 1..k of the first tableau below, under labels k+1..n
+            first = next(enumerate_sdt(node.region)).dominoes
+            exc.tableau = _trusted(shape, first + tuple(stack[k:]))
+            raise
+        j = k - 1
+        for stack[j], top, bottom, child, cells[j] in steps.values():
+            walk(child, j, maj + k if bottom < below else maj, top)
 
-    root = _node(inverse, offset, shape)
-    if n > 1:
-        walk(root, n, 0, 0)
-        return
-    if n:  # the shape has rank 1: its one step is label 1's
-        stack[0], _, _, _, cells[0] = next(iter(steps_of(root, 1).values()))
-    try:
-        image = _flip(cells, None)
-    except RuleError as exc:
-        exc.tableau = _trusted(shape, tuple(stack))
-        raise
-    visit(0, image)
+    walk(_node(inverse, offset, shape), n, 0, 0)

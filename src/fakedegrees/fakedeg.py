@@ -26,7 +26,7 @@ from .qpoly import (
 from .shapes import (
     Multipartition,
     b_multi,
-    check_partition,
+    check_multipartition,
     check_size,
     from_beta_set,
     lusztig_rho1,
@@ -49,9 +49,10 @@ class Representation(Value):
     (lexicographically larger component first) and marker distinguishes
     the two representations attached to an equal-component pair.  Every
     other label takes marker 1.  This is the one place a label is refused
-    (ValueError, also for a label or component that is not a sequence,
-    such as an int or None); the labels of `all_representations`, valid
-    as built, are stored without it (`_trusted`).  Instances are
+    (ValueError; a label or component that is not a sequence, such as an
+    int or None, by `check_multipartition`, as the shape readers refuse
+    it); the labels of `all_representations`, valid as built, are stored
+    without it (`_trusted`).  Instances are
     immutable, and equal and hashable by their fields (group, d, label,
     marker).
     """
@@ -60,10 +61,7 @@ class Representation(Value):
 
     def __init__(self, group: str, d: int, label: Multipartition, marker: int = 1):
         _check_group(group, d)
-        try:
-            label = tuple(map(check_partition, label))
-        except TypeError:
-            raise ValueError(f"a label must be a sequence of partitions, got {label!r}") from None
+        label = check_multipartition(label)
         if group == "wreath" and len(label) != d:
             raise ValueError(f"label {label} does not have {d} components")
         if group != "wreath" and len(label) != 2:

@@ -45,6 +45,17 @@ def check_partition(parts: Sequence[int]) -> Partition:
     return p
 
 
+def check_multipartition(mp: Sequence[Sequence[int]]) -> Multipartition:
+    """Validate each component by `check_partition`; return a tuple of
+    partition tuples.  Anything that is not a sequence (an int, None) is
+    refused with a ValueError, as a bad component is, before any caller
+    reads its length."""
+    try:
+        return tuple(map(check_partition, mp))
+    except TypeError:
+        raise ValueError(f"a label must be a sequence of partitions, got {mp!r}") from None
+
+
 def parse_partition(text: str) -> Partition:
     """Parse "2,2,1" (empty string for the empty partition)."""
     text = text.strip()
@@ -130,10 +141,11 @@ def from_beta_set(beads: Sequence[int]) -> Partition:
 def symbol_of(pair: Multipartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Defect-1 symbol of an ordered pair: two strictly increasing rows
     whose lengths differ by one.  Raises ValueError unless the pair has
-    two components and each is a partition."""
+    two components and each is a partition (`check_multipartition`)."""
+    pair = check_multipartition(pair)
     if len(pair) != 2:
         raise ValueError("Lusztig map needs an ordered pair of partitions")
-    lam1, lam2 = map(check_partition, pair)
+    lam1, lam2 = pair
     m = max(len(lam2), len(lam1) - 1)
     return beta_set(lam1, m + 1)[::-1], beta_set(lam2, m)[::-1]
 

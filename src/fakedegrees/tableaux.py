@@ -23,7 +23,7 @@ from .shapes import (
     Multipartition,
     Partition,
     _cell_removals,
-    check_partition,
+    check_multipartition,
     nonempty_components,
     total_size,
 )
@@ -72,10 +72,10 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
     when that cell is placed, and a filling's when its (0, 0) cell is;
     each leaf builds only the tuple of fillings, and every tableau below
     a node shares the rows and fillings completed above it.  An empty
-    component is the empty filling.  A component that is not a partition
-    is refused (`check_partition`'s ValueError).
+    component is the empty filling.  A shape that is not a sequence of
+    partitions is refused (`check_multipartition`'s ValueError).
     """
-    mp = tuple(map(check_partition, mp))
+    mp = check_multipartition(mp)
     grid = [[[0] * length for length in comp] for comp in mp]
     rows = [[()] * len(comp) for comp in mp]
     fillings = [()] * len(mp)
@@ -189,11 +189,11 @@ _maj_gf_by_last_cell = running_sums(
 
 
 def tuple_maj_gf(mp: Multipartition) -> QPolynomial:
-    """Sum of q^maj over all standard tuple tableaux of the shape.  Each
-    component is read through `check_partition` on every call
+    """Sum of q^maj over all standard tuple tableaux of the shape.  The
+    shape is read through `check_multipartition` on every call
     (ValueError), so a shape given with lists reads its tuple form and a
     float or bool twin of a memoised shape is refused."""
-    return QPolynomial(_tuple_maj_gf(tuple(map(check_partition, mp))))
+    return QPolynomial(_tuple_maj_gf(check_multipartition(mp)))
 
 
 def _tuple_maj_gf(mp: Multipartition) -> tuple[int, ...]:
@@ -204,9 +204,9 @@ def tuple_maj_gf_restricted(mp: Multipartition) -> QPolynomial:
     """Same sum, restricted to tableaux whose largest label is in the
     first filling.  Defined for ordered pairs (d = 2) with n >= 1; the
     components are read as by `tuple_maj_gf`."""
+    mp = check_multipartition(mp)
     if len(mp) != 2:
         raise ValueError("restricted generating function needs a pair shape")
-    mp = tuple(map(check_partition, mp))
     if not any(mp):
         raise ValueError("restricted generating function needs n >= 1")
     return QPolynomial(_tuple_maj_gf_restricted(mp))

@@ -591,6 +591,23 @@ def test_map_shape_raises_the_first_error_of_the_maps(monkeypatch, shape, fault)
     assert message.startswith(("flip procedure", "covered regions"))
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (1, 1), (3,), (1, 1, 1), (2, 1)])
+def test_a_failing_flip_at_rank_0_or_1_is_named_as_the_maps_name_it(monkeypatch, shape):
+    """Under a flip that always raises, the walk of a shape of rank 0 or 1
+    raises the message of the first failing `pi_c_prime`/`pi_b_prime`
+    call and names its tableau, the empty tableau at rank 0; the 2-core
+    (2, 1) has no tableau, so its walk raises nothing."""
+    monkeypatch.setattr(bijections, "_flip", flip_failing_where(lambda cells: True))
+    if shape == (2, 1):
+        map_shape(shape, lambda maj, cells: None)
+        return
+    message, tableau = first_failure(shape)
+    assert walk_failure(shape) == (message, tableau)
+    assert message.startswith("flip procedure")
+    if sum(shape) < 2:
+        assert tableau == DominoTableau(shape, ())
+
+
 @pytest.mark.parametrize("shape", WALK_SHAPES)
 def test_a_failing_step_leaves_the_domino_route_memo_alone(monkeypatch, shape):
     """The walk names the first tableau below a failing step by

@@ -40,8 +40,13 @@ from fakedegrees.bijections import pi_c_prime
 from fakedegrees.dominoes import enumerate_sdt, maj_domino
 from fakedegrees.fakedeg import _formula_product, _restricted_sdt_gf, _scaled
 from fakedegrees.qpoly import QPolynomial, hook_syt_gf, q_factorial, q_int, q_multinomial
-from fakedegrees.shapes import b_multi, lusztig_rho1, multipartitions_of
-from fakedegrees.tableaux import enumerate_tuple_tableaux, largest_label_component
+from fakedegrees.shapes import b_multi, lusztig_rho1, lusztig_rho2, multipartitions_of, symbol_of
+from fakedegrees.tableaux import (
+    enumerate_tuple_tableaux,
+    largest_label_component,
+    tuple_maj_gf,
+    tuple_maj_gf_restricted,
+)
 
 from oracles import product_by_convolution, regular_sum_by_accumulation
 
@@ -291,12 +296,20 @@ def test_a_label_whose_parts_are_not_ints_is_refused(call):
         lambda: representation("d", 5),
         lambda: representation("d", ((1,), 2)),
         lambda: representation("bc", None),
+        lambda: symbol_of(5),
+        lambda: lusztig_rho1(None),
+        lambda: lusztig_rho2(5),
+        lambda: tuple_maj_gf(None),
+        lambda: tuple_maj_gf_restricted(5),
+        lambda: list(enumerate_tuple_tableaux(5)),
     ],
 )
 def test_a_label_that_is_not_a_sequence_is_refused(call):
     """A label, or a component of one, that is not a sequence (an int,
     None) is refused with the ValueError of any other malformed label,
-    which the CLI reports as a usage error, not a TypeError."""
+    which the CLI reports as a usage error, not a TypeError.  The
+    multipartition readers of `shapes` and `tableaux` share the one check
+    (`check_multipartition`), made before any reads the length."""
     with pytest.raises(ValueError, match="must be a sequence of"):
         call()
 
