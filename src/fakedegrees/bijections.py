@@ -31,10 +31,13 @@ from functools import lru_cache
 from .dominoes import DominoTableau, _trusted, enumerate_sdt
 from .shapes import (
     Partition,
+    _cell_removals,
     _domino_removals,
+    check_multipartition,
     check_partition,
     lusztig_rho1_inverse,
     lusztig_rho2_inverse,
+    total_size,
     two_core,
 )
 from .tableaux import Tableau, label_positions
@@ -107,13 +110,11 @@ class _RegionNode:
     cell the pair loses between the two regions, keyed by `_keyed_cell`
     at the node's offset.  A map follows one lookup per label.
 
-    Each step is validated as it is built: the region's stored preimage
-    under the Lusztig inverse exceeds the smaller region's by exactly one
-    cell, at the end of one row of exactly one component, so the grown
-    component is its old shape plus one addable cell (RuleError
-    otherwise), and steps is assigned only once every step has passed,
-    so a build that raises stores nothing.  Steps are tuples, so no
-    caller can change them.
+    Each step is validated as it is built: the smaller region's stored
+    preimage must be a move of `_cell_removals` of this region's, and the
+    move's cell is the label's (RuleError otherwise).  steps is assigned
+    only once every step has passed, so a build that raises stores
+    nothing.  Steps are tuples, so no caller can change them.
     """
 
     __slots__ = ("inverse", "offset", "region", "preimage", "steps")
@@ -127,24 +128,17 @@ class _RegionNode:
         """Validate every step out of the region, then store them as
         steps; return steps."""
         region, after, steps = self.region, self.preimage, {}
+        moves = dict(_cell_removals(after))
         for smaller, domino in _domino_removals(region):
             child = _node(self.inverse, self.offset, smaller)
-            before = child.preimage
-            grown = [k for k in (0, 1) if before[k] != after[k]]
-            if len(grown) == 1:
-                old, new = before[grown[0]], after[grown[0]]
-                # the first row where they differ must gain one addable cell
-                row = next((i for i, x in enumerate(old) if i >= len(new) or new[i] != x), len(old))
-                col = (old[row] if row < len(old) else 0) + 1
-                if (row == 0 or old[row - 1] >= col) and new == old[:row] + (col,) + old[row + 1:]:
-                    (top, _), (bottom, _) = domino
-                    cell = _keyed_cell(grown[0] + 1, row + 1, col, self.offset)
-                    steps[domino] = domino, top, bottom, child, cell
-                    continue
-            raise RuleError(
-                f"covered regions {smaller} -> {region}: pairs {before} -> {after} "
-                "do not differ by one addable cell in one component"
-            )
+            move = moves.get(child.preimage)
+            if move is None:
+                raise RuleError(
+                    f"covered regions {smaller} -> {region}: pairs {child.preimage} -> {after} "
+                    "do not differ by one addable cell in one component"
+                )
+            (top, _), (bottom, _) = domino
+            steps[domino] = domino, top, bottom, child, _keyed_cell(*move, self.offset)
         self.steps = steps
         return steps
 
@@ -215,34 +209,39 @@ def pi_b(t: DominoTableau) -> TableauPair:
 
 
 def _keyed_cell(f: int, r: int, c: int, offset: int) -> KeyedCell:
-    """The keyed cell (f, r, c, key) of the cell (r, c) of filling f, all
-    1-based, under a map of that key offset.  The one coding of the
+    """The keyed cell (filling, row, col, key), all 1-based, of the 0-based
+    cell (f, r, c) of a map of that key offset.  The one coding of the
     pair-level key, which decides every pair maj: the cell's diagonal
     2(r - c), plus offset in the second filling."""
-    return f, r, c, 2 * (r - c) + (offset if f == 2 else 0)
+    return f + 1, r + 1, c + 1, 2 * (r - c) + (offset if f else 0)
 
 
 def _keyed_cells(pair: TableauPair, offset: int) -> list[KeyedCell]:
     """(filling, row, col, key) of labels 1..n in order, all 1-based, read
-    from `label_positions` and keyed by `_keyed_cell`.  A pair that
-    is not standard is refused (ValueError): it must have two fillings,
-    each of a partition's shape with rows and columns increasing, that
-    hold the labels 1..n once each."""
-    pos = label_positions(pair)
-    rows = [row for filling in pair for row in filling]
-    if not (
-        len(pair) == 2
-        and sum(map(len, rows)) == len(pos)
-        and sorted(pos) == list(range(1, len(pos) + 1))
-        and all(row and all(a < b for a, b in zip(row, row[1:])) for row in rows)
-        and all(
-            len(below) <= len(above) and all(a < b for a, b in zip(above, below))
-            for filling in pair
-            for above, below in zip(filling, filling[1:])
-        )
-    ):
-        raise ValueError(f"not a standard tableau pair: {pair}")
-    return [_keyed_cell(*pos[label], offset) for label in range(1, len(pos) + 1)]
+    from `label_positions` and keyed by `_keyed_cell`.  The pair-level
+    door: it refuses a pair that is not standard (ValueError naming it).
+    It first checks the structure, two fillings whose row lengths pass
+    `check_multipartition` holding the int labels 1..n once each, so a
+    non-sequence or a float, bool or str label is refused before any memo
+    is read; then, lifting labels n..1, each must sit at a move of
+    `_cell_removals` of the shape the larger labels leave."""
+    try:
+        shape = check_multipartition([map(len, filling) for filling in pair])
+        pos = label_positions(pair)
+    except (TypeError, ValueError):
+        shape = pos = ()
+    n = len(pos)
+    if (len(shape) == 2 and total_size(shape) == n
+            and all(type(x) is int for x in pos) and pos.keys() == set(range(1, n + 1))):
+        # 0-based, as the table lists them
+        cells = [(f - 1, r - 1, c - 1) for f, r, c in map(pos.get, range(1, n + 1))]
+        for cell in reversed(cells):
+            shape = next((s for s, move in _cell_removals(shape) if move == cell), None)
+            if shape is None:
+                break
+        else:
+            return [_keyed_cell(*cell, offset) for cell in cells]
+    raise ValueError(f"not a standard tableau pair: {pair}")
 
 
 def _pair_maj(pair: TableauPair, odd: int) -> int:

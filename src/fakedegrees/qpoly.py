@@ -455,8 +455,13 @@ def q_multinomial(n: int, parts: Sequence[int]) -> QPolynomial:
     """q-multinomial coefficient [n]_q! / prod [part]_q!; memoised on the
     sorted nonzero parts, since their order does not matter.  n and each
     part are read through `check_size` on every call (ValueError), so a
-    float or bool twin of a memoised key is refused."""
+    float or bool twin of a memoised key is refused; parts that are not a
+    sequence (an int, None) are refused with a ValueError too."""
     check_size(n, "q_multinomial")
+    try:
+        parts = tuple(parts)
+    except TypeError:
+        raise ValueError(f"q_multinomial parts must be a sequence of ints, got {parts!r}") from None
     for p in parts:
         check_size(p, "q_multinomial part")
     if sum(parts) != n:

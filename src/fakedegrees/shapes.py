@@ -7,7 +7,10 @@ With r >= len(p) rows, p has the r beads p_i + r - i; on the 2-abacus the
 even beads lie on runner 0 and the odd ones on runner 1 (James-Kerber).
 Every walk over domino tableaux reads `_domino_removals` (1-based
 cells), and every walk over tuple tableaux `_cell_removals` (0-based
-cells), the only coding of the (component, row) corner order.  Both are
+cells), the only coding of the (component, row) corner order and the
+tuple side's only step rule: no other code decides whether a cell can
+be added to or removed from a tuple shape (the insertion's region
+nodes and the pair-level door in `bijections` read it too).  Both are
 memoised and private: a memo keyed by a shape answers a float or bool
 twin of a stored key, so only walkers whose shapes were checked read
 them, and the route memos, which solve each shape once, read them

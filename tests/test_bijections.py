@@ -858,12 +858,24 @@ def test_map_shape_reads_a_list_shape():
 @pytest.mark.parametrize("call", [flip_c, flip_b, pair_maj_c, pair_maj_b])
 @pytest.mark.parametrize(
     "pair",
-    [(((2,), (1,)), ((3,),)), (((2, 1),), ()), (((1, 3),), ())],
-    ids=["column", "row", "labels"],
+    [
+        (((2,), (1,)), ((3,),)),
+        (((2, 1),), ()),
+        (((1, 3),), ()),
+        5,
+        None,
+        ((1,),),
+        (((1.0,),), ((2,),)),
+        (((True,),), ((2,),)),
+        ((("a", 1),), ()),
+    ],
+    ids=["column", "row", "labels", "int", "none", "rows-not-fillings", "float", "bool", "mixed"],
 )
 def test_pair_level_functions_refuse_a_pair_that_is_not_standard(call, pair):
     """A decreasing column, a decreasing row and a missing label are each
-    refused, naming the pair."""
+    refused, naming the pair, and so is anything that is not a pair of
+    fillings of int labels: a non-sequence, a filling given as rows, and
+    a float, bool or str label, though 1.0 and True equal 1."""
     with pytest.raises(ValueError, match="not a standard tableau pair"):
         call(pair)
 

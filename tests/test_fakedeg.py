@@ -302,6 +302,8 @@ def test_a_label_whose_parts_are_not_ints_is_refused(call):
         lambda: tuple_maj_gf(None),
         lambda: tuple_maj_gf_restricted(5),
         lambda: list(enumerate_tuple_tableaux(5)),
+        lambda: q_multinomial(5, 5),
+        lambda: q_multinomial(2, None),
     ],
 )
 def test_a_label_that_is_not_a_sequence_is_refused(call):
@@ -309,7 +311,9 @@ def test_a_label_that_is_not_a_sequence_is_refused(call):
     None) is refused with the ValueError of any other malformed label,
     which the CLI reports as a usage error, not a TypeError.  The
     multipartition readers of `shapes` and `tableaux` share the one check
-    (`check_multipartition`), made before any reads the length."""
+    (`check_multipartition`), made before any reads the length.  The
+    parts of a q-multinomial, the sizes of a label's components, are
+    refused alike."""
     with pytest.raises(ValueError, match="must be a sequence of"):
         call()
 
@@ -324,15 +328,17 @@ def test_a_label_that_is_not_a_sequence_is_refused(call):
         ("poincare('wreath', 2, True)", "d must be an int"),
         ("d_rep(((1,), (1,)), True)", "type D marker must be 1 or 2"),
         ("representation('bc', ((1,), ()), 2, True)", "only type D takes a marker"),
+        ("flip_c((((True,),), ((2,),)))", "not a standard tableau pair"),
     ],
 )
 def test_a_bool_is_not_an_int(call, message):
-    """A bool part, d or marker is refused as a float one is, even though
-    it equals an int.  Each call runs in a fresh interpreter, where no
-    memo holds the int twin of its shape."""
+    """A bool part, d, marker or tableau label is refused as a float one
+    is, even though it equals an int.  Each call runs in a fresh
+    interpreter, where no memo holds the int twin of its shape."""
     paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = (
+        "from fakedegrees.bijections import flip_c\n"
         "from fakedegrees.fakedeg import *\n"
         "from fakedegrees.tableaux import tuple_maj_gf\n"
         f"try:\n    print({call})\nexcept ValueError as exc:\n    print('ValueError:', exc)"

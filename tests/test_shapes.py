@@ -1,4 +1,8 @@
 import importlib
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -302,3 +306,58 @@ def test_every_memo_of_the_package_is_private():
         memos += [(name, attr) for attr, v in vars(module).items() if hasattr(v, "cache_info")]
     assert ("shapes", "_domino_removals") in memos and ("shapes", "_cell_removals") in memos
     assert all(attr.startswith("_") for _, attr in memos), memos
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# one benchmark round, as perfbench/worker.py runs it, then each memo's counts
+ROUND = """
+import importlib, sys
+sys.path[:0] = sys.argv[1:3]
+import fakedegrees.cli, fakedegrees.verify, workloads
+workload = sys.argv[3]
+ops = workloads.build(workload, 1, 0, 7, 3000)
+workloads.warm_up(workload)
+workloads.run(ops)
+for name in sys.argv[4:]:
+    module, attr = name.split(".")
+    info = getattr(importlib.import_module("fakedegrees." + module), attr).cache_info()
+    print(name, info.hits, info.misses)
+"""
+
+
+def readme_memo_table() -> tuple[list[str], dict[str, list[tuple[int, int]]]]:
+    """The workloads of README's memo table and each memo's (hits, misses)
+    under each, the first count of a cell; a dash, never called, is 0/0."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("| memo |"))
+    workloads = [cell.strip() for cell in lines[at].strip("|").split("|")[1:]]
+    rows = {}
+    for line in lines[at + 2:]:
+        if not line.startswith("|"):
+            break
+        name, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[name.strip("`")] = [
+            (0, 0) if cell == "–" else tuple(
+                int(x.replace(",", "")) for x in re.match(r"([\d,]+)/([\d,]+)", cell).groups()
+            )
+            for cell in cells
+        ]
+    return workloads, rows
+
+
+def test_readme_memo_table_counts_one_round_of_each_workload():
+    """README's memo table is recounted: in a fresh interpreter per
+    workload, the warm-up and one round (seed 1, n <= 7, 3,000 lookup
+    calls) leave each memo with the hits and misses its row gives."""
+    workloads, rows = readme_memo_table()
+    assert workloads == ["certify-routes", "certify-bijections", "lookup"]
+    assert "shapes._cell_removals" in rows and "bijections._node" in rows
+    for column, workload in enumerate(workloads):
+        paths = str(ROOT / "src"), str(ROOT / "perfbench")
+        proc = subprocess.run(
+            [sys.executable, "-c", ROUND, *paths, workload, *rows],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), workload
+        counts = {name: (int(h), int(m)) for name, h, m in map(str.split, proc.stdout.splitlines())}
+        assert counts == {name: row[column] for name, row in rows.items()}, workload
