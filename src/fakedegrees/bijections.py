@@ -221,18 +221,18 @@ def _keyed_cells(pair: TableauPair, offset: int) -> list[KeyedCell]:
     from `label_positions` and keyed by `_keyed_cell`.  The pair-level
     door: it refuses a pair that is not standard (ValueError naming it).
     It first checks the structure, two fillings whose row lengths pass
-    `check_multipartition` holding the int labels 1..n once each, so a
-    non-sequence or a float, bool or str label is refused before any memo
-    is read; then, lifting labels n..1, each must sit at a move of
-    `_cell_removals` of the shape the larger labels leave."""
+    `check_multipartition` holding the labels 1..n once each, each an int
+    (`label_positions` refuses any other), so a non-sequence or a float,
+    bool or str label is refused before any memo is read; then, lifting
+    labels n..1, each must sit at a move of `_cell_removals` of the shape
+    the larger labels leave."""
     try:
         shape = check_multipartition([map(len, filling) for filling in pair])
         pos = label_positions(pair)
     except (TypeError, ValueError):
         shape = pos = ()
     n = len(pos)
-    if (len(shape) == 2 and total_size(shape) == n
-            and all(type(x) is int for x in pos) and pos.keys() == set(range(1, n + 1))):
+    if len(shape) == 2 and total_size(shape) == n and pos.keys() == set(range(1, n + 1)):
         # 0-based, as the table lists them
         cells = [(f - 1, r - 1, c - 1) for f, r, c in map(pos.get, range(1, n + 1))]
         for cell in reversed(cells):

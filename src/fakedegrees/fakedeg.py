@@ -9,6 +9,7 @@ exactly; the verification module sweeps those agreements exhaustively.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 from operator import add, le
 
 from .bijections import map_shape
@@ -16,9 +17,11 @@ from .dominoes import _sdt_maj_gf
 from .qpoly import (
     QPolynomial,
     Value,
+    _digit_words,
     _hook_syt_gf,
-    _product,
+    _multiply,
     _q_multinomial,
+    _word,
     product,
     q_int,
     weighted_sum,
@@ -211,10 +214,19 @@ def _formula_product(components: Multipartition) -> tuple[int, ...]:
     the hook forms, and d enters only through `_scaled`.  The components
     come from a `Representation`, which checked them, so the memoised
     closed forms are read directly, not through their checking public
-    readers, and their coefficient tuples multiplied as they are
-    (`qpoly._product`), with no polynomial built."""
-    sizes = tuple(sorted(sum(c) for c in components))
-    return _product([_q_multinomial(sizes), *map(_hook_syt_gf, components)])
+    readers, and no polynomial is built.  A lone component's product is
+    its hook form, the memo's tuple itself.  Otherwise the closed forms'
+    memoised Kronecker words (`qpoly._word`) are multiplied and the
+    product unpacked once (`qpoly._multiply`), with natural digits of the
+    fewest words that hold n!: every coefficient is at most the
+    coefficient sum, the number of standard tuple tableaux of the
+    components, n! / prod |c|! * prod f^c <= n!."""
+    if len(components) < 2:
+        return _hook_syt_gf(components[0]) if components else (1,)
+    sizes = tuple(sorted(map(sum, components)))
+    m = _digit_words(factorial(sum(sizes)), False)
+    words = [_word(_q_multinomial, sizes, m), *[_word(_hook_syt_gf, c, m) for c in components]]
+    return _multiply(words, m, False)
 
 
 def _enumeration(rep: Representation) -> QPolynomial:

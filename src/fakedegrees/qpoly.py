@@ -13,6 +13,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import accumulate, zip_longest
+from math import prod
 from operator import add, attrgetter, sub
 
 from .shapes import b_statistic, check_partition, check_size, hooks
@@ -160,7 +161,11 @@ class QPolynomial(Value):
         return QPolynomial(quot)
 
     def shift(self, s: int) -> "QPolynomial":
-        """Multiply by q^s; s may be negative down to the lowest degree."""
+        """Multiply by q^s; s may be negative down to the lowest degree.  A
+        shift that is not an int (a bool or a float is not one) is refused
+        (ValueError)."""
+        if type(s) is not int:
+            raise ValueError(f"a shift must be an int, got {s!r}")
         if not self:
             return self
         if s >= 0:
@@ -310,11 +315,10 @@ def product(polys: Iterable[QPolynomial]) -> QPolynomial:
 def _product(coeffs: list[tuple[int, ...]]) -> tuple[int, ...]:
     """The coefficient tuple of the product of the coefficient tuples,
     each in canonical form, by Kronecker substitution: each factor is
-    packed at q = 2^(64m) as one integer (`_pack`), the integers are
-    multiplied, and the product's coefficients are read back (`_unpack`).
-    The product of canonical factors is canonical (its top coefficient is
-    the product of theirs), so its tuple is stored by `QPolynomial` as it
-    is.  The formula route calls it on its memoised tuples directly.
+    packed at q = 2^(64m) as one integer (`_pack`), and the integers are
+    multiplied and the product unpacked (`_multiply`).  The product of
+    canonical factors is canonical (its top coefficient is the product of
+    theirs), so its tuple is stored by `QPolynomial` as it is.
 
     No coefficient of the product exceeds bound, the product of the
     factors' coefficient sums, or of their absolute coefficient sums when
@@ -334,10 +338,7 @@ def _product(coeffs: list[tuple[int, ...]]) -> tuple[int, ...]:
     for cs in coeffs:
         bound *= sum(map(abs, cs)) if signed else sum(cs)
     m = _digit_words(bound, signed)
-    value = 1
-    for cs in coeffs:
-        value *= _pack(cs, m, signed)
-    return tuple(_unpack(value, m, sum(map(len, coeffs)) - len(coeffs) + 1, signed))
+    return _multiply([_pack(cs, m, signed) for cs in coeffs], m, signed)
 
 
 def weighted_sum(terms: Iterable[tuple[int, Sequence[int]]]) -> QPolynomial:
@@ -371,12 +372,12 @@ def weighted_sum(terms: Iterable[tuple[int, Sequence[int]]]) -> QPolynomial:
         return QPolynomial(_unpack(value, m, length, signed))
 
 
-# The word coder of `product` and `weighted_sum`: a list of integers read
-# as the digits of one integer in base 2^(64m), least significant first,
-# each digit natural and below 2^(64m) (unsigned), or in
-# [-2^(64m-1), 2^(64m-1)) (signed, balanced).  A balanced digit is
-# written and read as the natural digit it is plus 2^(64m-1): the packed
-# integer is the natural one less `_offset`.
+# The word coder of `product`, `weighted_sum` and the formula route: a
+# list of integers read as the digits of one integer in base 2^(64m),
+# least significant first, each digit natural and below 2^(64m)
+# (unsigned), or in [-2^(64m-1), 2^(64m-1)) (signed, balanced).  A
+# balanced digit is written and read as the natural digit it is plus
+# 2^(64m-1): the packed integer is the natural one less `_offset`.
 
 
 def _digit_words(bound: int, signed: bool) -> int:
@@ -433,6 +434,32 @@ def _unpack(value: int, m: int, length: int, signed: bool) -> list[int]:
         half = 1 << (64 * m - 1)
         out = [c - half for c in out]
     return out
+
+
+def _multiply(words: list[int], m: int, signed: bool) -> tuple[int, ...]:
+    """The coefficient tuple of the product of nonzero canonical factors
+    packed as words of m-word digits (natural, or balanced when signed)
+    that hold every coefficient of the product: one multiply and one
+    unpack, for `_product` and the formula route's memoised words
+    (`_word`).  The product is canonical, so its length L is read from
+    its bit length b, with B = 2^(64m): a natural top digit puts the
+    product in [B^(L-1), B^L), so L = ceil(b / 64m); balanced digits put
+    its absolute value in (B^(L-1)/2, B^L/2), so L = floor(b / 64m) + 1."""
+    value = prod(words)
+    bits = 64 * m
+    length = (abs(value).bit_length() + bits - 1 + signed) // bits
+    return tuple(_unpack(value, m, length, signed))
+
+
+@lru_cache(maxsize=None)
+def _word(form, arg, m: int) -> int:
+    """The Kronecker word of a memoised closed form, `_q_multinomial` or
+    `_hook_syt_gf`: its coefficient tuple form(arg) packed as natural
+    m-word digits (`_pack`), which holds it since no closed form has a
+    negative coefficient.  Memoised per form, argument (a size tuple or a
+    shape) and digit width, so the formula route packs each closed form
+    once per width."""
+    return _pack(form(arg), m, False)
 
 
 def q_int(n: int) -> QPolynomial:

@@ -112,12 +112,20 @@ def enumerate_tuple_tableaux(mp: Multipartition) -> Iterator[TupleTableau]:
 
 
 def label_positions(t: TupleTableau) -> dict[int, tuple[int, int, int]]:
-    """label -> (component index 1-based, row, col)."""
+    """label -> (component index 1-based, row, col).  A t that is not a
+    sequence of fillings of rows, or a label that is not an int (a bool or
+    a float is not one), is refused (ValueError); nothing else is
+    checked."""
     out = {}
-    for ci, filling in enumerate(t, start=1):
-        for ri, row in enumerate(filling, start=1):
-            for cj, x in enumerate(row, start=1):
-                out[x] = (ci, ri, cj)
+    try:
+        for ci, filling in enumerate(t, start=1):
+            for ri, row in enumerate(filling, start=1):
+                for cj, x in enumerate(row, start=1):
+                    if type(x) is not int:
+                        raise ValueError(f"tuple tableau labels must be ints, got {x!r}")
+                    out[x] = (ci, ri, cj)
+    except TypeError:
+        raise _not_a_tuple_tableau(t) from None
     return out
 
 
@@ -128,15 +136,21 @@ def maj_tuple(t: TupleTableau) -> int:
     filling, or if i lives in an earlier filling than i+1: the rank of
     its (component, row), counted over all fillings, is smaller.  One pass
     over the cells maps each label to that rank, one over the labels sums
-    the descents.
+    the descents.  It reads standard tuple tableaux only and checks none:
+    a t that is not a sequence of fillings of rows is refused (ValueError),
+    but a tableau that is not standard gets a number, with no check per
+    label.
     """
     rank: dict[int, int] = {}
     r = 0
-    for filling in t:
-        for row in filling:
-            for x in row:
-                rank[x] = r
-            r += 1
+    try:
+        for filling in t:
+            for row in filling:
+                for x in row:
+                    rank[x] = r
+                r += 1
+    except TypeError:
+        raise _not_a_tuple_tableau(t) from None
     total = 0
     prev = rank.get(1)
     for i in range(2, len(rank) + 1):
@@ -145,6 +159,11 @@ def maj_tuple(t: TupleTableau) -> int:
             total += i - 1
         prev = cur
     return total
+
+
+def _not_a_tuple_tableau(t) -> ValueError:
+    """The refusal of a t whose fillings or rows cannot be iterated."""
+    return ValueError(f"a tuple tableau must be a sequence of fillings of rows, got {t!r}")
 
 
 def largest_label_component(t: TupleTableau) -> int:

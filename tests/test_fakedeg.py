@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import permutations
+from math import factorial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -39,11 +40,30 @@ from fakedegrees.fakedeg import (
 from fakedegrees.bijections import pi_c_prime
 from fakedegrees.dominoes import enumerate_sdt, maj_domino
 from fakedegrees.fakedeg import _formula_product, _restricted_sdt_gf, _scaled
-from fakedegrees.qpoly import QPolynomial, hook_syt_gf, q_factorial, q_int, q_multinomial
-from fakedegrees.shapes import b_multi, lusztig_rho1, lusztig_rho2, multipartitions_of, symbol_of
+from fakedegrees.qpoly import (
+    QPolynomial,
+    _digit_words,
+    _hook_syt_gf,
+    _q_multinomial,
+    _word,
+    hook_syt_gf,
+    q_factorial,
+    q_int,
+    q_multinomial,
+)
+from fakedegrees.shapes import (
+    b_multi,
+    lusztig_rho1,
+    lusztig_rho2,
+    multipartitions_of,
+    nonempty_components,
+    symbol_of,
+)
 from fakedegrees.tableaux import (
     enumerate_tuple_tableaux,
+    label_positions,
     largest_label_component,
+    maj_tuple,
     tuple_maj_gf,
     tuple_maj_gf_restricted,
 )
@@ -304,6 +324,10 @@ def test_a_label_whose_parts_are_not_ints_is_refused(call):
         lambda: list(enumerate_tuple_tableaux(5)),
         lambda: q_multinomial(5, 5),
         lambda: q_multinomial(2, None),
+        lambda: label_positions(5),
+        lambda: label_positions(None),
+        lambda: maj_tuple(5),
+        lambda: maj_tuple(None),
     ],
 )
 def test_a_label_that_is_not_a_sequence_is_refused(call):
@@ -313,7 +337,7 @@ def test_a_label_that_is_not_a_sequence_is_refused(call):
     multipartition readers of `shapes` and `tableaux` share the one check
     (`check_multipartition`), made before any reads the length.  The
     parts of a q-multinomial, the sizes of a label's components, are
-    refused alike."""
+    refused alike, and so is a tuple tableau given to its readers."""
     with pytest.raises(ValueError, match="must be a sequence of"):
         call()
 
@@ -329,18 +353,24 @@ def test_a_label_that_is_not_a_sequence_is_refused(call):
         ("d_rep(((1,), (1,)), True)", "type D marker must be 1 or 2"),
         ("representation('bc', ((1,), ()), 2, True)", "only type D takes a marker"),
         ("flip_c((((True,),), ((2,),)))", "not a standard tableau pair"),
+        ("label_positions((((True,),),))", "tuple tableau labels must be ints"),
+        ("label_positions((((1.0,),),))", "tuple tableau labels must be ints"),
+        ("QPolynomial([1]).shift(True)", "a shift must be an int"),
+        ("QPolynomial([1]).shift(1.0)", "a shift must be an int"),
+        ("QPolynomial([1]).shift(None)", "a shift must be an int"),
     ],
 )
 def test_a_bool_is_not_an_int(call, message):
-    """A bool part, d, marker or tableau label is refused as a float one
-    is, even though it equals an int.  Each call runs in a fresh
-    interpreter, where no memo holds the int twin of its shape."""
+    """A bool part, d, marker, tableau label or shift is refused as a
+    float one is, even though it equals an int (a shift of None too).
+    Each call runs in a fresh interpreter, where no memo holds the int
+    twin of its shape."""
     paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = (
         "from fakedegrees.bijections import flip_c\n"
         "from fakedegrees.fakedeg import *\n"
-        "from fakedegrees.tableaux import tuple_maj_gf\n"
+        "from fakedegrees.tableaux import label_positions, tuple_maj_gf\n"
         f"try:\n    print({call})\nexcept ValueError as exc:\n    print('ValueError:', exc)"
     )
     proc = subprocess.run(
@@ -544,6 +574,41 @@ def test_formula_product_is_the_schoolbook_product():
                 assert fake_degree_wreath(mp, d, "formula") == QPolynomial(expected), mp
                 count += 1
     assert count == 1574
+
+
+def test_formula_product_multiplies_memoised_words_as_the_schoolbook_product():
+    """Every multiset of one to three nonempty components with n <= 9 (629
+    multisets, 96 of them lone components): the product of the memoised
+    words equals the schoolbook product of the closed forms, and a lone
+    component gives its hook form, the memo's tuple itself.  Four
+    multisets with n = 21..24, past 20! < 2^64, have words of two-word
+    digits: after one cold product each such word is a key of the words
+    memo (a read of it is a hit)."""
+    multisets = {
+        tuple(sorted(nonempty_components(mp)))
+        for n in range(1, 10)
+        for mp in multipartitions_of(n, 3)
+    }
+    assert len(multisets) == 629
+    wide = [((4, 2), (4, 3, 1), (5, 2)), ((5, 3, 2), (6, 4, 1)), ((1,), (3, 3, 2, 1), (6, 5, 2)),
+            ((4, 2), (7, 3), (8,))]
+    for components in sorted(multisets) + wide:
+        sizes = [sum(c) for c in components]
+        if len(components) == 1:
+            assert _formula_product(components) is _hook_syt_gf(components[0])
+        factors = [q_multinomial(sum(sizes), sizes), *map(hook_syt_gf, components)]
+        expected = product_by_convolution(factors).coeffs
+        assert _formula_product(components) == expected, components
+    for components in wide:
+        sizes = tuple(sorted(map(sum, components)))
+        assert 21 <= sum(sizes) <= 24 and _digit_words(factorial(sum(sizes)), False) == 2
+        _word.cache_clear()
+        assert _formula_product.__wrapped__(components) == _formula_product(components)
+        keys = [(_q_multinomial, sizes, 2), *((_hook_syt_gf, c, 2) for c in components)]
+        assert _word.cache_info().currsize == len(keys)
+        for key in keys:
+            _word(*key)
+        assert _word.cache_info().misses == len(keys), components
 
 
 def test_formula_product_is_memoised_per_multiset_of_components():
