@@ -193,13 +193,17 @@ def maj_domino(t: DominoTableau) -> int:
     smaller row index than every cell of i+1.  One pass reads each
     domino's top and bottom row, its first and second cell's, and keeps
     the bottom row of domino i, the one before (row 0 for i = 0, which
-    adds nothing).
+    adds nothing).  A t that is not a `DominoTableau` is refused
+    (ValueError) when reading it fails, so a tableau pays no check.
     """
     total = bottom = 0
-    for i, ((top, _), (r, _)) in enumerate(t.dominoes):
-        if bottom < top:
-            total += i
-        bottom = r
+    try:
+        for i, ((top, _), (r, _)) in enumerate(t.dominoes):
+            if bottom < top:
+                total += i
+            bottom = r
+    except (AttributeError, TypeError, ValueError):
+        raise ValueError(f"maj_domino needs a DominoTableau, got {t!r}") from None
     return total
 
 

@@ -211,18 +211,14 @@ def _formula_product(components: Multipartition) -> tuple[int, ...]:
     """The coefficients of the formula route's product, memoised per
     multiset of nonempty components: it is symmetric in the components,
     an empty one contributes a factor of 1 to both the q-multinomial and
-    the hook forms, and d enters only through `_scaled`.  The components
-    come from a `Representation`, which checked them, so the memoised
-    closed forms are read directly, not through their checking public
-    readers, and no polynomial is built.  A lone component's product is
-    its hook form, the memo's tuple itself.  Otherwise the closed forms'
-    memoised Kronecker words (`qpoly._word`) are multiplied and the
-    product unpacked once (`qpoly._multiply`), with natural digits of the
-    fewest words that hold n!: every coefficient is at most the
+    the hook forms, and d enters only through `_scaled`.  A
+    `Representation` checked the components, so the closed forms'
+    memoised Kronecker words (`qpoly._word`) are multiplied and unpacked
+    once (`qpoly._multiply`), with no polynomial built, in natural digits
+    of the fewest words that hold n!: every coefficient is at most the
     coefficient sum, the number of standard tuple tableaux of the
-    components, n! / prod |c|! * prod f^c <= n!."""
-    if len(components) < 2:
-        return _hook_syt_gf(components[0]) if components else (1,)
+    components, n! / prod |c|! * prod f^c <= n!.  A lone component, or
+    none, takes the same path: the q-multinomial of (n,) or () is 1."""
     sizes = tuple(sorted(map(sum, components)))
     m = _digit_words(factorial(sum(sizes)), False)
     words = [_word(_q_multinomial, sizes, m), *[_word(_hook_syt_gf, c, m) for c in components]]

@@ -85,10 +85,15 @@ class QPolynomial(Value):
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "QPolynomial":
-        """Sum of q^e over the exponents: the histogram of a statistic."""
+        """Sum of q^e over the exponents: the histogram of a statistic.  An
+        exponent that is not an int (a bool or a float) is refused
+        (ValueError), checked once per distinct exponent."""
         counts = Counter(exponents)
         if not counts:
             return cls()
+        for e in counts:
+            if type(e) is not int:
+                raise ValueError(f"exponents must be ints, got {e!r}")
         if min(counts) < 0:
             raise ValueError("exponents must be nonnegative")
         return cls(counts[k] for k in range(max(counts) + 1))
@@ -303,42 +308,27 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def product(polys: Iterable[QPolynomial]) -> QPolynomial:
-    """Product of the polynomials, through `_product` on their coefficient
-    tuples.  Factors equal to 1 are dropped, and a single remaining factor
-    is returned as it is."""
+    """Product of the polynomials by Kronecker substitution: each factor is
+    packed at q = 2^(64m) as one integer (`_pack`), and the integers are
+    multiplied and the product unpacked (`_multiply`).  No coefficient of
+    the product exceeds bound, the product of the factors' coefficient
+    sums (absolute sums when some coefficient is negative), and m is the
+    least word count whose digits hold it (`_digit_words`), natural digits
+    unsigned and signed ones balanced, so no digit carries into the next.
+    Factors equal to 1 are dropped, a single remaining factor is returned
+    as it is, and a zero factor gives zero."""
     factors = [p for p in polys if p.coeffs != (1,)]
     if len(factors) < 2:
         return factors[0] if factors else ONE
-    return QPolynomial(_product([p.coeffs for p in factors]))
-
-
-def _product(coeffs: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """The coefficient tuple of the product of the coefficient tuples,
-    each in canonical form, by Kronecker substitution: each factor is
-    packed at q = 2^(64m) as one integer (`_pack`), and the integers are
-    multiplied and the product unpacked (`_multiply`).  The product of
-    canonical factors is canonical (its top coefficient is the product of
-    theirs), so its tuple is stored by `QPolynomial` as it is.
-
-    No coefficient of the product exceeds bound, the product of the
-    factors' coefficient sums, or of their absolute coefficient sums when
-    some coefficient is negative; m is the least word count whose digits
-    hold bound (`_digit_words`), natural digits unsigned and signed ones
-    balanced, so no digit carries into the next.  Factors equal to (1,)
-    are dropped, a zero factor gives (), and a single factor is returned
-    as it is.
-    """
-    coeffs = [cs for cs in coeffs if cs != (1,)]
-    if len(coeffs) < 2:
-        return coeffs[0] if coeffs else (1,)
+    coeffs = [p.coeffs for p in factors]
     if not all(coeffs):
-        return ()
+        return QPolynomial()
     signed = min(map(min, coeffs)) < 0
     bound = 1
     for cs in coeffs:
         bound *= sum(map(abs, cs)) if signed else sum(cs)
     m = _digit_words(bound, signed)
-    return _multiply([_pack(cs, m, signed) for cs in coeffs], m, signed)
+    return QPolynomial(_multiply([_pack(cs, m, signed) for cs in coeffs], m, signed))
 
 
 def weighted_sum(terms: Iterable[tuple[int, Sequence[int]]]) -> QPolynomial:
@@ -440,7 +430,7 @@ def _multiply(words: list[int], m: int, signed: bool) -> tuple[int, ...]:
     """The coefficient tuple of the product of nonzero canonical factors
     packed as words of m-word digits (natural, or balanced when signed)
     that hold every coefficient of the product: one multiply and one
-    unpack, for `_product` and the formula route's memoised words
+    unpack, for `product` and the formula route's memoised words
     (`_word`).  The product is canonical, so its length L is read from
     its bit length b, with B = 2^(64m): a natural top digit puts the
     product in [B^(L-1), B^L), so L = ceil(b / 64m); balanced digits put
@@ -453,12 +443,12 @@ def _multiply(words: list[int], m: int, signed: bool) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _word(form, arg, m: int) -> int:
-    """The Kronecker word of a memoised closed form, `_q_multinomial` or
-    `_hook_syt_gf`: its coefficient tuple form(arg) packed as natural
-    m-word digits (`_pack`), which holds it since no closed form has a
-    negative coefficient.  Memoised per form, argument (a size tuple or a
-    shape) and digit width, so the formula route packs each closed form
-    once per width."""
+    """The Kronecker word of a closed form, `_q_multinomial` or
+    `_hook_syt_gf`: form(arg) packed as natural m-word digits (`_pack`),
+    which hold it since no closed form has a negative coefficient.  The
+    closed forms' one memo, keyed by form, argument (a size tuple or a
+    shape) and digit width: the formula route computes and packs each
+    closed form once per argument and width."""
     return _pack(form(arg), m, False)
 
 
@@ -479,11 +469,10 @@ def q_factorial(n: int) -> QPolynomial:
 
 
 def q_multinomial(n: int, parts: Sequence[int]) -> QPolynomial:
-    """q-multinomial coefficient [n]_q! / prod [part]_q!; memoised on the
-    sorted nonzero parts, since their order does not matter.  n and each
-    part are read through `check_size` on every call (ValueError), so a
-    float or bool twin of a memoised key is refused; parts that are not a
-    sequence (an int, None) are refused with a ValueError too."""
+    """q-multinomial coefficient [n]_q! / prod [part]_q! of the sorted
+    nonzero parts, since their order does not matter.  n and each part are
+    read through `check_size`, and parts that are not a sequence (an int,
+    None) are refused too (ValueError)."""
     check_size(n, "q_multinomial")
     try:
         parts = tuple(parts)
@@ -496,7 +485,6 @@ def q_multinomial(n: int, parts: Sequence[int]) -> QPolynomial:
     return QPolynomial(_q_multinomial(tuple(sorted(p for p in parts if p))))
 
 
-@lru_cache(maxsize=None)
 def _q_multinomial(parts: tuple[int, ...]) -> tuple[int, ...]:
     """The coefficient tuple of the q-multinomial of the ascending nonzero
     parts, as the binomial multiset [n]_q! / prod_j [p_j]_q!: 1 - q^i has
@@ -507,7 +495,7 @@ def _q_multinomial(parts: tuple[int, ...]) -> tuple[int, ...]:
     for left, p in enumerate(parts):
         mult[below + 1 : p + 1] = [left - len(parts) + 1] * (p - below)
         below = p
-    return tuple(_binomial_product(*_surviving(mult)))
+    return tuple(_binomial_product(mult))
 
 
 def hook_syt_gf(shape) -> QPolynomial:
@@ -515,15 +503,13 @@ def hook_syt_gf(shape) -> QPolynomial:
 
     Computes q^b(shape) [r]_q! / prod over cells [hook]_q, which equals the
     enumeration-side sum of q^maj over standard Young tableaux.  The r
-    factors 1 - q cancel, leaving binomials.  Memoised per shape; the
-    shape is read through `check_partition` on every call (ValueError), so
-    a list reads its tuple form and a float or bool twin of a memoised
-    shape is refused.
+    factors 1 - q cancel, leaving binomials.  The shape is read through
+    `check_partition` (ValueError), so a list reads its tuple form and a
+    float or bool part is refused.
     """
     return QPolynomial(_hook_syt_gf(check_partition(shape)))
 
 
-@lru_cache(maxsize=None)
 def _hook_syt_gf(shape) -> tuple[int, ...]:
     """The coefficient tuple of the hook form, its b(shape) leading zeros
     written in: 1 - q^i has multiplicity 1 less the number of cells of
@@ -531,41 +517,28 @@ def _hook_syt_gf(shape) -> tuple[int, ...]:
     mult = [1] * (sum(shape) + 1)
     for h in hooks(shape):
         mult[h] -= 1
-    return (0,) * b_statistic(shape) + tuple(_binomial_product(*_surviving(mult)))
+    return (0,) * b_statistic(shape) + tuple(_binomial_product(mult))
 
 
-def _surviving(mult: list[int]) -> tuple[list[int], list[int]]:
-    """The numerator and the denominator exponents of a binomial multiset
-    given as multiplicities over 0..n (entry 0 ignored): each exponent a
-    repeated by its multiplicity, ascending."""
-    numerators: list[int] = []
-    denominators: list[int] = []
-    for a in range(1, len(mult)):
-        m = mult[a]
-        if m > 0:
-            numerators += [a] * m
-        elif m < 0:
-            denominators += [a] * -m
-    return numerators, denominators
-
-
-def _binomial_product(numerators: Iterable[int], denominators: Iterable[int]) -> list[int]:
-    """The coefficient list of prod (1 - q^b) / prod (1 - q^a) over the
-    numerator exponents b and denominator exponents a, one O(len) pass
-    per factor: every product first, p[k] -= p[k - b] walking down, then
-    every quotient, q[k] += q[k - a] walking up, exact iff its top a
-    coefficients close to zero; if they do not, InexactDivisionError
-    names the dividend (multiplied back).  An exact quotient ends in a
-    nonzero coefficient."""
+def _binomial_product(mult: list[int]) -> list[int]:
+    """The coefficient list of prod (1 - q^a)^mult[a] over a = 1..n, the
+    multiplicities of a binomial multiset (entry 0 ignored), one O(len)
+    pass per factor: every numerator (mult[b] > 0) first, p[k] -= p[k - b]
+    walking down, then every denominator (mult[a] < 0), q[k] += q[k - a]
+    walking up, exact iff its top a coefficients close to zero; if they do
+    not, InexactDivisionError names the dividend (multiplied back).  An
+    exact quotient ends in a nonzero coefficient."""
     cs = [1]
-    for b in numerators:
-        cs += [0] * b
-        cs[b:] = map(sub, cs[b:], cs)
-    for a in denominators:
-        for r in range(a):
-            cs[r::a] = accumulate(cs[r::a])
-        if any(cs[-a:]):
-            cs[a:] = map(sub, cs[a:], cs)
-            raise InexactDivisionError(QPolynomial(cs), ONE - QPolynomial.monomial(a))
-        del cs[-a:]
+    for b in range(1, len(mult)):
+        for _ in range(mult[b]):
+            cs += [0] * b
+            cs[b:] = map(sub, cs[b:], cs)
+    for a in range(1, len(mult)):
+        for _ in range(-mult[a]):
+            for r in range(a):
+                cs[r::a] = accumulate(cs[r::a])
+            if any(cs[-a:]):
+                cs[a:] = map(sub, cs[a:], cs)
+                raise InexactDivisionError(QPolynomial(cs), ONE - QPolynomial.monomial(a))
+            del cs[-a:]
     return cs

@@ -289,6 +289,15 @@ def test_maj_is_row_strict():
     assert maj_domino(t) == 0  # overlapping rows: no descent
 
 
+@pytest.mark.parametrize("t", [5, None, (((1, 1), (1, 2)),), "ab"])
+def test_maj_domino_takes_only_a_domino_tableau(t):
+    """What is not a `DominoTableau` (an int, None, a bare tuple of
+    dominoes, a string) is refused with a ValueError, not the
+    AttributeError of reading its dominoes."""
+    with pytest.raises(ValueError, match="maj_domino needs a DominoTableau"):
+        maj_domino(t)
+
+
 def reference_maj_domino(t: DominoTableau) -> int:
     """The earlier two-pass formula: label i is a descent when the larger
     row of domino i is below the smaller row of domino i+1."""

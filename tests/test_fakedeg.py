@@ -37,6 +37,7 @@ from fakedegrees.fakedeg import (
     symbol_of,
     wreath_rep,
 )
+from fakedegrees import fakedeg
 from fakedegrees.bijections import pi_c_prime
 from fakedegrees.dominoes import enumerate_sdt, maj_domino
 from fakedegrees.fakedeg import _formula_product, _restricted_sdt_gf, _scaled
@@ -358,11 +359,13 @@ def test_a_label_that_is_not_a_sequence_is_refused(call):
         ("QPolynomial([1]).shift(True)", "a shift must be an int"),
         ("QPolynomial([1]).shift(1.0)", "a shift must be an int"),
         ("QPolynomial([1]).shift(None)", "a shift must be an int"),
+        ("QPolynomial.from_exponents([2, True])", "exponents must be ints"),
+        ("QPolynomial.from_exponents([1.5])", "exponents must be ints"),
     ],
 )
 def test_a_bool_is_not_an_int(call, message):
-    """A bool part, d, marker, tableau label or shift is refused as a
-    float one is, even though it equals an int (a shift of None too).
+    """A bool part, d, marker, tableau label, shift or exponent is refused
+    as a float one is, even though it equals an int (a shift of None too).
     Each call runs in a fresh interpreter, where no memo holds the int
     twin of its shape."""
     paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
@@ -580,7 +583,7 @@ def test_formula_product_multiplies_memoised_words_as_the_schoolbook_product():
     """Every multiset of one to three nonempty components with n <= 9 (629
     multisets, 96 of them lone components): the product of the memoised
     words equals the schoolbook product of the closed forms, and a lone
-    component gives its hook form, the memo's tuple itself.  Four
+    component, through the same words, gives its hook form.  Four
     multisets with n = 21..24, past 20! < 2^64, have words of two-word
     digits: after one cold product each such word is a key of the words
     memo (a read of it is a hit)."""
@@ -595,7 +598,7 @@ def test_formula_product_multiplies_memoised_words_as_the_schoolbook_product():
     for components in sorted(multisets) + wide:
         sizes = [sum(c) for c in components]
         if len(components) == 1:
-            assert _formula_product(components) is _hook_syt_gf(components[0])
+            assert _formula_product(components) == _hook_syt_gf(components[0])
         factors = [q_multinomial(sum(sizes), sizes), *map(hook_syt_gf, components)]
         expected = product_by_convolution(factors).coeffs
         assert _formula_product(components) == expected, components
@@ -609,6 +612,36 @@ def test_formula_product_multiplies_memoised_words_as_the_schoolbook_product():
         for key in keys:
             _word(*key)
         assert _word.cache_info().misses == len(keys), components
+
+
+def test_formula_route_computes_each_closed_form_once():
+    """Over every G(3,1,n) label with n <= 8, from cold memos, the formula
+    route computes each closed form once per argument: the words memo is
+    the only one, and a lone component reads the same words as any other
+    multiset."""
+    calls = Counter()
+
+    def counted(form):
+        def wrapper(arg):
+            calls[form.__name__, arg] += 1
+            return form(arg)
+
+        return wrapper
+
+    _formula_product.cache_clear()
+    _word.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fakedeg, "_hook_syt_gf", counted(fakedeg._hook_syt_gf))
+            patch.setattr(fakedeg, "_q_multinomial", counted(fakedeg._q_multinomial))
+            for n in range(9):
+                for rep in all_representations("wreath", n, 3):
+                    assert fake_degree(rep, "formula") == fake_degree(rep, "enumeration"), rep
+    finally:
+        _formula_product.cache_clear()
+        _word.cache_clear()
+    assert {form for form, _ in calls} == {"_hook_syt_gf", "_q_multinomial"}
+    assert set(calls.values()) == {1}
 
 
 def test_formula_product_is_memoised_per_multiset_of_components():

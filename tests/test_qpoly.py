@@ -486,22 +486,23 @@ def test_q_multinomial_is_the_q_pascal_product():
 
 
 def test_closed_form_memos_hold_canonical_coefficient_tuples():
-    """For every partition of n <= 12 (272 shapes), the hook-form memo
-    holds a tuple that opens with exactly b(shape) zeros and ends in a
-    nonzero coefficient, and the q-multinomial memo of the shape's parts,
-    ascending, a tuple that ends in a nonzero coefficient; each public
-    reader's polynomial stores that very tuple."""
+    """For every partition of n <= 12 (272 shapes), the hook form, which
+    the formula route's words memo packs, is a tuple that opens with
+    exactly b(shape) zeros and ends in a nonzero coefficient, and the
+    q-multinomial of the shape's parts, ascending, a tuple that ends in a
+    nonzero coefficient; each public reader's polynomial stores an equal
+    tuple."""
     shapes = [shape for n in range(13) for shape in partitions_of(n)]
     assert len(shapes) == 272
     for shape in shapes:
         hook = _hook_syt_gf(shape)
         b = b_statistic(shape)
         assert type(hook) is tuple and hook[:b] == (0,) * b and hook[b] and hook[-1], shape
-        assert hook_syt_gf(shape).coeffs is hook, shape
+        assert hook_syt_gf(shape).coeffs == hook, shape
         parts = shape[::-1]
         multinomial = _q_multinomial(parts)
         assert type(multinomial) is tuple and multinomial[-1], shape
-        assert q_multinomial(sum(shape), parts).coeffs is multinomial, shape
+        assert q_multinomial(sum(shape), parts).coeffs == multinomial, shape
 
 
 def test_hook_syt_gf_matches_enumeration():
@@ -592,6 +593,17 @@ def exact_factor_multisets(draw):
     return numerators, denominators
 
 
+def multiplicities(numerators, denominators):
+    """The multiplicity list over 0..n of a binomial multiset: +1 per
+    numerator exponent, -1 per denominator exponent."""
+    mult = [0] * (max([0, *numerators, *denominators]) + 1)
+    for b in numerators:
+        mult[b] += 1
+    for a in denominators:
+        mult[a] -= 1
+    return mult
+
+
 @given(exact_factor_multisets())
 def test_binomial_product_is_the_quotient_of_q_integers(case):
     """Since 1 - q^a = (1 - q) [a]_q, the kernel agrees with products and
@@ -602,7 +614,7 @@ def test_binomial_product_is_the_quotient_of_q_integers(case):
         expected = expected * q_int(b) * QPolynomial([1, -1])
     for a in denominators:
         expected = expected.exact_div(q_int(a) * QPolynomial([1, -1]))
-    cs = _binomial_product(numerators, denominators)
+    cs = _binomial_product(multiplicities(numerators, denominators))
     assert tuple(cs) == expected.coeffs
 
 
@@ -610,10 +622,10 @@ def test_binomial_product_raises_on_an_inexact_quotient():
     def binomial(a):
         return ONE - QPolynomial.monomial(a)
 
-    assert _binomial_product([], []) == [1]
+    assert _binomial_product([0]) == [1]
     for numerators, a in (((2,), 3), ((1,), 2), ((2, 3), 4)):
         with pytest.raises(InexactDivisionError) as err:
-            _binomial_product(numerators, [a])
+            _binomial_product(multiplicities(numerators, [a]))
         dividend = ONE
         for b in numerators:
             dividend = dividend * binomial(b)
